@@ -19,9 +19,7 @@ from .automata import (
     swap_tapes,
     sync_to_async,
     trim,
-    trim_one_tape,
     union,
-    union_one_tape,
     validate_sync,
 )
 from .relations import (
@@ -55,7 +53,7 @@ from .constructions import (
     remove_generator,
     zero_union,
 )
-from .oracle import Oracle, build_oracle, oracle_equal, table_oracle, verify
+from .oracle import Oracle, build_oracle, table_oracle, verify
 from .analysis import (
     PumpDecomposition,
     Report,

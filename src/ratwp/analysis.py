@@ -3,7 +3,6 @@ cross-section transformation."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .automata import (
@@ -12,13 +11,14 @@ from .automata import (
     InputError,
     OneTapeAutomaton,
     NfaTransition,
-    TwoTapeAutomaton,
+    _accepting_run,
+    _as_async,
     eliminate_silent_steps,
     enumerate_accepted,
     enumerate_language,
-    sync_to_async,
     trim,
 )
+from .oracle import _UnionFind
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,7 @@ class PumpDecomposition:
 
 
 def _pump_form(aut):
-    if aut.mode == "sync":
-        aut = sync_to_async(aut)
-    return trim(eliminate_silent_steps(aut))
+    return trim(eliminate_silent_steps(_as_async(aut)))
 
 
 def pumping_constant(aut):
@@ -70,56 +68,15 @@ def pumping_constant(aut):
     return 2 * _pump_form(aut).n_states
 
 
-def _accepting_run(aut, v, w):
-    """One accepting run of a silent-free automaton as a transition list,
-    or None."""
-    by_src = {}
-    for t in aut.transitions:
-        by_src.setdefault(t.src, []).append(t)
-    nv, nw = len(v), len(w)
-    start = (aut.initial, 0, 0)
-    parent = {start: None}
-    queue = deque([start])
-    goal = None
-    while queue:
-        node = queue.popleft()
-        q, i, j = node
-        if i == nv and j == nw and q in aut.finals:
-            goal = node
-            break
-        for t in by_src.get(q, ()):
-            if t.left is EPSILON:
-                ni = i
-            elif i < nv and v[i] == t.left:
-                ni = i + 1
-            else:
-                continue
-            if t.right is EPSILON:
-                nj = j
-            elif j < nw and w[j] == t.right:
-                nj = j + 1
-            else:
-                continue
-            nxt = (t.dst, ni, nj)
-            if nxt not in parent:
-                parent[nxt] = (node, t)
-                queue.append(nxt)
-    if goal is None:
-        return None
-    run = []
-    node = goal
-    while parent[node] is not None:
-        node, t = parent[node]
-        run.append(t)
-    run.reverse()
-    return run
-
-
 def pump_decompose(aut, pair):
     """Decomposition of an accepted pair around the first repeated state of
     an accepting run."""
+    return _decompose_on_form(_pump_form(aut), pair)
+
+
+def _decompose_on_form(form, pair):
+    """pump_decompose on an automaton already in pump form."""
     v, w = tuple(pair[0]), tuple(pair[1])
-    form = _pump_form(aut)
     n0 = 2 * form.n_states
     if len(v) + len(w) <= n0:
         raise InputError(
@@ -166,10 +123,11 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
     if (tuple(aut.left.symbols) != tuple(oracle.alphabet.symbols)
             or tuple(aut.right.symbols) != tuple(oracle.alphabet.symbols)):
         raise InputError("automaton and oracle alphabets differ")
-    n0 = pumping_constant(aut)
+    form = _pump_form(aut)
+    n0 = 2 * form.n_states
     max_len = oracle.bound + oracle.slack
     key = oracle.alphabet.word_key
-    accepted = sorted(enumerate_accepted(aut, bound),
+    accepted = sorted(enumerate_accepted(form, bound),
                       key=lambda p: (key(p[0]), key(p[1])))
     witnesses = []
     for v, w in accepted:
@@ -177,7 +135,7 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
             continue
         if not oracle.includes_empty and (not v or not w):
             continue
-        dec = pump_decompose(aut, (v, w))
+        dec = _decompose_on_form(form, (v, w))
         for i in range(i_max + 1):
             pv, pw = dec.pumped(i)
             if len(pv) > max_len or len(pw) > max_len:
@@ -215,15 +173,13 @@ def equivalence_check(aut, bound):
     # Transitivity via connected components: the relation is transitive
     # (given reflexive + symmetric) iff it equals the union of the squared
     # components.
-    comp = {}
+    index = {v: i for i, v in enumerate(words)}
+    comp = _UnionFind(len(words))
     for v, w in accepted:
-        ra = _find(comp, v)
-        rb = _find(comp, w)
-        if ra != rb:
-            comp[rb] = ra
+        comp.union(index[v], index[w])
     members = {}
     for v in words:
-        members.setdefault(_find(comp, v), []).append(v)
+        members.setdefault(comp.find(index[v]), []).append(v)
     expected = sum(len(m) ** 2 for m in members.values())
     if expected != len(accepted):
         for group in members.values():
@@ -234,15 +190,6 @@ def equivalence_check(aut, bound):
                         return Report("equivalence_check", "fail",
                                       (("transitivity", v, w),))
     return Report("equivalence_check", "pass")
-
-
-def _find(parent, x):
-    root = x
-    while parent.get(root, root) != root:
-        root = parent[root]
-    while parent.get(x, x) != root:
-        parent[x], x = root, parent[x]
-    return root
 
 
 def congruence_check(aut, bound):

@@ -12,7 +12,7 @@ function of its inputs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
@@ -204,7 +204,7 @@ def accepts_two_tape(aut, left_word, right_word):
     if aut.mode == "sync":
         return _accepts_sync(aut, v, w)
     silent_free = eliminate_silent_steps(aut)
-    return _accepts_async_silent_free(silent_free, v, w)
+    return _accepting_run(silent_free, v, w) is not None
 
 
 def _accepts_sync(aut, v, w):
@@ -226,18 +226,28 @@ def _transitions_by_src(aut):
     return by_src
 
 
-def _accepts_async_silent_free(aut, v, w):
-    # Positional reachability over (state, left pos, right pos). Every
-    # transition consumes at least one symbol, so the search is finite.
+def _accepting_run(aut, v, w):
+    """A shortest accepting run of a silent-free async automaton on the
+    pair (v, w), as a list of transitions, or None if there is none.
+
+    Breadth-first over (state, left position, right position). Every
+    transition consumes at least one symbol, so the search is finite.
+    """
     by_src = _transitions_by_src(aut)
     nv, nw = len(v), len(w)
     start = (aut.initial, 0, 0)
-    seen = {start}
-    stack = [start]
-    while stack:
-        q, i, j = stack.pop()
+    parent = {start: None}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        q, i, j = node
         if i == nv and j == nw and q in aut.finals:
-            return True
+            run = []
+            while parent[node] is not None:
+                node, t = parent[node]
+                run.append(t)
+            run.reverse()
+            return run
         for t in by_src.get(q, ()):
             if t.left is EPSILON:
                 ni = i
@@ -251,11 +261,11 @@ def _accepts_async_silent_free(aut, v, w):
                 nj = j + 1
             else:
                 continue
-            node = (t.dst, ni, nj)
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
-    return False
+            nxt = (t.dst, ni, nj)
+            if nxt not in parent:
+                parent[nxt] = (node, t)
+                queue.append(nxt)
+    return None
 
 
 def accepts_one_tape(aut, word):
@@ -263,7 +273,7 @@ def accepts_one_tape(aut, word):
     for s in w:
         if s not in aut.alphabet:
             raise InputError(f"symbol {s!r} not in alphabet")
-    closure = _silent_closure_one_tape(aut)
+    closure = _silent_closure(aut)
     states = set(closure[aut.initial])
     for sym in w:
         step = {t.dst for q in states for t in aut.transitions
@@ -274,42 +284,32 @@ def accepts_one_tape(aut, word):
     return bool(states & aut.finals)
 
 
-def _silent_closure_one_tape(aut):
-    eps = {}
-    for t in aut.transitions:
-        if t.label is EPSILON:
-            eps.setdefault(t.src, set()).add(t.dst)
-    closure = []
-    for q in range(aut.n_states):
-        reach = {q}
-        todo = [q]
-        while todo:
-            r = todo.pop()
-            for s in eps.get(r, ()):
-                if s not in reach:
-                    reach.add(s)
-                    todo.append(s)
-        closure.append(frozenset(reach))
-    return closure
+def _is_silent(t):
+    """Does a transition of either kind read nothing on every tape? Its
+    labels are the fields between src and dst, and states are never None."""
+    return t.count(EPSILON) == len(t) - 2
 
 
-def _silent_closure_two_tape(aut):
+def _reachable(seeds, adj):
+    """The nodes reachable from the seeds (included) along adj, a dict
+    from node to successor nodes."""
+    reach = set(seeds)
+    todo = list(reach)
+    while todo:
+        for r in adj.get(todo.pop(), ()):
+            if r not in reach:
+                reach.add(r)
+                todo.append(r)
+    return reach
+
+
+def _silent_closure(aut):
+    """Per state, the states reachable from it by silent transitions."""
     eps = {}
     for t in aut.transitions:
-        if t.left is EPSILON and t.right is EPSILON:
+        if _is_silent(t):
             eps.setdefault(t.src, set()).add(t.dst)
-    closure = []
-    for q in range(aut.n_states):
-        reach = {q}
-        todo = [q]
-        while todo:
-            r = todo.pop()
-            for s in eps.get(r, ()):
-                if s not in reach:
-                    reach.add(s)
-                    todo.append(s)
-        closure.append(frozenset(reach))
-    return closure
+    return [frozenset(_reachable((q,), eps)) for q in range(aut.n_states)]
 
 
 def eliminate_silent_steps(aut):
@@ -320,15 +320,16 @@ def eliminate_silent_steps(aut):
     """
     if aut.mode == "sync":
         return aut
-    if not any(t.left is EPSILON and t.right is EPSILON for t in aut.transitions):
+    if not any(_is_silent(t) for t in aut.transitions):
         return aut
-    closure = _silent_closure_two_tape(aut)
+    closure = _silent_closure(aut)
+    by_src = _transitions_by_src(aut)
     new_trans = []
     seen = set()
     for q in range(aut.n_states):
         for r in closure[q]:
-            for t in aut.transitions:
-                if t.src != r or (t.left is EPSILON and t.right is EPSILON):
+            for t in by_src.get(r, ()):
+                if _is_silent(t):
                     continue
                 key = (q, t.left, t.right, t.dst)
                 if key not in seen:
@@ -337,152 +338,88 @@ def eliminate_silent_steps(aut):
     new_finals = frozenset(
         q for q in range(aut.n_states) if closure[q] & aut.finals
     )
-    return TwoTapeAutomaton(
-        n_states=aut.n_states,
-        left=aut.left,
-        right=aut.right,
-        initial=aut.initial,
-        finals=new_finals,
-        transitions=tuple(new_trans),
-        mode="async",
-        state_names=aut.state_names,
-    )
-
-
-def _renumber_two_tape(aut, keep):
-    """Restrict to the states in `keep` (must contain the initial state)."""
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    trans = tuple(
-        Transition(remap[t.src], t.left, t.right, remap[t.dst])
-        for t in aut.transitions
-        if t.src in keep and t.dst in keep
-    )
-    names = None
-    if aut.state_names is not None:
-        names = tuple(aut.state_names[q] for q in order)
-    return TwoTapeAutomaton(
-        n_states=len(order),
-        left=aut.left,
-        right=aut.right,
-        initial=remap[aut.initial],
-        finals=frozenset(remap[f] for f in aut.finals if f in keep),
-        transitions=trans,
-        mode=aut.mode,
-        state_names=names,
-    )
+    return replace(aut, finals=new_finals, transitions=tuple(new_trans))
 
 
 def trim(aut):
-    """Keep exactly the states lying on some initial-to-final path.
+    """Keep exactly the states lying on some initial-to-final path, for
+    one- and two-tape automata alike.
 
     If the language is empty only the initial state survives, with no
     final states.
     """
-    fwd = {aut.initial}
-    todo = [aut.initial]
     succ, pred = {}, {}
     for t in aut.transitions:
         succ.setdefault(t.src, set()).add(t.dst)
         pred.setdefault(t.dst, set()).add(t.src)
-    while todo:
-        q = todo.pop()
-        for r in succ.get(q, ()):
-            if r not in fwd:
-                fwd.add(r)
-                todo.append(r)
-    bwd = set(aut.finals)
-    todo = list(aut.finals)
-    while todo:
-        q = todo.pop()
-        for r in pred.get(q, ()):
-            if r not in bwd:
-                bwd.add(r)
-                todo.append(r)
-    useful = fwd & bwd
+    useful = _reachable((aut.initial,), succ) & _reachable(aut.finals, pred)
     if aut.initial not in useful:
-        return TwoTapeAutomaton(
-            n_states=1,
-            left=aut.left,
-            right=aut.right,
-            initial=0,
-            finals=frozenset(),
-            transitions=(),
-            mode=aut.mode,
-        )
-    return _renumber_two_tape(aut, useful)
-
-
-def trim_one_tape(aut):
-    fwd = {aut.initial}
-    todo = [aut.initial]
-    succ, pred = {}, {}
-    for t in aut.transitions:
-        succ.setdefault(t.src, set()).add(t.dst)
-        pred.setdefault(t.dst, set()).add(t.src)
-    while todo:
-        q = todo.pop()
-        for r in succ.get(q, ()):
-            if r not in fwd:
-                fwd.add(r)
-                todo.append(r)
-    bwd = set(aut.finals)
-    todo = list(aut.finals)
-    while todo:
-        q = todo.pop()
-        for r in pred.get(q, ()):
-            if r not in bwd:
-                bwd.add(r)
-                todo.append(r)
-    useful = fwd & bwd
-    if aut.initial not in useful:
-        return OneTapeAutomaton(1, aut.alphabet, 0, frozenset(), ())
+        return replace(aut, n_states=1, initial=0, finals=frozenset(),
+                       transitions=(), state_names=None)
     order = sorted(useful)
     remap = {old: new for new, old in enumerate(order)}
     trans = tuple(
-        NfaTransition(remap[t.src], t.label, remap[t.dst])
+        t._replace(src=remap[t.src], dst=remap[t.dst])
         for t in aut.transitions
         if t.src in useful and t.dst in useful
     )
     names = None
     if aut.state_names is not None:
         names = tuple(aut.state_names[q] for q in order)
-    return OneTapeAutomaton(
-        len(order), aut.alphabet, remap[aut.initial],
-        frozenset(remap[f] for f in aut.finals if f in useful), trans, names
+    return replace(
+        aut,
+        n_states=len(order),
+        initial=remap[aut.initial],
+        finals=frozenset(remap[f] for f in aut.finals if f in useful),
+        transitions=trans,
+        state_names=names,
     )
+
+
+def _explore(start, successors, is_final):
+    """Breadth-first construction of the part of an automaton reachable
+    from `start`.
+
+    States are any hashable values; successors(state) yields the labels of
+    a transition followed by its target state, and is_final(state) says
+    whether a state accepts. States are numbered in discovery order, the
+    start state being 0, so the same inputs always give the same numbering.
+    Returns (state count, finals, transitions as (src, *labels, dst)).
+    """
+    index = {start: 0}
+    order = [start]
+    trans = []
+    for src, state in enumerate(order):
+        for *labels, nxt in successors(state):
+            dst = index.get(nxt)
+            if dst is None:
+                dst = index[nxt] = len(order)
+                order.append(nxt)
+            trans.append((src, *labels, dst))
+    finals = frozenset(i for i, state in enumerate(order) if is_final(state))
+    return len(order), finals, tuple(trans)
 
 
 def determinize(aut):
     """Powerset construction; the result is silent-free and has at most one
     transition per (state, symbol)."""
-    closure = _silent_closure_one_tape(aut)
-    start = frozenset().union(closure[aut.initial])
-    index = {start: 0}
-    order = [start]
-    trans = []
-    queue = deque([start])
+    closure = _silent_closure(aut)
     by_src = {}
     for t in aut.transitions:
         if t.label is not EPSILON:
             by_src.setdefault(t.src, []).append(t)
-    while queue:
-        subset = queue.popleft()
+
+    def successors(subset):
         targets = {}
         for q in subset:
             for t in by_src.get(q, ()):
                 targets.setdefault(t.label, set()).update(closure[t.dst])
         for sym in sorted(targets, key=aut.alphabet.index):
-            dst = frozenset(targets[sym])
-            if dst not in index:
-                index[dst] = len(order)
-                order.append(dst)
-                queue.append(dst)
-            trans.append(NfaTransition(index[subset], sym, index[dst]))
-    finals = frozenset(
-        i for i, subset in enumerate(order) if subset & aut.finals
-    )
-    return OneTapeAutomaton(len(order), aut.alphabet, 0, finals, tuple(trans))
+            yield sym, frozenset(targets[sym])
+
+    n, finals, trans = _explore(closure[aut.initial], successors,
+                                lambda subset: subset & aut.finals)
+    return OneTapeAutomaton(n, aut.alphabet, 0, finals, trans)
 
 
 def swap_tapes(aut):
@@ -502,50 +439,34 @@ def swap_tapes(aut):
 
 
 def union(r, s):
-    """Accept L(r) or L(s): fresh initial state with silent branches."""
-    if r.left != s.left or r.right != s.right:
-        raise InputError("union requires identical alphabets on both tapes")
-    if r.mode == "sync":
-        r = sync_to_async(r)
-    if s.mode == "sync":
-        s = sync_to_async(s)
+    """Accept L(r) or L(s), for two one-tape or two two-tape automata.
+
+    A fresh initial state 0 has silent branches into r, whose states are
+    shifted by 1, and into s, whose states follow r's. Sync automata are
+    viewed as async.
+    """
+    r, s = _as_async(r), _as_async(s)
+    tapes = _tapes(r)
+    if _tapes(s) != tapes:
+        raise InputError("union requires identical alphabets on every tape")
     off_r, off_s = 1, 1 + r.n_states
-    trans = [Transition(0, EPSILON, EPSILON, r.initial + off_r),
-             Transition(0, EPSILON, EPSILON, s.initial + off_s)]
-    for t in r.transitions:
-        trans.append(Transition(t.src + off_r, t.left, t.right, t.dst + off_r))
-    for t in s.transitions:
-        trans.append(Transition(t.src + off_s, t.left, t.right, t.dst + off_s))
+    silent = (EPSILON,) * len(tapes)
+    trans = [(0, *silent, r.initial + off_r), (0, *silent, s.initial + off_s)]
+    for aut, off in ((r, off_r), (s, off_s)):
+        trans += (t._replace(src=t.src + off, dst=t.dst + off)
+                  for t in aut.transitions)
     finals = frozenset(
         {f + off_r for f in r.finals} | {f + off_s for f in s.finals}
     )
-    return TwoTapeAutomaton(
-        n_states=1 + r.n_states + s.n_states,
-        left=r.left,
-        right=r.right,
-        initial=0,
-        finals=finals,
-        transitions=tuple(trans),
-        mode="async",
-    )
+    return replace(r, n_states=off_s + s.n_states, initial=0, finals=finals,
+                   transitions=tuple(trans), state_names=None)
 
 
-def union_one_tape(a, b):
-    if a.alphabet != b.alphabet:
-        raise InputError("union requires identical alphabets")
-    off_a, off_b = 1, 1 + a.n_states
-    trans = [NfaTransition(0, EPSILON, a.initial + off_a),
-             NfaTransition(0, EPSILON, b.initial + off_b)]
-    for t in a.transitions:
-        trans.append(NfaTransition(t.src + off_a, t.label, t.dst + off_a))
-    for t in b.transitions:
-        trans.append(NfaTransition(t.src + off_b, t.label, t.dst + off_b))
-    finals = frozenset(
-        {f + off_a for f in a.finals} | {f + off_b for f in b.finals}
-    )
-    return OneTapeAutomaton(
-        1 + a.n_states + b.n_states, a.alphabet, 0, finals, tuple(trans)
-    )
+def _tapes(aut):
+    """The alphabets of an automaton's tapes, in tape order."""
+    if isinstance(aut, OneTapeAutomaton):
+        return (aut.alphabet,)
+    return (aut.left, aut.right)
 
 
 def enumerate_accepted(aut, len_bound):
@@ -556,9 +477,7 @@ def enumerate_accepted(aut, len_bound):
     """
     if len_bound < 0:
         raise InputError("bound must be >= 0")
-    if aut.mode == "sync":
-        aut = sync_to_async(aut)
-    aut = eliminate_silent_steps(aut)
+    aut = eliminate_silent_steps(_as_async(aut))
     by_src = _transitions_by_src(aut)
     finals = aut.finals
     start = (aut.initial, (), ())
@@ -583,7 +502,7 @@ def enumerate_accepted(aut, len_bound):
 
 def enumerate_language(aut, len_bound):
     """All accepted words of length <= len_bound of a one-tape automaton."""
-    closure = _silent_closure_one_tape(aut)
+    closure = _silent_closure(aut)
     by_src = {}
     for t in aut.transitions:
         if t.label is not EPSILON:
@@ -665,3 +584,8 @@ def sync_to_async(aut):
         mode="async",
         state_names=aut.state_names,
     )
+
+
+def _as_async(aut):
+    """A sync automaton viewed as async; any other automaton unchanged."""
+    return sync_to_async(aut) if getattr(aut, "mode", None) == "sync" else aut

@@ -16,7 +16,6 @@ from .automata import (
     TwoTapeAutomaton,
     as_word,
     trim,
-    trim_one_tape,
 )
 from .analysis import (
     congruence_check,
@@ -133,10 +132,7 @@ def cmd_intersect(args):
 
 
 def cmd_trim(args):
-    aut = load_fsa(args.automaton)
-    if isinstance(aut, OneTapeAutomaton):
-        return _emit(trim_one_tape(aut), args)
-    return _emit(trim(aut), args)
+    return _emit(trim(load_fsa(args.automaton)), args)
 
 
 def cmd_pump(args):

@@ -3,6 +3,7 @@ semigroups, and combinations of smaller word-problem automata."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import product as iproduct
 
 from .automata import (
@@ -14,10 +15,11 @@ from .automata import (
     OneTapeAutomaton,
     Transition,
     TwoTapeAutomaton,
+    _as_async,
+    _explore,
+    _transitions_by_src,
     swap_tapes,
-    sync_to_async,
     union,
-    union_one_tape,
 )
 from .presentations import (
     IdealData,
@@ -33,10 +35,6 @@ from .relations import (
     identity_relation,
     substitution_relation,
 )
-
-
-def _as_async(aut):
-    return sync_to_async(aut) if aut.mode == "sync" else aut
 
 
 def _require_square(wp, what):
@@ -213,73 +211,53 @@ def ideal_extension(wp, data):
     pair of transformation trackers; the trackers record the accumulated
     left action of the B-prefix on I, switch to a pair of ideal elements at
     the first I-letter of each tape, and track right actions thereafter.
+    Only reachable states are built, so the trackers range over the
+    transformations generated by the left actions, not all k^k of them.
     """
     wp = _as_async(wp)
     _require_square(wp, "ideal_extension")
     if tuple(data.base_symbols) != wp.left.symbols:
         raise InputError("ideal data is over a different base alphabet")
     elements = data.elements
-    k = len(elements)
     pos = {e: i for i, e in enumerate(elements)}
     alphabet = Alphabet(wp.left.symbols + elements)
-
-    transformations = sorted(iproduct(range(k), repeat=k))
-    t_idx = {t: i for i, t in enumerate(transformations)}
-    m = len(transformations)
-    identity = tuple(range(k))
+    identity = tuple(range(len(elements)))
     l_of = {b: data.left_transformation(b) for b in data.base_symbols}
+    by_src = _transitions_by_src(wp)
 
-    off_q = 1
-    off_tt = off_q + wp.n_states
-    off_ii = off_tt + m * m
-    n_states = off_ii + k * k
-
-    def tt(alpha, beta):
-        return off_tt + t_idx[alpha] * m + t_idx[beta]
-
-    def ii(i, j):
-        return off_ii + i * k + j
-
-    trans = [
-        Transition(0, EPSILON, EPSILON, off_q + wp.initial),
-        Transition(0, EPSILON, EPSILON, tt(identity, identity)),
-    ]
-    for t in wp.transitions:
-        trans.append(Transition(t.src + off_q, t.left, t.right, t.dst + off_q))
-    for alpha in transformations:
-        for beta in transformations:
-            src = tt(alpha, beta)
+    # States: ("start",), ("S", q) in the S automaton, ("T", alpha, beta)
+    # for the left actions accumulated on each tape, ("I", i, j) for the
+    # ideal elements reached on each tape.
+    def successors(state):
+        kind = state[0]
+        if kind == "start":
+            yield EPSILON, EPSILON, ("S", wp.initial)
+            yield EPSILON, EPSILON, ("T", identity, identity)
+        elif kind == "S":
+            for t in by_src.get(state[1], ()):
+                yield t.left, t.right, ("S", t.dst)
+        elif kind == "T":
+            _, alpha, beta = state
             for b in data.base_symbols:
                 lb = l_of[b]
-                after = tuple(alpha[lb[p]] for p in range(k))
-                trans.append(Transition(src, b, EPSILON, tt(after, beta)))
-                after = tuple(beta[lb[p]] for p in range(k))
-                trans.append(Transition(src, EPSILON, b, tt(alpha, after)))
+                yield b, EPSILON, ("T", tuple(alpha[p] for p in lb), beta)
+                yield EPSILON, b, ("T", alpha, tuple(beta[p] for p in lb))
             for a, b in iproduct(elements, repeat=2):
-                trans.append(Transition(src, a, b,
-                                        ii(alpha[pos[a]], beta[pos[b]])))
-    for i in range(k):
-        for j in range(k):
-            src = ii(i, j)
+                yield a, b, ("I", alpha[pos[a]], beta[pos[b]])
+        else:
+            _, i, j = state
             for a in alphabet:
-                if a in pos:
-                    ia = pos[data.internal[elements[i], a]]
-                    ja = pos[data.internal[elements[j], a]]
-                else:
-                    ia = pos[data.right_action[elements[i], a]]
-                    ja = pos[data.right_action[elements[j], a]]
-                trans.append(Transition(src, a, EPSILON, ii(ia, j)))
-                trans.append(Transition(src, EPSILON, a, ii(i, ja)))
-    finals = {f + off_q for f in wp.finals} | {ii(i, i) for i in range(k)}
-    return TwoTapeAutomaton(
-        n_states=n_states,
-        left=alphabet,
-        right=alphabet,
-        initial=0,
-        finals=frozenset(finals),
-        transitions=tuple(trans),
-        mode="async",
-    )
+                action = data.internal if a in pos else data.right_action
+                yield a, EPSILON, ("I", pos[action[elements[i], a]], j)
+                yield EPSILON, a, ("I", i, pos[action[elements[j], a]])
+
+    def is_final(state):
+        if state[0] == "S":
+            return state[1] in wp.finals
+        return state[0] == "I" and state[1] == state[2]
+
+    n, finals, trans = _explore(("start",), successors, is_final)
+    return TwoTapeAutomaton(n, alphabet, alphabet, 0, finals, trans)
 
 
 def product_with_finite(table, wp_t, gens):
@@ -299,10 +277,7 @@ def product_with_finite(table, wp_t, gens):
         if c not in wp_t.left:
             raise InputError(f"projection {c!r} not in the T automaton's alphabet")
     alphabet = gens.alphabet()
-    n = len(table)
-    one = n  # adjoined identity of S^1
-    n1 = n + 1
-    nr = wp_t.n_states
+    one = len(table)  # adjoined identity of S^1
 
     def mul1(i, j):
         if i == one:
@@ -311,44 +286,26 @@ def product_with_finite(table, wp_t, gens):
             return i
         return table.mul(i, j)
 
-    def st(s, t, q):
-        return (s * n1 + t) * nr + q
-
     s_of = {c: table.index(pi_s[c]) for c in alphabet}
-    by_t_left = {}
-    by_t_right = {}
+    lifts = {EPSILON: [EPSILON]}  # T label -> product labels projecting to it
     for c in alphabet:
-        by_t_left.setdefault(pi_t[c], []).append(c)
-        by_t_right.setdefault(pi_t[c], []).append(c)
+        lifts.setdefault(pi_t[c], []).append(c)
+    by_src = _transitions_by_src(wp_t)
 
-    trans = []
-    for g in wp_t.transitions:
-        if g.left is not EPSILON and g.right is not EPSILON:
-            lifts = [(c, d) for c in by_t_left.get(g.left, ())
-                     for d in by_t_right.get(g.right, ())]
-        elif g.left is not EPSILON:
-            lifts = [(c, None) for c in by_t_left.get(g.left, ())]
-        elif g.right is not EPSILON:
-            lifts = [(None, d) for d in by_t_right.get(g.right, ())]
-        else:
-            lifts = [(None, None)]
-        for c, d in lifts:
-            for s in range(n1):
-                ns = s if c is None else mul1(s, s_of[c])
-                for t in range(n1):
-                    nt = t if d is None else mul1(t, s_of[d])
-                    trans.append(Transition(st(s, t, g.src), c, d,
-                                            st(ns, nt, g.dst)))
-    finals = frozenset(st(s, s, g) for s in range(n) for g in wp_t.finals)
-    return TwoTapeAutomaton(
-        n_states=n1 * n1 * nr,
-        left=alphabet,
-        right=alphabet,
-        initial=st(one, one, wp_t.initial),
-        finals=finals,
-        transitions=tuple(trans),
-        mode="async",
-    )
+    def successors(state):
+        s, t, q = state
+        for g in by_src.get(q, ()):
+            for c in lifts.get(g.left, ()):
+                ns = s if c is EPSILON else mul1(s, s_of[c])
+                for d in lifts.get(g.right, ()):
+                    nt = t if d is EPSILON else mul1(t, s_of[d])
+                    yield c, d, (ns, nt, g.dst)
+
+    n, finals, trans = _explore(
+        (one, one, wp_t.initial), successors,
+        lambda state: (state[0] == state[1] != one
+                       and state[2] in wp_t.finals))
+    return TwoTapeAutomaton(n, alphabet, alphabet, 0, finals, trans)
 
 
 def free_product(wp_s, wp_t):
@@ -361,29 +318,10 @@ def free_product(wp_s, wp_t):
     if set(wp_s.left) & set(wp_t.left):
         raise InputError("free product factors must have disjoint alphabets")
     alphabet = Alphabet(wp_s.left.symbols + wp_t.left.symbols)
-    off_s, off_t = 1, 1 + wp_s.n_states
-    trans = [Transition(0, EPSILON, EPSILON, wp_s.initial + off_s),
-             Transition(0, EPSILON, EPSILON, wp_t.initial + off_t)]
-    for t in wp_s.transitions:
-        trans.append(Transition(t.src + off_s, t.left, t.right, t.dst + off_s))
-    for t in wp_t.transitions:
-        trans.append(Transition(t.src + off_t, t.left, t.right, t.dst + off_t))
-    for f in wp_s.finals:
-        trans.append(Transition(f + off_s, EPSILON, EPSILON, 0))
-    for f in wp_t.finals:
-        trans.append(Transition(f + off_t, EPSILON, EPSILON, 0))
-    finals = frozenset(
-        {f + off_s for f in wp_s.finals} | {f + off_t for f in wp_t.finals}
-    )
-    return TwoTapeAutomaton(
-        n_states=1 + wp_s.n_states + wp_t.n_states,
-        left=alphabet,
-        right=alphabet,
-        initial=0,
-        finals=finals,
-        transitions=tuple(trans),
-        mode="async",
-    )
+    both = union(_widen_two_tape(wp_s, alphabet),
+                 _widen_two_tape(wp_t, alphabet))
+    back = tuple(Transition(f, EPSILON, EPSILON, 0) for f in both.finals)
+    return replace(both, transitions=both.transitions + back)
 
 
 def _widen_two_tape(aut, alphabet):
@@ -437,7 +375,7 @@ def zero_union(wp_s, wp_t, zero):
                     nfa, nfb = fa, 1
                 mixed_trans.append(NfaTransition(src, sym, nfa * 2 + nfb))
     mixed = OneTapeAutomaton(4, alphabet, 0, frozenset({3}), tuple(mixed_trans))
-    z = union_one_tape(union_one_tape(z_s, z_t), mixed)
+    z = union(union(z_s, z_t), mixed)
     return union(
         union(_widen_two_tape(wp_s, alphabet), _widen_two_tape(wp_t, alphabet)),
         cross_product(z, z),

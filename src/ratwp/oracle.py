@@ -77,10 +77,6 @@ class Oracle:
         return {c: sorted(ws, key=key) for c, ws in out.items()}
 
 
-def oracle_equal(oracle, v, w):
-    return oracle.equal(v, w)
-
-
 def _closure_partition(words, relations, max_len):
     index = {w: i for i, w in enumerate(words)}
     uf = _UnionFind(len(words))
@@ -203,15 +199,16 @@ def table_oracle(table, gens, bound=8, kind="semigroup"):
 
 
 def verify(aut, oracle, bound):
-    """All nonempty-word pairs up to the bound where automaton acceptance
-    and oracle equality disagree; empty means verified at this bound."""
+    """All pairs of the oracle's words (the empty word included for monoid
+    oracles) up to the bound where automaton acceptance and oracle equality
+    disagree; empty means verified at this bound."""
     if bound > oracle.bound + oracle.slack:
         raise InputError("verification bound exceeds the oracle bound")
     if (tuple(aut.left.symbols) != tuple(oracle.alphabet.symbols)
             or tuple(aut.right.symbols) != tuple(oracle.alphabet.symbols)):
         raise InputError("automaton and oracle alphabets differ")
     accepted = enumerate_accepted(aut, bound)
-    words = [w for w in oracle.alphabet.words(bound) if w]
+    words = oracle.words(bound)
     class_of = oracle.class_of
     disagreements = []
     for v in words:

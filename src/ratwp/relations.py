@@ -6,64 +6,48 @@ from .automata import (
     EPSILON,
     Alphabet,
     InputError,
-    NfaTransition,
     OneTapeAutomaton,
     Transition,
     TwoTapeAutomaton,
+    _as_async,
+    _explore,
+    _transitions_by_src,
     determinize,
-    sync_to_async,
+    swap_tapes,
 )
-
-
-def _as_async(aut):
-    return sync_to_async(aut) if aut.mode == "sync" else aut
 
 
 def compose(r, s):
     """Relational composition: (u, w) accepted iff some middle word x has
     (u, x) in r and (x, w) in s.
 
-    Product construction on state pairs. An r-transition writing epsilon on
-    the middle tape fires alone, an s-transition reading epsilon from the
-    middle tape fires alone, and transitions agreeing on a middle symbol
-    fire jointly.
+    Product construction on the reachable state pairs. An r-transition
+    writing epsilon on the middle tape fires alone, an s-transition reading
+    epsilon from the middle tape fires alone, and transitions agreeing on a
+    middle symbol fire jointly.
     """
     r, s = _as_async(r), _as_async(s)
     if r.right != s.left:
         raise InputError("compose: r's right alphabet must equal s's left alphabet")
-    ns = s.n_states
+    r_by, s_by = _transitions_by_src(r), _transitions_by_src(s)
 
-    def pair(i, j):
-        return i * ns + j
+    def successors(state):
+        i, j = state
+        for t in r_by.get(i, ()):
+            if t.right is EPSILON:
+                yield t.left, EPSILON, (t.dst, j)
+                continue
+            for u in s_by.get(j, ()):
+                if u.left == t.right:
+                    yield t.left, u.right, (t.dst, u.dst)
+        for u in s_by.get(j, ()):
+            if u.left is EPSILON:
+                yield EPSILON, u.right, (i, u.dst)
 
-    trans = []
-    for t in r.transitions:
-        if t.right is EPSILON:
-            for j in range(ns):
-                trans.append(Transition(pair(t.src, j), t.left, EPSILON,
-                                        pair(t.dst, j)))
-    for u in s.transitions:
-        if u.left is EPSILON:
-            for i in range(r.n_states):
-                trans.append(Transition(pair(i, u.src), EPSILON, u.right,
-                                        pair(i, u.dst)))
-    for t in r.transitions:
-        if t.right is EPSILON:
-            continue
-        for u in s.transitions:
-            if u.left == t.right:
-                trans.append(Transition(pair(t.src, u.src), t.left, u.right,
-                                        pair(t.dst, u.dst)))
-    finals = frozenset(pair(f, g) for f in r.finals for g in s.finals)
-    return TwoTapeAutomaton(
-        n_states=r.n_states * ns,
-        left=r.left,
-        right=s.right,
-        initial=pair(r.initial, s.initial),
-        finals=finals,
-        transitions=tuple(trans),
-        mode="async",
-    )
+    n, finals, trans = _explore(
+        (r.initial, s.initial), successors,
+        lambda state: state[0] in r.finals and state[1] in s.finals)
+    return TwoTapeAutomaton(n, r.left, s.right, 0, finals, trans)
 
 
 def cross_product(l1, l2):
@@ -90,46 +74,40 @@ def fix_tape(r, v, side="left"):
     """Slice a relation at a fixed word.
 
     side="left" gives the language { w | (v, w) in r }, side="right" gives
-    { w | (w, v) in r }. Built as the product with the line automaton of v.
+    { w | (w, v) in r }. Built as the reachable product with the line
+    automaton of v.
     """
     r = _as_async(r)
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', not {side!r}")
-    fixed_alpha = r.left if side == "left" else r.right
-    out_alpha = r.right if side == "left" else r.left
+    if side == "right":
+        r = swap_tapes(r)
     v = tuple(v)
     for sym in v:
-        if sym not in fixed_alpha:
+        if sym not in r.left:
             raise InputError(f"symbol {sym!r} not in the fixed tape's alphabet")
     k = len(v)
+    by_src = _transitions_by_src(r)
 
-    def st(q, i):
-        return q * (k + 1) + i
+    def successors(state):
+        q, i = state
+        for t in by_src.get(q, ()):
+            if t.left is EPSILON:
+                yield t.right, (t.dst, i)
+            elif i < k and v[i] == t.left:
+                yield t.right, (t.dst, i + 1)
 
-    trans = []
-    for t in r.transitions:
-        fixed_lab = t.left if side == "left" else t.right
-        out_lab = t.right if side == "left" else t.left
-        for i in range(k + 1):
-            if fixed_lab is EPSILON:
-                trans.append(NfaTransition(st(t.src, i), out_lab, st(t.dst, i)))
-            elif i < k and v[i] == fixed_lab:
-                trans.append(NfaTransition(st(t.src, i), out_lab, st(t.dst, i + 1)))
-    finals = frozenset(st(f, k) for f in r.finals)
-    return OneTapeAutomaton(
-        n_states=r.n_states * (k + 1),
-        alphabet=out_alpha,
-        initial=st(r.initial, 0),
-        finals=finals,
-        transitions=tuple(trans),
-    )
+    n, finals, trans = _explore(
+        (r.initial, 0), successors,
+        lambda state: state[0] in r.finals and state[1] == k)
+    return OneTapeAutomaton(n, r.right, 0, finals, trans)
 
 
 def intersect_rectangle(r, l, k):
     """Intersect a relation with the rectangle L x K of regular languages.
 
     L and K are determinized first so the tracking components stay
-    silent-free.
+    silent-free; only the reachable product states are built.
     """
     r = _as_async(r)
     if l.alphabet != r.left:
@@ -139,41 +117,21 @@ def intersect_rectangle(r, l, k):
     dl, dk = determinize(l), determinize(k)
     step_l = {(t.src, t.label): t.dst for t in dl.transitions}
     step_k = {(t.src, t.label): t.dst for t in dk.transitions}
-    nl, nk = dl.n_states, dk.n_states
+    by_src = _transitions_by_src(r)
 
-    def st(q, i, j):
-        return (q * nl + i) * nk + j
+    def successors(state):
+        q, i, j = state
+        for t in by_src.get(q, ()):
+            ni = i if t.left is EPSILON else step_l.get((i, t.left))
+            nj = j if t.right is EPSILON else step_k.get((j, t.right))
+            if ni is not None and nj is not None:
+                yield t.left, t.right, (t.dst, ni, nj)
 
-    trans = []
-    for t in r.transitions:
-        for i in range(nl):
-            if t.left is EPSILON:
-                ni = i
-            else:
-                ni = step_l.get((i, t.left))
-                if ni is None:
-                    continue
-            for j in range(nk):
-                if t.right is EPSILON:
-                    nj = j
-                else:
-                    nj = step_k.get((j, t.right))
-                    if nj is None:
-                        continue
-                trans.append(Transition(st(t.src, i, j), t.left, t.right,
-                                        st(t.dst, ni, nj)))
-    finals = frozenset(
-        st(f, i, j) for f in r.finals for i in dl.finals for j in dk.finals
-    )
-    return TwoTapeAutomaton(
-        n_states=r.n_states * nl * nk,
-        left=r.left,
-        right=r.right,
-        initial=st(r.initial, dl.initial, dk.initial),
-        finals=finals,
-        transitions=tuple(trans),
-        mode="async",
-    )
+    n, finals, trans = _explore(
+        (r.initial, dl.initial, dk.initial), successors,
+        lambda state: (state[0] in r.finals and state[1] in dl.finals
+                       and state[2] in dk.finals))
+    return TwoTapeAutomaton(n, r.left, r.right, 0, finals, trans)
 
 
 def _image_alphabet(alphabet, mapping):

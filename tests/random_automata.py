@@ -1,0 +1,99 @@
+"""Hypothesis strategies for small random automata over {a, b}, shared by
+the differential tests."""
+
+from hypothesis import strategies as st
+
+from ratwp import (
+    EPSILON,
+    PAD,
+    Alphabet,
+    OneTapeAutomaton,
+    TwoTapeAutomaton,
+)
+
+AB = Alphabet(("a", "b"))
+LABELS = st.sampled_from(("a", "b", EPSILON))
+
+
+@st.composite
+def two_tape_automata(draw, max_states=4, max_transitions=8):
+    """Async automata, epsilon labels (silent steps included) allowed."""
+    n = draw(st.integers(1, max_states))
+    state = st.integers(0, n - 1)
+    trans = draw(st.lists(st.tuples(state, LABELS, LABELS, state),
+                          max_size=max_transitions))
+    return TwoTapeAutomaton(n, AB, AB, draw(state),
+                            draw(st.frozensets(state)), tuple(trans))
+
+
+@st.composite
+def one_tape_automata(draw, max_states=4, max_transitions=8):
+    n = draw(st.integers(1, max_states))
+    state = st.integers(0, n - 1)
+    trans = draw(st.lists(st.tuples(state, LABELS, state),
+                          max_size=max_transitions))
+    return OneTapeAutomaton(n, AB, draw(state), draw(st.frozensets(state)),
+                            tuple(trans))
+
+
+@st.composite
+def sync_automata(draw, max_states=4, max_transitions=8):
+    """Sync automata that keep the padding discipline: each state is
+    unpadded, left-padded or right-padded, transitions into a padded state
+    read a pad on that tape, and no transition leaves a padded region."""
+    n = draw(st.integers(1, max_states))
+    state = st.integers(0, n - 1)
+    region = draw(st.lists(st.sampled_from("NLR"), min_size=n, max_size=n))
+    trans = []
+    for src, x, y, dst in draw(st.lists(
+            st.tuples(state, st.sampled_from("ab"), st.sampled_from("ab"),
+                      state),
+            max_size=max_transitions)):
+        if region[src] != "N" and region[dst] != region[src]:
+            continue
+        if region[dst] == "L":
+            x = PAD
+        elif region[dst] == "R":
+            y = PAD
+        trans.append((src, x, y, dst))
+    return TwoTapeAutomaton(n, AB, AB, draw(state), draw(st.frozensets(state)),
+                            tuple(trans), mode="sync")
+
+
+def all_reachable(aut):
+    """Is every state reachable from the initial state?"""
+    succ = {}
+    for t in aut.transitions:
+        succ.setdefault(t.src, set()).add(t.dst)
+    seen = {aut.initial}
+    todo = [aut.initial]
+    while todo:
+        for q in succ.get(todo.pop(), ()):
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen) == aut.n_states
+
+
+def accepted_pairs(aut, bound):
+    """Reference for the accepted pairs of an async automaton with both
+    words of length <= bound: a search over (state, left word, right word)
+    that follows silent transitions as they are, without eliminating them."""
+    start = (aut.initial, (), ())
+    seen = {start}
+    todo = [start]
+    accepted = set()
+    while todo:
+        q, v, w = todo.pop()
+        if q in aut.finals:
+            accepted.add((v, w))
+        for t in aut.transitions:
+            if t.src != q:
+                continue
+            nv = v if t.left is EPSILON else v + (t.left,)
+            nw = w if t.right is EPSILON else w + (t.right,)
+            node = (t.dst, nv, nw)
+            if len(nv) <= bound and len(nw) <= bound and node not in seen:
+                seen.add(node)
+                todo.append(node)
+    return accepted

@@ -24,6 +24,13 @@ from ratwp import (
     union,
     validate_sync,
 )
+from random_automata import (
+    accepted_pairs,
+    all_reachable,
+    one_tape_automata,
+    sync_automata,
+    two_tape_automata,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -234,3 +241,43 @@ def test_fig3_class_of_word_contains_it(word):
     # reflexivity of the decided congruence
     aut = builtin("fig3")
     assert aut.accepts(tuple(word), tuple(word))
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_tape_automata())
+def test_accepts_agrees_with_enumerate_accepted(aut):
+    accepted = enumerate_accepted(aut, 3)
+    assert accepted == accepted_pairs(aut, 3)
+    for v, u in all_pairs(AB, 3):
+        assert aut.accepts(v, u) == ((v, u) in accepted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_tape_automata())
+def test_trim_and_silent_elimination_keep_accepted_set(aut):
+    expected = accepted_pairs(aut, 3)
+    silent_free = eliminate_silent_steps(aut)
+    assert not any(t.left is EPSILON and t.right is EPSILON
+                   for t in silent_free.transitions)
+    assert accepted_pairs(silent_free, 3) == expected
+    assert accepted_pairs(trim(aut), 3) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(sync_automata())
+def test_sync_to_async_keeps_accepted_set(aut):
+    validate_sync(aut)
+    expected = {(v, u) for v, u in all_pairs(AB, 3) if aut.accepts(v, u)}
+    assert accepted_pairs(sync_to_async(aut), 3) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_tape_automata())
+def test_one_tape_trim_and_determinize_keep_language(aut):
+    expected = {v for v in [()] + list(AB.words(4))
+                if accepts_one_tape(aut, v)}
+    assert enumerate_language(aut, 4) == expected
+    assert enumerate_language(trim(aut), 4) == expected
+    dfa = determinize(aut)
+    assert all_reachable(dfa)
+    assert enumerate_language(dfa, 4) == expected

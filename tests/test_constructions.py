@@ -31,6 +31,7 @@ from ratwp import (
     zero_union,
 )
 from ratwp.automata import NfaTransition, OneTapeAutomaton
+from random_automata import all_reachable
 
 A = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
@@ -153,6 +154,7 @@ class TestIdealExtension:
 
     def test_two_element_ideal(self):
         wp = ideal_extension(wp_trivial_a(), self.ideal_two())
+        assert all_reachable(wp)
         oracle = build_oracle(
             Presentation("semigroup", Alphabet(("a", "u", "v")), relations=(
                 (("a", "a"), ("a",)),
@@ -207,6 +209,7 @@ class TestProductWithFinite:
     def test_c2_times_fig3(self, c2_table):
         gens = ProductGenerators((("x", "g", "a"), ("y", "g", "b")))
         wp = product_with_finite(c2_table, builtin("fig3"), gens)
+        assert all_reachable(wp)
         oracle = componentwise_oracle(c2_table, gens, 5)
         assert verify(wp, oracle, 5) == []
 

@@ -1,6 +1,7 @@
 import pytest
 
 from ratwp import (
+    EPSILON,
     Alphabet,
     InputError,
     Presentation,
@@ -9,7 +10,7 @@ from ratwp import (
     build_oracle,
     builtin,
     builtin_presentation,
-    oracle_equal,
+    free_wp,
     table_oracle,
     verify,
 )
@@ -60,7 +61,7 @@ class TestOracleQueries:
     def test_reflexive(self):
         oracle = build_oracle(builtin_presentation("fig3"), 4)
         for v in AB.words(4):
-            assert oracle_equal(oracle, v, v)
+            assert oracle.equal(v, v)
 
     def test_paper_equalities(self):
         oracle = build_oracle(builtin_presentation("fig3"), 4)
@@ -140,6 +141,19 @@ class TestVerify:
                                 oracle.alphabet.word_key(p[1])))
         pairs = set(bad)
         assert all((u, v) in pairs for v, u in pairs)
+
+    def test_monoid_empty_word_checked(self):
+        # the free monoid's word problem plus a fresh final state reached
+        # by (epsilon, a): it wrongly equates the empty word with a
+        aut = free_wp(AB, kind="monoid")
+        mutant = TwoTapeAutomaton(
+            aut.n_states + 1, AB, AB, aut.initial,
+            aut.finals | {aut.n_states},
+            aut.transitions + (Transition(aut.initial, EPSILON, "a",
+                                          aut.n_states),))
+        oracle = build_oracle(Presentation("monoid", AB), 4)
+        assert verify(aut, oracle, 4) == []
+        assert verify(mutant, oracle, 4) == [((), ("a",))]
 
     def test_alphabet_mismatch(self):
         oracle = build_oracle(

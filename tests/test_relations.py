@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratwp import (
     Alphabet,
@@ -16,6 +18,11 @@ from ratwp import (
     relabel,
     substitution_relation,
     swap_tapes,
+)
+from random_automata import (
+    all_reachable,
+    one_tape_automata,
+    two_tape_automata,
 )
 
 AB = Alphabet(("a", "b"))
@@ -190,3 +197,36 @@ class TestIdentityAndSubstitution:
             substitution_relation(A, "a", ("a",))
         with pytest.raises(InputError):
             substitution_relation(A, "b", ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_tape_automata(), two_tape_automata())
+def test_compose_contains_bounded_composition(r, s):
+    out = compose(r, s)
+    assert all_reachable(out)
+    second = enumerate_accepted(s, 3)
+    expected = {(u, w) for u, x in enumerate_accepted(r, 3)
+                for y, w in second if x == y}
+    assert expected <= enumerate_accepted(out, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_tape_automata(),
+       st.lists(st.sampled_from("ab"), max_size=2).map(tuple),
+       st.sampled_from(("left", "right")))
+def test_fix_tape_is_the_slice(r, v, side):
+    lang = fix_tape(r, v, side=side)
+    assert all_reachable(lang)
+    for u in [()] + list(AB.words(3)):
+        pair = (v, u) if side == "left" else (u, v)
+        assert accepts_one_tape(lang, u) == r.accepts(*pair)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_tape_automata(), one_tape_automata(), one_tape_automata())
+def test_intersect_rectangle_is_the_restriction(r, l, k):
+    out = intersect_rectangle(r, l, k)
+    assert all_reachable(out)
+    expected = {(v, u) for v, u in enumerate_accepted(r, 3)
+                if accepts_one_tape(l, v) and accepts_one_tape(k, u)}
+    assert enumerate_accepted(out, 3) == expected
