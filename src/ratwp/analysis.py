@@ -18,7 +18,7 @@ from .automata import (
     enumerate_language,
     trim,
 )
-from .oracle import _UnionFind
+from .oracle import _UnionFind, _unrelated_pairs
 
 
 @dataclass(frozen=True)
@@ -180,15 +180,12 @@ def equivalence_check(aut, bound):
     members = {}
     for v in words:
         members.setdefault(comp.find(index[v]), []).append(v)
-    expected = sum(len(m) ** 2 for m in members.values())
-    if expected != len(accepted):
-        for group in members.values():
-            for v in group:
-                for w in group:
-                    if (v, w) not in accepted:
-                        # some u links v and w but (v, w) is missing
-                        return Report("equivalence_check", "fail",
-                                      (("transitivity", v, w),))
+    missing = next(_unrelated_pairs(members.values(), accepted,
+                                    len(accepted)), None)
+    if missing is not None:
+        # some u links v and w but (v, w) is missing
+        return Report("equivalence_check", "fail",
+                      (("transitivity",) + missing,))
     return Report("equivalence_check", "pass")
 
 

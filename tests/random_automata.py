@@ -8,7 +8,9 @@ from ratwp import (
     PAD,
     Alphabet,
     OneTapeAutomaton,
+    Presentation,
     TwoTapeAutomaton,
+    enumerate_accepted,
 )
 
 AB = Alphabet(("a", "b"))
@@ -34,6 +36,18 @@ def one_tape_automata(draw, max_states=4, max_transitions=8):
                           max_size=max_transitions))
     return OneTapeAutomaton(n, AB, draw(state), draw(st.frozensets(state)),
                             tuple(trans))
+
+
+@st.composite
+def presentations(draw, max_relations=3, max_len=3):
+    """Semigroup or monoid presentations over {a, b} with short relations;
+    monoid relations may have an empty side."""
+    kind = draw(st.sampled_from(("semigroup", "monoid")))
+    min_len = 0 if kind == "monoid" else 1
+    side = st.lists(st.sampled_from("ab"), min_size=min_len,
+                    max_size=max_len).map(tuple)
+    relations = draw(st.lists(st.tuples(side, side), max_size=max_relations))
+    return Presentation(kind, AB, relations=tuple(relations))
 
 
 @st.composite
@@ -97,3 +111,20 @@ def accepted_pairs(aut, bound):
                 seen.add(node)
                 todo.append(node)
     return accepted
+
+
+def verify_all_pairs(aut, oracle, bound):
+    """Reference for verify: every pair of the oracle's words up to the
+    bound, tested for acceptance and for oracle equality."""
+    accepted = enumerate_accepted(aut, bound)
+    words = oracle.words(bound)
+    class_of = oracle.class_of
+    disagreements = []
+    for v in words:
+        cv = class_of[v]
+        for w in words:
+            if ((v, w) in accepted) != (cv == class_of[w]):
+                disagreements.append((v, w))
+    key = oracle.alphabet.word_key
+    disagreements.sort(key=lambda p: (key(p[0]), key(p[1])))
+    return disagreements

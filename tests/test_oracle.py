@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratwp import (
     EPSILON,
@@ -12,10 +14,28 @@ from ratwp import (
     builtin_presentation,
     free_wp,
     table_oracle,
+    union,
     verify,
 )
 
+from random_automata import (
+    presentations,
+    sync_automata,
+    two_tape_automata,
+    verify_all_pairs,
+)
+
 AB = Alphabet(("a", "b"))
+
+
+def free_monoid_with_eps_a():
+    """The free monoid's word problem plus a fresh final state reached by
+    (epsilon, a): it wrongly equates the empty word with a."""
+    aut = free_wp(AB, kind="monoid")
+    return TwoTapeAutomaton(
+        aut.n_states + 1, AB, AB, aut.initial, aut.finals | {aut.n_states},
+        aut.transitions + (Transition(aut.initial, EPSILON, "a",
+                                      aut.n_states),))
 
 
 class TestBuildOracle:
@@ -143,17 +163,39 @@ class TestVerify:
         assert all((u, v) in pairs for v, u in pairs)
 
     def test_monoid_empty_word_checked(self):
-        # the free monoid's word problem plus a fresh final state reached
-        # by (epsilon, a): it wrongly equates the empty word with a
-        aut = free_wp(AB, kind="monoid")
-        mutant = TwoTapeAutomaton(
-            aut.n_states + 1, AB, AB, aut.initial,
-            aut.finals | {aut.n_states},
-            aut.transitions + (Transition(aut.initial, EPSILON, "a",
-                                          aut.n_states),))
         oracle = build_oracle(Presentation("monoid", AB), 4)
-        assert verify(aut, oracle, 4) == []
-        assert verify(mutant, oracle, 4) == [((), ("a",))]
+        assert verify(free_wp(AB, kind="monoid"), oracle, 4) == []
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("semigroup", []),
+        ("monoid", [((), ("a",))]),
+    ])
+    def test_empty_side_pairs_follow_oracle_kind(self, kind, expected):
+        # a semigroup oracle has no empty word, so accepted pairs with an
+        # empty side are ignored; a monoid oracle reports them
+        oracle = build_oracle(Presentation(kind, AB), 4)
+        assert verify(free_monoid_with_eps_a(), oracle, 4) == expected
+
+    def test_over_acceptance_reported(self):
+        # fig3 plus (a, b) out of the initial state accepts a ~ b
+        aut = builtin("fig3")
+        mutant = TwoTapeAutomaton(
+            aut.n_states, AB, AB, aut.initial, aut.finals,
+            aut.transitions + (Transition(0, "a", "b", 1),))
+        oracle = build_oracle(builtin_presentation("fig3"), 2)
+        assert verify(mutant, oracle, 2) == [
+            (("a",), ("b",)), (("a",), ("b", "a")), (("a", "a"), ("b",)),
+            (("a", "a"), ("b", "a")), (("a", "b"), ("b", "b"))]
+
+    def test_under_acceptance_reported(self):
+        # fig1 without its final state drops every equal pair
+        aut = builtin("fig1")
+        mutant = TwoTapeAutomaton(aut.n_states, AB, AB, aut.initial,
+                                  frozenset(), aut.transitions)
+        oracle = build_oracle(builtin_presentation("fig1"), 2)
+        assert verify(mutant, oracle, 2) == [
+            (w, w) for w in (("a",), ("b",), ("a", "a"), ("a", "b"),
+                             ("b", "a"), ("b", "b"))]
 
     def test_alphabet_mismatch(self):
         oracle = build_oracle(
@@ -165,3 +207,16 @@ class TestVerify:
         oracle = build_oracle(builtin_presentation("fig1"), 3, slack=0)
         with pytest.raises(InputError):
             verify(builtin("fig1"), oracle, 5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+           two_tape_automata(),
+           sync_automata(),
+           # accepts every equal pair of the free monoid, and more
+           two_tape_automata().map(
+               lambda aut: union(free_wp(AB, kind="monoid"), aut))),
+       presentations(), st.integers(1, 4))
+def test_verify_agrees_with_all_pairs(aut, presentation, bound):
+    oracle = build_oracle(presentation, bound, slack=1)
+    assert verify(aut, oracle, bound) == verify_all_pairs(aut, oracle, bound)
