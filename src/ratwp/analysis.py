@@ -11,10 +11,10 @@ from .automata import (
     InputError,
     OneTapeAutomaton,
     NfaTransition,
+    _accepted_shortlex,
     _accepting_run,
     _as_async,
     eliminate_silent_steps,
-    enumerate_accepted,
     enumerate_language,
     trim,
 )
@@ -126,11 +126,8 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
     form = _pump_form(aut)
     n0 = 2 * form.n_states
     max_len = oracle.bound + oracle.slack
-    key = oracle.alphabet.word_key
-    accepted = sorted(enumerate_accepted(form, bound),
-                      key=lambda p: (key(p[0]), key(p[1])))
     witnesses = []
-    for v, w in accepted:
+    for v, w in _accepted_shortlex(form, bound):
         if len(v) + len(w) <= n0:
             continue
         if not oracle.includes_empty and (not v or not w):
@@ -151,17 +148,27 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
     return Report("pump_refute", verdict, tuple(witnesses))
 
 
-def _nonempty_accepted(aut, bound):
-    return {(v, w) for v, w in enumerate_accepted(aut, bound) if v and w}
+def _checked_pairs(aut, bound, kind):
+    """The accepted pairs up to the bound that the relation checks range
+    over: all of them for kind "monoid", those of two nonempty words for
+    kind "semigroup". A dict with the pairs as keys, in shortlex order, so
+    the first witness a check finds does not depend on hashing."""
+    if kind not in ("semigroup", "monoid"):
+        raise InputError(f"kind must be 'semigroup' or 'monoid', not {kind!r}")
+    pairs = _accepted_shortlex(aut, bound)
+    if kind == "semigroup":
+        pairs = [(v, w) for v, w in pairs if v and w]
+    return dict.fromkeys(pairs)
 
 
-def equivalence_check(aut, bound):
-    """Reflexivity, symmetry, and transitivity over all nonempty words up
-    to the bound."""
+def equivalence_check(aut, bound, kind="semigroup"):
+    """Reflexivity, symmetry, and transitivity over all words up to the
+    bound: nonempty words for kind "semigroup", the empty word too for
+    kind "monoid"."""
     if aut.left != aut.right:
         raise InputError("equivalence check needs equal tape alphabets")
-    accepted = _nonempty_accepted(aut, bound)
-    words = list(aut.left.words(bound))
+    accepted = _checked_pairs(aut, bound, kind)
+    words = list(aut.left.words(bound, min_len=0 if kind == "monoid" else 1))
     for v in words:
         if (v, v) not in accepted:
             return Report("equivalence_check", "fail",
@@ -189,12 +196,12 @@ def equivalence_check(aut, bound):
     return Report("equivalence_check", "pass")
 
 
-def congruence_check(aut, bound):
+def congruence_check(aut, bound, kind="semigroup"):
     """Closure of the accepted relation under two-sided contexts within the
-    bound."""
+    bound; kind chooses the words as in equivalence_check."""
     if aut.left != aut.right:
         raise InputError("congruence check needs equal tape alphabets")
-    accepted = _nonempty_accepted(aut, bound)
+    accepted = _checked_pairs(aut, bound, kind)
     words_of_len = {}
     for w in aut.left.words(bound, min_len=0):
         words_of_len.setdefault(len(w), []).append(w)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
@@ -131,6 +132,23 @@ class TwoTapeAutomaton:
     def accepts(self, left_word, right_word):
         return accepts_two_tape(self, left_word, right_word)
 
+    # Derived values, computed on first use and kept with the frozen value.
+    # Callers must not mutate them.
+
+    @cached_property
+    def by_src(self):
+        """State -> tuple of the transitions leaving it."""
+        by_src = {}
+        for t in self.transitions:
+            by_src.setdefault(t.src, []).append(t)
+        return {q: tuple(ts) for q, ts in by_src.items()}
+
+    @cached_property
+    def silent_free(self):
+        """eliminate_silent_steps(self): the automaton itself when it has no
+        silent steps."""
+        return eliminate_silent_steps(self)
+
 
 @dataclass(frozen=True)
 class OneTapeAutomaton:
@@ -203,27 +221,19 @@ def accepts_two_tape(aut, left_word, right_word):
     _check_pair(aut, v, w)
     if aut.mode == "sync":
         return _accepts_sync(aut, v, w)
-    silent_free = eliminate_silent_steps(aut)
-    return _accepting_run(silent_free, v, w) is not None
+    return _accepting_run(aut.silent_free, v, w) is not None
 
 
 def _accepts_sync(aut, v, w):
     columns = pad(v, w)
     states = {aut.initial}
-    by_src = _transitions_by_src(aut)
+    by_src = aut.by_src
     for a, b in columns:
         states = {t.dst for q in states for t in by_src.get(q, ())
                   if t.left == a and t.right == b}
         if not states:
             return False
     return bool(states & aut.finals)
-
-
-def _transitions_by_src(aut):
-    by_src = {}
-    for t in aut.transitions:
-        by_src.setdefault(t.src, []).append(t)
-    return by_src
 
 
 def _accepting_run(aut, v, w):
@@ -233,7 +243,7 @@ def _accepting_run(aut, v, w):
     Breadth-first over (state, left position, right position). Every
     transition consumes at least one symbol, so the search is finite.
     """
-    by_src = _transitions_by_src(aut)
+    by_src = aut.by_src
     nv, nw = len(v), len(w)
     start = (aut.initial, 0, 0)
     parent = {start: None}
@@ -323,7 +333,7 @@ def eliminate_silent_steps(aut):
     if not any(_is_silent(t) for t in aut.transitions):
         return aut
     closure = _silent_closure(aut)
-    by_src = _transitions_by_src(aut)
+    by_src = aut.by_src
     new_trans = []
     seen = set()
     for q in range(aut.n_states):
@@ -470,34 +480,91 @@ def _tapes(aut):
 
 
 def enumerate_accepted(aut, len_bound):
-    """All accepted pairs with both words of length <= len_bound.
+    """All accepted pairs with both words of length <= len_bound, as a set."""
+    codes, decode = _accepted_codes(aut, len_bound)
+    return {decode(c) for c in codes}
 
-    Forward search over (state, left word, right word); far cheaper than
-    testing every candidate pair when the relation is thin.
+
+def _accepted_shortlex(aut, len_bound):
+    """enumerate_accepted as a list sorted by (word_key(v), word_key(w))."""
+    codes, decode = _accepted_codes(aut, len_bound)
+    return [decode(c) for c in sorted(codes)]
+
+
+def _accepted_codes(aut, len_bound):
+    """The accepted pairs with both words of length <= len_bound, as a set
+    of integer codes, and the function that decodes one code to its pair.
+
+    A word over k symbols is coded in bijective base k: the empty word is
+    0 and code(w s) = code(w) k + index(s) + 1, so codes count the words
+    in shortlex order and a word is within the bound iff its code is below
+    the number of such words. The pair (v, w) is code(v) R + code(w), R
+    being that number for the right tape, so pair codes sort like
+    (word_key(v), word_key(w)). The search runs forward over nodes
+    (code(v) R + code(w)) n + q for the n states q of the silent-free form.
     """
     if len_bound < 0:
         raise InputError("bound must be >= 0")
     aut = eliminate_silent_steps(_as_async(aut))
-    by_src = _transitions_by_src(aut)
-    finals = aut.finals
-    start = (aut.initial, (), ())
+    n = aut.n_states
+    k_left, k_right = len(aut.left), len(aut.right)
+    lim_left = sum(k_left ** i for i in range(len_bound + 1))
+    lim_right = sum(k_right ** i for i in range(len_bound + 1))
+    # Per state, each transition as (multiplier, digit) per tape and its
+    # target: reading s multiplies by k and adds index(s) + 1, epsilon
+    # multiplies by 1 and adds 0.
+    steps = [[] for _ in range(n)]
+    for t in aut.transitions:
+        ml, dl = ((1, 0) if t.left is EPSILON
+                  else (k_left, aut.left.index(t.left) + 1))
+        mr, dr = ((1, 0) if t.right is EPSILON
+                  else (k_right, aut.right.index(t.right) + 1))
+        steps[t.src].append((ml, dl, mr, dr, t.dst))
+    final = [q in aut.finals for q in range(n)]
+    start = aut.initial
     seen = {start}
     stack = [start]
     accepted = set()
     while stack:
-        q, v, w = stack.pop()
-        if q in finals:
-            accepted.add((v, w))
-        for t in by_src.get(q, ()):
-            nv = v if t.left is EPSILON else v + (t.left,)
-            nw = w if t.right is EPSILON else w + (t.right,)
-            if len(nv) > len_bound or len(nw) > len_bound:
+        pair, q = divmod(stack.pop(), n)
+        if final[q]:
+            accepted.add(pair)
+        v, w = divmod(pair, lim_right)
+        for ml, dl, mr, dr, dst in steps[q]:
+            nv = v * ml + dl
+            if nv >= lim_left:
                 continue
-            node = (t.dst, nv, nw)
+            nw = w * mr + dr
+            if nw >= lim_right:
+                continue
+            node = (nv * lim_right + nw) * n + dst
             if node not in seen:
                 seen.add(node)
                 stack.append(node)
-    return accepted
+    decode_left = _word_decoder(aut.left)
+    decode_right = _word_decoder(aut.right)
+
+    def decode(code):
+        v, w = divmod(code, lim_right)
+        return decode_left(v), decode_right(w)
+
+    return accepted, decode
+
+
+def _word_decoder(alphabet):
+    """The word of a bijective base-k code (see _accepted_codes), with a
+    memo shared by every call of the returned function."""
+    symbols, k = alphabet.symbols, len(alphabet)
+    memo = {0: ()}
+
+    def decode(code):
+        word = memo.get(code)
+        if word is None:
+            prefix, digit = divmod(code - 1, k)
+            word = memo[code] = decode(prefix) + (symbols[digit],)
+        return word
+
+    return decode
 
 
 def enumerate_language(aut, len_bound):
@@ -541,7 +608,7 @@ def validate_sync(aut):
     for t in aut.transitions:
         if t.left == PAD and t.right == PAD:
             raise InputError("transition padded on both tapes")
-    by_src = _transitions_by_src(aut)
+    by_src = aut.by_src
     seen = {(aut.initial, False, False)}
     stack = [(aut.initial, False, False)]
     while stack:

@@ -160,7 +160,7 @@ def cmd_pump_refute(args):
 def cmd_check(args):
     aut = _two_tape(load_fsa(args.automaton), args.automaton)
     check = equivalence_check if args.property == "equiv" else congruence_check
-    report = check(aut, args.bound)
+    report = check(aut, args.bound, kind=args.kind)
     print(report)
     return 0 if report.verdict == "pass" else 1
 
@@ -347,6 +347,9 @@ def build_parser():
     p.add_argument("property", choices=("equiv", "congruence"))
     p.add_argument("automaton")
     p.add_argument("--bound", type=int, default=5)
+    p.add_argument("--kind", choices=("semigroup", "monoid"),
+                   default="semigroup",
+                   help="monoid: include the empty word")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("cross-section", help="loop-removal cross-section")

@@ -17,7 +17,6 @@ from .automata import (
     TwoTapeAutomaton,
     _as_async,
     _explore,
-    _transitions_by_src,
     swap_tapes,
     union,
 )
@@ -223,7 +222,7 @@ def ideal_extension(wp, data):
     alphabet = Alphabet(wp.left.symbols + elements)
     identity = tuple(range(len(elements)))
     l_of = {b: data.left_transformation(b) for b in data.base_symbols}
-    by_src = _transitions_by_src(wp)
+    by_src = wp.by_src
 
     # States: ("start",), ("S", q) in the S automaton, ("T", alpha, beta)
     # for the left actions accumulated on each tape, ("I", i, j) for the
@@ -290,7 +289,7 @@ def product_with_finite(table, wp_t, gens):
     lifts = {EPSILON: [EPSILON]}  # T label -> product labels projecting to it
     for c in alphabet:
         lifts.setdefault(pi_t[c], []).append(c)
-    by_src = _transitions_by_src(wp_t)
+    by_src = wp_t.by_src
 
     def successors(state):
         s, t, q = state

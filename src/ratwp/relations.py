@@ -11,7 +11,6 @@ from .automata import (
     TwoTapeAutomaton,
     _as_async,
     _explore,
-    _transitions_by_src,
     determinize,
     swap_tapes,
 )
@@ -29,7 +28,7 @@ def compose(r, s):
     r, s = _as_async(r), _as_async(s)
     if r.right != s.left:
         raise InputError("compose: r's right alphabet must equal s's left alphabet")
-    r_by, s_by = _transitions_by_src(r), _transitions_by_src(s)
+    r_by, s_by = r.by_src, s.by_src
 
     def successors(state):
         i, j = state
@@ -87,7 +86,7 @@ def fix_tape(r, v, side="left"):
         if sym not in r.left:
             raise InputError(f"symbol {sym!r} not in the fixed tape's alphabet")
     k = len(v)
-    by_src = _transitions_by_src(r)
+    by_src = r.by_src
 
     def successors(state):
         q, i = state
@@ -117,7 +116,7 @@ def intersect_rectangle(r, l, k):
     dl, dk = determinize(l), determinize(k)
     step_l = {(t.src, t.label): t.dst for t in dl.transitions}
     step_k = {(t.src, t.label): t.dst for t in dk.transitions}
-    by_src = _transitions_by_src(r)
+    by_src = r.by_src
 
     def successors(state):
         q, i, j = state

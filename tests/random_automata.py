@@ -1,5 +1,5 @@
-"""Hypothesis strategies for small random automata over {a, b}, shared by
-the differential tests."""
+"""Hypothesis strategies for small random automata, over {a, b} unless
+told otherwise, shared by the differential tests."""
 
 from hypothesis import strategies as st
 
@@ -15,17 +15,30 @@ from ratwp import (
 
 AB = Alphabet(("a", "b"))
 LABELS = st.sampled_from(("a", "b", EPSILON))
+# Tape alphabets of one, two and three symbols.
+ALPHABETS = st.sampled_from((Alphabet(("a",)), AB, Alphabet(("x", "y", "z"))))
 
 
 @st.composite
-def two_tape_automata(draw, max_states=4, max_transitions=8):
+def two_tape_automata(draw, max_states=4, max_transitions=8, left=AB,
+                      right=AB):
     """Async automata, epsilon labels (silent steps included) allowed."""
     n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
-    trans = draw(st.lists(st.tuples(state, LABELS, LABELS, state),
+    left_labels = st.sampled_from(left.symbols + (EPSILON,))
+    right_labels = st.sampled_from(right.symbols + (EPSILON,))
+    trans = draw(st.lists(st.tuples(state, left_labels, right_labels, state),
                           max_size=max_transitions))
-    return TwoTapeAutomaton(n, AB, AB, draw(state),
+    return TwoTapeAutomaton(n, left, right, draw(state),
                             draw(st.frozensets(state)), tuple(trans))
+
+
+@st.composite
+def two_tape_automata_any_alphabets(draw):
+    """Async automata whose tape alphabets are drawn from ALPHABETS, the
+    left and the right one independently."""
+    return draw(two_tape_automata(left=draw(ALPHABETS),
+                                  right=draw(ALPHABETS)))
 
 
 @st.composite

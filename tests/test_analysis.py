@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from ratwp import (
@@ -16,6 +18,7 @@ from ratwp import (
     enumerate_language,
     equivalence_check,
     export_dot,
+    free_wp,
     pump_check,
     pump_decompose,
     pump_refute,
@@ -139,6 +142,26 @@ class TestEquivalenceCheck:
         assert report.verdict == "fail"
         assert report.witnesses == (("transitivity", ("b",), ("a", "a")),)
 
+    def test_monoid_kind_checks_the_empty_word(self):
+        # the free monoid's word problem with its initial state made
+        # non-final rejects (eps, eps): not reflexive as a monoid relation
+        aut = replace(free_wp(AB, kind="monoid"), finals=frozenset({1}))
+        report = equivalence_check(aut, 4, kind="monoid")
+        assert report.witnesses == (("reflexivity", ()),)
+        assert equivalence_check(aut, 4).verdict == "pass"
+        assert equivalence_check(free_wp(AB, kind="monoid"), 4,
+                                 kind="monoid").verdict == "pass"
+
+    def test_unknown_kind(self):
+        with pytest.raises(InputError):
+            equivalence_check(builtin("fig1"), 3, kind="group")
+
+    def test_symmetry_witness_is_the_first_in_shortlex_order(self):
+        # (ab, a) and every longer (a b^i, a) are accepted, not their mirrors
+        aut = with_extra_transition(builtin("fig1"), (1, "b", None, 1))
+        report = equivalence_check(aut, 4)
+        assert report.witnesses == (("symmetry", ("a", "b"), ("a",)),)
+
 
 class TestCongruenceCheck:
     def test_builtins_pass(self):
@@ -156,6 +179,17 @@ class TestCongruenceCheck:
         report = congruence_check(patched, 3)
         assert report.verdict == "fail"
         assert report.witnesses
+
+    def test_monoid_kind_checks_empty_sides(self):
+        # the free monoid plus the single pair (eps, a): the context
+        # (eps, a) gives (a, aa), which is not accepted
+        free = free_wp(AB, kind="monoid")
+        aut = TwoTapeAutomaton(
+            3, AB, AB, 0, free.finals | {2},
+            free.transitions + (Transition(0, None, "a", 2),))
+        report = congruence_check(aut, 3, kind="monoid")
+        assert report.witnesses == (("context", ((), ("a",)), ((), ("a",))),)
+        assert congruence_check(aut, 3).verdict == "pass"
 
 
 class TestCrossSection:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,12 +26,14 @@ from ratwp import (
     union,
     validate_sync,
 )
+from ratwp.automata import _accepted_shortlex
 from random_automata import (
     accepted_pairs,
     all_reachable,
     one_tape_automata,
     sync_automata,
     two_tape_automata,
+    two_tape_automata_any_alphabets,
 )
 
 AB = Alphabet(("a", "b"))
@@ -250,6 +254,37 @@ def test_accepts_agrees_with_enumerate_accepted(aut):
     assert accepted == accepted_pairs(aut, 3)
     for v, u in all_pairs(AB, 3):
         assert aut.accepts(v, u) == ((v, u) in accepted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_tape_automata_any_alphabets(), st.integers(0, 4))
+def test_enumerate_accepted_matches_reference(aut, bound):
+    # over one symbol a word's code is its length; over two or three
+    # symbols codes interleave the symbols, on each tape separately
+    assert enumerate_accepted(aut, bound) == accepted_pairs(aut, bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_tape_automata_any_alphabets(), st.integers(0, 4))
+def test_accepted_shortlex_is_sorted_enumeration(aut, bound):
+    left, right = aut.left.word_key, aut.right.word_key
+    expected = sorted(enumerate_accepted(aut, bound),
+                      key=lambda p: (left(p[0]), right(p[1])))
+    assert _accepted_shortlex(aut, bound) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(two_tape_automata(), sync_automata()))
+def test_accepts_same_before_and_after_caching(aut):
+    # accepts() keeps the silent-free form and the transition index on
+    # the automaton after its first call; a fresh copy has neither
+    assert "silent_free" not in vars(aut) and "by_src" not in vars(aut)
+    pairs = all_pairs(AB, 2)
+    cold = [replace(aut).accepts(v, u) for v, u in pairs]
+    first = [aut.accepts(v, u) for v, u in pairs]
+    assert "silent_free" in vars(aut) or "by_src" in vars(aut)
+    again = [aut.accepts(v, u) for v, u in pairs]
+    assert cold == first == again
 
 
 @settings(max_examples=60, deadline=None)

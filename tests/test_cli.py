@@ -123,6 +123,17 @@ class TestAnalysisVerbs:
             assert code == 0
             assert "pass" in out
 
+    def test_check_kind_monoid(self, workdir, capsys):
+        # free.fsa is the free semigroup's word problem: as a monoid
+        # relation it misses (eps, eps)
+        code, out, _ = run(["check", "equiv", workdir / "free.fsa",
+                            "--bound", "4", "--kind", "monoid"], capsys)
+        assert code == 1
+        assert "('reflexivity', ())" in out
+        code, _, _ = run(["check", "equiv", workdir / "free.fsa",
+                          "--bound", "4"], capsys)
+        assert code == 0
+
     def test_pump_refute_clean(self, workdir, capsys):
         code, out, _ = run(["pump-refute", workdir / "fig3.fsa",
                             workdir / "fig3.sgp", "--bound", "6"], capsys)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratwp import (
     EPSILON,
@@ -14,6 +16,12 @@ from ratwp import (
     loads_fsa,
     loads_sgp,
     save_fsa,
+)
+from random_automata import (
+    one_tape_automata,
+    sync_automata,
+    two_tape_automata,
+    two_tape_automata_any_alphabets,
 )
 
 FIG3_TEXT = """\
@@ -56,6 +64,13 @@ class TestFsaRoundTrip:
         text = dumps_fsa(aut)
         assert "type: nfa" in text
         assert dumps_fsa(loads_fsa(text)) == text
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(two_tape_automata(), two_tape_automata_any_alphabets(),
+                 sync_automata(), one_tape_automata()))
+def test_random_fsa_round_trip(aut):
+    assert loads_fsa(dumps_fsa(aut)) == aut
 
 
 class TestFsaParsing:
