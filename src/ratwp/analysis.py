@@ -14,6 +14,7 @@ from .automata import (
     _accepted_shortlex,
     _accepting_run,
     _as_async,
+    _first_runs,
     eliminate_silent_steps,
     enumerate_language,
     trim,
@@ -71,11 +72,7 @@ def pumping_constant(aut):
 def pump_decompose(aut, pair):
     """Decomposition of an accepted pair around the first repeated state of
     an accepting run."""
-    return _decompose_on_form(_pump_form(aut), pair)
-
-
-def _decompose_on_form(form, pair):
-    """pump_decompose on an automaton already in pump form."""
+    form = _pump_form(aut)
     v, w = tuple(pair[0]), tuple(pair[1])
     n0 = 2 * form.n_states
     if len(v) + len(w) <= n0:
@@ -85,26 +82,33 @@ def _decompose_on_form(form, pair):
     run = _accepting_run(form, v, w)
     if run is None:
         raise InputError("pair is not accepted")
-    states = [form.initial] + [t.dst for t in run]
+
+    def read(steps):
+        return (tuple(t.left for t in steps if t.left is not EPSILON),
+                tuple(t.right for t in steps if t.right is not EPSILON))
+
+    i, j = _first_repeat([form.initial] + [t.dst for t in run])
+    return _cut(v, w, read(run[:i]), read(run[:j]))
+
+
+def _first_repeat(states):
+    """(i, j) for the first j such that states[j] occurs earlier, at i."""
     first_seen = {}
-    cut = None
-    for idx, q in enumerate(states):
-        if q in first_seen:
-            cut = (first_seen[q], idx)
-            break
-        first_seen[q] = idx
-    assert cut is not None, "run longer than the state count must repeat"
-    i, j = cut
+    for j, q in enumerate(states):
+        i = first_seen.setdefault(q, j)
+        if i != j:
+            return i, j
+    raise AssertionError("run longer than the state count must repeat")
 
-    def project(ts):
-        left = tuple(t.left for t in ts if t.left is not EPSILON)
-        right = tuple(t.right for t in ts if t.right is not EPSILON)
-        return (left, right)
 
+def _cut(v, w, x, z):
+    """The decomposition of (v, w) whose prefix is the pair x and whose
+    prefix and loop together are the pair z, both pairs of prefixes of v
+    and w."""
     return PumpDecomposition(
-        prefix=project(run[:i]),
-        loop=project(run[i:j]),
-        suffix=project(run[j:]),
+        prefix=x,
+        loop=(z[0][len(x[0]):], z[1][len(x[1]):]),
+        suffix=(v[len(z[0]):], w[len(z[1]):]),
     )
 
 
@@ -119,27 +123,41 @@ def pump_check(aut, decomposition, i_max=5):
 
 def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
     """Look for an accepted pair whose pumped variants the oracle rejects;
-    any hit proves the automaton does not decide the oracle's word problem."""
+    any hit proves the automaton does not decide the oracle's word problem.
+
+    Pairs are tried in shortlex order, each decomposed as pump_decompose
+    does, but all their runs come from one breadth-first search.
+    """
     if (tuple(aut.left.symbols) != tuple(oracle.alphabet.symbols)
             or tuple(aut.right.symbols) != tuple(oracle.alphabet.symbols)):
         raise InputError("automaton and oracle alphabets differ")
     form = _pump_form(aut)
-    n0 = 2 * form.n_states
+    n = form.n_states
     max_len = oracle.bound + oracle.slack
+    skip_empty = not oracle.includes_empty
+    class_of = oracle.class_of
+    first, parent, decode = _first_runs(form, bound)
     witnesses = []
-    for v, w in _accepted_shortlex(form, bound):
-        if len(v) + len(w) <= n0:
+    for code in sorted(first):
+        v, w = decode(code)
+        if len(v) + len(w) <= 2 * n or skip_empty and not (v and w):
             continue
-        if not oracle.includes_empty and (not v or not w):
-            continue
-        dec = _decompose_on_form(form, (v, w))
+        chain = [first[code]]
+        while (node := parent[chain[-1]]) is not None:
+            chain.append(node)
+        chain.reverse()
+        start, stop = _first_repeat([node % n for node in chain])
+        dec = _cut(v, w, decode(chain[start] // n), decode(chain[stop] // n))
+        du, dw = len(dec.loop[0]), len(dec.loop[1])
         for i in range(i_max + 1):
+            # the lengths and emptiness that Oracle.equal checks
+            lv, lw = len(v) + (i - 1) * du, len(w) + (i - 1) * dw
+            if lv > max_len or lw > max_len:
+                continue
+            if skip_empty and not (lv and lw):
+                continue
             pv, pw = dec.pumped(i)
-            if len(pv) > max_len or len(pw) > max_len:
-                continue
-            if not oracle.includes_empty and (not pv or not pw):
-                continue
-            if not oracle.equal(pv, pw):
+            if class_of[pv] != class_of[pw]:
                 witnesses.append(((v, w), i, (pv, pw)))
                 break
         if len(witnesses) >= max_witnesses:

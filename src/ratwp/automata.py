@@ -15,6 +15,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 EPSILON = None          # tape label meaning "read nothing"
@@ -103,21 +104,38 @@ class TwoTapeAutomaton:
 
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(
-            self, "transitions", tuple(Transition(*t) for t in self.transitions)
-        )
+        object.__setattr__(self, "transitions", tuple(
+            t if type(t) is Transition else Transition(*t)
+            for t in self.transitions))
         if self.mode not in ("async", "sync"):
             raise InputError(f"unknown mode {self.mode!r}")
         _check_state(self.initial, self.n_states, "initial state")
         for f in self.finals:
             _check_state(f, self.n_states, "final state")
-        for t in self.transitions:
-            _check_state(t.src, self.n_states, "transition source")
-            _check_state(t.dst, self.n_states, "transition target")
-            self._check_label(t.left, self.left)
-            self._check_label(t.right, self.right)
+        if not self._transitions_valid():
+            # Find the first bad field, in the order the checks are stated.
+            for t in self.transitions:
+                _check_state(t.src, self.n_states, "transition source")
+                _check_state(t.dst, self.n_states, "transition target")
+                self._check_label(t.left, self.left)
+                self._check_label(t.right, self.right)
         if self.state_names is not None and len(self.state_names) != self.n_states:
             raise InputError("state_names length mismatch")
+
+    def _transitions_valid(self):
+        """Do all transitions pass the checks of _check_state and
+        _check_label? Each distinct state and label is checked once."""
+        ts = self.transitions
+        extra = EPSILON if self.mode == "async" else PAD
+        try:
+            states = set(map(itemgetter(0), ts)) | set(map(itemgetter(3), ts))
+            return (set(map(itemgetter(1), ts)) <= {extra, *self.left}
+                    and set(map(itemgetter(2), ts)) <= {extra, *self.right}
+                    and all(isinstance(q, int) for q in states)
+                    and (not states
+                         or 0 <= min(states) and max(states) < self.n_states))
+        except TypeError:  # an unhashable state or label
+            return False
 
     def _check_label(self, lab, alphabet):
         if self.mode == "sync":
@@ -142,6 +160,12 @@ class TwoTapeAutomaton:
         for t in self.transitions:
             by_src.setdefault(t.src, []).append(t)
         return {q: tuple(ts) for q, ts in by_src.items()}
+
+    @cached_property
+    def async_view(self):
+        """sync_to_async(self) for a sync automaton, else the automaton
+        itself."""
+        return sync_to_async(self) if self.mode == "sync" else self
 
     @cached_property
     def silent_free(self):
@@ -495,31 +519,11 @@ def _accepted_codes(aut, len_bound):
     """The accepted pairs with both words of length <= len_bound, as a set
     of integer codes, and the function that decodes one code to its pair.
 
-    A word over k symbols is coded in bijective base k: the empty word is
-    0 and code(w s) = code(w) k + index(s) + 1, so codes count the words
-    in shortlex order and a word is within the bound iff its code is below
-    the number of such words. The pair (v, w) is code(v) R + code(w), R
-    being that number for the right tape, so pair codes sort like
-    (word_key(v), word_key(w)). The search runs forward over nodes
-    (code(v) R + code(w)) n + q for the n states q of the silent-free form.
+    A depth-first search over the nodes of _pair_coding: it keeps only the
+    set of nodes seen.
     """
-    if len_bound < 0:
-        raise InputError("bound must be >= 0")
-    aut = eliminate_silent_steps(_as_async(aut))
+    aut, lim_left, lim_right, steps, decode = _pair_coding(aut, len_bound)
     n = aut.n_states
-    k_left, k_right = len(aut.left), len(aut.right)
-    lim_left = sum(k_left ** i for i in range(len_bound + 1))
-    lim_right = sum(k_right ** i for i in range(len_bound + 1))
-    # Per state, each transition as (multiplier, digit) per tape and its
-    # target: reading s multiplies by k and adds index(s) + 1, epsilon
-    # multiplies by 1 and adds 0.
-    steps = [[] for _ in range(n)]
-    for t in aut.transitions:
-        ml, dl = ((1, 0) if t.left is EPSILON
-                  else (k_left, aut.left.index(t.left) + 1))
-        mr, dr = ((1, 0) if t.right is EPSILON
-                  else (k_right, aut.right.index(t.right) + 1))
-        steps[t.src].append((ml, dl, mr, dr, t.dst))
     final = [q in aut.finals for q in range(n)]
     start = aut.initial
     seen = {start}
@@ -541,6 +545,81 @@ def _accepted_codes(aut, len_bound):
             if node not in seen:
                 seen.add(node)
                 stack.append(node)
+    return accepted, decode
+
+
+def _first_runs(aut, len_bound):
+    """A shortest accepting run of every accepted pair with both words of
+    length <= len_bound, all read off one breadth-first search over the
+    nodes of _pair_coding.
+
+    Returns (first, parent, decode): first maps each accepted pair code to
+    the first accepting node the search reaches with it, parent maps each
+    node to the node it was reached from (None for the start), and decode
+    is as in _accepted_codes. The search is first-in first-out and takes
+    each state's transitions in by_src order, and every node on a run of
+    (v, w) reads prefixes of v and w, so for a silent-free aut the parent
+    chain of first[code] is the run _accepting_run(aut, v, w) finds.
+    """
+    aut, lim_left, lim_right, steps, decode = _pair_coding(aut, len_bound)
+    n = aut.n_states
+    final = [q in aut.finals for q in range(n)]
+    start = aut.initial
+    parent = {start: None}
+    queue = [start]
+    first = {}
+    for node in queue:  # the list grows while it is walked
+        pair, q = divmod(node, n)
+        if final[q] and pair not in first:
+            first[pair] = node
+        v, w = divmod(pair, lim_right)
+        for ml, dl, mr, dr, dst in steps[q]:
+            nv = v * ml + dl
+            if nv >= lim_left:
+                continue
+            nw = w * mr + dr
+            if nw >= lim_right:
+                continue
+            nxt = (nv * lim_right + nw) * n + dst
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return first, parent, decode
+
+
+def _pair_coding(aut, len_bound):
+    """The integer coding of the pair searches.
+
+    A word over k symbols is coded in bijective base k: the empty word is
+    0 and code(w s) = code(w) k + index(s) + 1, so codes count the words
+    in shortlex order and a word is within the bound iff its code is below
+    the number of such words. The pair (v, w) is code(v) R + code(w), R
+    being that number for the right tape, so pair codes sort like
+    (word_key(v), word_key(w)). A search node is the int
+    (code(v) R + code(w)) n + q for the n states q of the silent-free form.
+
+    Returns (form, lim_left, lim_right, steps, decode): form is the
+    silent-free form of aut, lim_* the code limits per tape, steps[q] the
+    transitions out of q as (multiplier, digit) per tape and the target
+    (reading s multiplies by k and adds index(s) + 1, epsilon multiplies
+    by 1 and adds 0), in by_src order, and decode(code) the pair of a pair
+    code.
+    """
+    if len_bound < 0:
+        raise InputError("bound must be >= 0")
+    aut = eliminate_silent_steps(_as_async(aut))
+    k_left, k_right = len(aut.left), len(aut.right)
+    lim_left = sum(k_left ** i for i in range(len_bound + 1))
+    lim_right = sum(k_right ** i for i in range(len_bound + 1))
+    index_left = {s: i + 1 for i, s in enumerate(aut.left)}
+    index_right = {s: i + 1 for i, s in enumerate(aut.right)}
+    steps = [[] for _ in range(aut.n_states)]
+    for t in aut.transitions:
+        ml, dl = ((1, 0) if t.left is EPSILON
+                  else (k_left, index_left[t.left]))
+        mr, dr = ((1, 0) if t.right is EPSILON
+                  else (k_right, index_right[t.right]))
+        steps[t.src].append((ml, dl, mr, dr, t.dst))
     decode_left = _word_decoder(aut.left)
     decode_right = _word_decoder(aut.right)
 
@@ -548,7 +627,7 @@ def _accepted_codes(aut, len_bound):
         v, w = divmod(code, lim_right)
         return decode_left(v), decode_right(w)
 
-    return accepted, decode
+    return aut, lim_left, lim_right, steps, decode
 
 
 def _word_decoder(alphabet):
@@ -654,5 +733,10 @@ def sync_to_async(aut):
 
 
 def _as_async(aut):
-    """A sync automaton viewed as async; any other automaton unchanged."""
-    return sync_to_async(aut) if getattr(aut, "mode", None) == "sync" else aut
+    """A sync automaton viewed as async; any other automaton unchanged.
+
+    Only a sync automaton's view is kept on it: an automaton that kept
+    itself would be a reference cycle, freed by the cyclic collector
+    instead of as soon as its last user drops it.
+    """
+    return aut.async_view if getattr(aut, "mode", None) == "sync" else aut

@@ -40,16 +40,24 @@ def _directive(line):
     return name.strip(), rest.strip()
 
 
-def _parse_label(token, alphabet, allow_pad):
-    if token == EPSILON_TOKEN:
-        return EPSILON
-    if token == PAD:
-        if not allow_pad:
-            raise InputError("pad token '#' only allowed in sync automata")
-        return PAD
-    if token not in alphabet:
-        raise InputError(f"unknown symbol {token!r}")
-    return token
+def _label_table(alphabet, allow_pad):
+    """Token -> label on one tape: its symbols, '-' for epsilon and, when
+    allowed, '#' for the pad."""
+    table = {s: s for s in alphabet}
+    table[EPSILON_TOKEN] = EPSILON
+    if allow_pad:
+        table[PAD] = PAD
+    return table
+
+
+def _parse_label(token, table):
+    try:
+        return table[token]
+    except KeyError:
+        if token == PAD:
+            raise InputError(
+                "pad token '#' only allowed in sync automata") from None
+        raise InputError(f"unknown symbol {token!r}") from None
 
 
 def _parse_state(token, n_states):
@@ -105,6 +113,11 @@ def loads_fsa(text):
         raise InputError(f"unknown directive {sorted(single)[0]!r}")
 
     n_fields = 3 if kind == "nfa" else 4
+    if kind == "nfa":
+        labels = _label_table(alphabet, False)
+    else:
+        labels_l = _label_table(left, kind == "sync")
+        labels_r = _label_table(right, kind == "sync")
     trans = []
     for rest in trans_lines:
         tokens = rest.split()
@@ -117,11 +130,10 @@ def loads_fsa(text):
         dst = _parse_state(tokens[-1], n_states)
         if kind == "nfa":
             trans.append(NfaTransition(
-                src, _parse_label(tokens[1], alphabet, False), dst))
+                src, _parse_label(tokens[1], labels), dst))
         else:
-            allow_pad = kind == "sync"
-            lab_l = _parse_label(tokens[1], left, allow_pad)
-            lab_r = _parse_label(tokens[2], right, allow_pad)
+            lab_l = _parse_label(tokens[1], labels_l)
+            lab_r = _parse_label(tokens[2], labels_r)
             if kind == "sync" and EPSILON in (lab_l, lab_r):
                 raise InputError("sync automaton may not have epsilon labels")
             trans.append(Transition(src, lab_l, lab_r, dst))

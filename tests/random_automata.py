@@ -9,8 +9,11 @@ from ratwp import (
     Alphabet,
     OneTapeAutomaton,
     Presentation,
+    Report,
     TwoTapeAutomaton,
     enumerate_accepted,
+    pump_decompose,
+    pumping_constant,
 )
 
 AB = Alphabet(("a", "b"))
@@ -141,3 +144,33 @@ def verify_all_pairs(aut, oracle, bound):
     key = oracle.alphabet.word_key
     disagreements.sort(key=lambda p: (key(p[0]), key(p[1])))
     return disagreements
+
+
+def pump_refute_per_pair(aut, oracle, bound, i_max=5, max_witnesses=5):
+    """Reference for pump_refute: the long accepted pairs in shortlex
+    order, each decomposed by its own run search (pump_decompose), each
+    pumped pair compared through Oracle.equal."""
+    n0 = pumping_constant(aut)
+    max_len = oracle.bound + oracle.slack
+    left, right = aut.left.word_key, aut.right.word_key
+    witnesses = []
+    for v, w in sorted(enumerate_accepted(aut, bound),
+                       key=lambda p: (left(p[0]), right(p[1]))):
+        if len(v) + len(w) <= n0:
+            continue
+        if not oracle.includes_empty and (not v or not w):
+            continue
+        dec = pump_decompose(aut, (v, w))
+        for i in range(i_max + 1):
+            pv, pw = dec.pumped(i)
+            if len(pv) > max_len or len(pw) > max_len:
+                continue
+            if not oracle.includes_empty and (not pv or not pw):
+                continue
+            if not oracle.equal(pv, pw):
+                witnesses.append(((v, w), i, (pv, pw)))
+                break
+        if len(witnesses) >= max_witnesses:
+            break
+    verdict = "refuted" if witnesses else "not-refuted"
+    return Report("pump_refute", verdict, tuple(witnesses))

@@ -1,6 +1,8 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratwp import (
     Alphabet,
@@ -26,6 +28,12 @@ from ratwp import (
     validate_cross_section,
 )
 from ratwp.automata import NfaTransition, OneTapeAutomaton
+from random_automata import (
+    presentations,
+    pump_refute_per_pair,
+    sync_automata,
+    two_tape_automata,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -114,6 +122,20 @@ class TestPumpRefute:
             ((0, "b", None, 0), (0, "c", None, 1), (1, "c", None, 1)))
         oracle = build_oracle(builtin_presentation("bicyclic"), 8)
         assert pump_refute(candidate, oracle, 6).verdict == "refuted"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(two_tape_automata(), sync_automata()), presentations(),
+       st.integers(1, 4), st.integers(0, 5), st.integers(0, 5),
+       st.integers(1, 5))
+def test_pump_refute_agrees_with_per_pair_reference(
+        aut, presentation, oracle_bound, bound, i_max, max_witnesses):
+    oracle = build_oracle(presentation, oracle_bound)
+    report = pump_refute(aut, oracle, bound, i_max, max_witnesses)
+    assert report == pump_refute_per_pair(aut, oracle, bound, i_max,
+                                          max_witnesses)
+    for pair, i, pumped in report.witnesses:
+        assert pump_decompose(aut, pair).pumped(i) == pumped
 
 
 class TestEquivalenceCheck:

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -26,7 +28,8 @@ from ratwp import (
     union,
     validate_sync,
 )
-from ratwp.automata import _accepted_shortlex
+import ratwp.automata
+from ratwp.automata import _accepted_shortlex, _accepting_run, _first_runs
 from random_automata import (
     accepted_pairs,
     all_reachable,
@@ -81,6 +84,38 @@ class TestValidation:
         with pytest.raises(InputError):
             TwoTapeAutomaton(1, AB, AB, 0, frozenset(),
                              ((0, EPSILON, "a", 0),), mode="sync")
+
+    @pytest.mark.parametrize("mode, transitions, message", [
+        ("async", ((0, "a", "a", 0), (0, "c", "a", 0)), "unknown symbol 'c'"),
+        ("async", ((0, ["a"], "a", 0),), "unknown symbol ['a']"),
+        ("async", ((0, "a", PAD, 0),), "unknown symbol '#'"),
+        ("async", ((0, "a", "a", 1.0),),
+         "transition target 1.0 out of range for 2 states"),
+        ("async", ((-1, "a", "a", 0),),
+         "transition source -1 out of range for 2 states"),
+        ("async", (([0], "a", "a", 0),),
+         "transition source [0] out of range for 2 states"),
+        # the first bad transition is named, its fields in order
+        ("async", ((0, "a", "c", 0), (5, "a", "a", 0)), "unknown symbol 'c'"),
+        ("async", ((0, "c", "a", 5),),
+         "transition target 5 out of range for 2 states"),
+        ("sync", ((0, "a", EPSILON, 0),),
+         "sync automaton may not have epsilon labels"),
+        ("sync", ((0, PAD, "c", 0),), "unknown symbol 'c'"),
+    ])
+    def test_error_names_the_first_bad_field(self, mode, transitions,
+                                             message):
+        with pytest.raises(InputError) as exc:
+            TwoTapeAutomaton(2, AB, AB, 0, frozenset(), transitions,
+                             mode=mode)
+        assert str(exc.value) == message
+
+    def test_transitions_kept(self):
+        t = Transition(0, "a", EPSILON, 0)
+        aut = TwoTapeAutomaton(1, AB, AB, 0, frozenset(), (t, (0, "b", "b", 0)))
+        assert aut.transitions[0] is t
+        assert aut.transitions[1] == Transition(0, "b", "b", 0)
+        assert type(aut.transitions[1]) is Transition
 
 
 class TestAcceptance:
@@ -285,6 +320,59 @@ def test_accepts_same_before_and_after_caching(aut):
     assert "silent_free" in vars(aut) or "by_src" in vars(aut)
     again = [aut.accepts(v, u) for v, u in pairs]
     assert cold == first == again
+
+
+def test_async_view_computed_once(monkeypatch):
+    # enumerate_accepted views a sync automaton as async; the view is
+    # kept, so the padding discipline is checked on the first call only
+    aut = TestSync().sync_equality()
+    calls = []
+    validate = ratwp.automata.validate_sync
+    monkeypatch.setattr(ratwp.automata, "validate_sync",
+                        lambda a: calls.append(a) or validate(a))
+    first = enumerate_accepted(aut, 3)
+    assert len(calls) == 1
+    assert enumerate_accepted(aut, 3) == first
+    assert len(calls) == 1
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # an automaton kept on itself, as its own async view, would outlive
+    # its last user until the cyclic collector runs
+    gc.disable()
+    try:
+        for make in (lambda: builtin("fig3"), TestSync().sync_equality):
+            aut = make()
+            alive = weakref.ref(aut)
+            enumerate_accepted(aut, 3)
+            del aut
+            assert alive() is None
+    finally:
+        gc.enable()
+
+
+@settings(max_examples=100, deadline=None)
+@given(two_tape_automata_any_alphabets(), st.integers(0, 4))
+def test_first_runs_are_the_runs_accepting_run_finds(aut, bound):
+    form = aut.silent_free
+    n = form.n_states
+    first, parent, decode = _first_runs(form, bound)
+    assert {decode(code) for code in first} == enumerate_accepted(aut, bound)
+    for code, node in first.items():
+        chain = [node]
+        while parent[chain[-1]] is not None:
+            chain.append(parent[chain[-1]])
+        chain.reverse()
+        v, w = decode(code)
+        run = _accepting_run(form, v, w)
+        assert [node % n for node in chain] == (
+            [form.initial] + [t.dst for t in run])
+        read = [((), ())]
+        for t in run:
+            x, y = read[-1]
+            read.append((x + (() if t.left is EPSILON else (t.left,)),
+                         y + (() if t.right is EPSILON else (t.right,))))
+        assert [decode(node // n) for node in chain] == read
 
 
 @settings(max_examples=60, deadline=None)

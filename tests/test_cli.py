@@ -140,6 +140,32 @@ class TestAnalysisVerbs:
         assert code == 0
         assert "not-refuted" in out
 
+    def test_pump_refute_mutant_output(self, workdir, capsys):
+        # fig3 plus (b, eps) at state 1, the mutant of the benchmark's
+        # verify-dense workload: it accepts (ab, a^k), and pumping the
+        # (eps, a) loop zero times gives (ab, a^(k-1)), which fig3's
+        # presentation does not equate; the output is kept byte for byte
+        mutant = workdir / "mutant.fsa"
+        mutant.write_text(
+            "type: async\nleft: a b\nright: a b\nstates: 2\ninitial: 0\n"
+            "final: 1\n" + "".join(
+                f"trans: {t}\n" for t in ("0 a a 1", "0 b b 1", "1 b b 1",
+                                          "1 a - 1", "1 - a 1", "1 b - 1")))
+        code, out, _ = run(["pump-refute", mutant, workdir / "fig3.sgp",
+                            "--bound", "7"], capsys)
+        assert code == 1
+        assert out == (
+            "pump_refute: refuted\n"
+            "  ((('a', 'b'), ('a', 'a', 'a')), 0, (('a', 'b'), ('a', 'a')))\n"
+            "  ((('a', 'b'), ('a', 'a', 'a', 'a')), 0,"
+            " (('a', 'b'), ('a', 'a', 'a')))\n"
+            "  ((('a', 'b'), ('a', 'a', 'a', 'a', 'a')), 0,"
+            " (('a', 'b'), ('a', 'a', 'a', 'a')))\n"
+            "  ((('a', 'b'), ('a', 'a', 'a', 'a', 'a', 'a')), 0,"
+            " (('a', 'b'), ('a', 'a', 'a', 'a', 'a')))\n"
+            "  ((('a', 'b'), ('a', 'a', 'a', 'a', 'a', 'a', 'a')), 0,"
+            " (('a', 'b'), ('a', 'a', 'a', 'a', 'a', 'a')))\n")
+
     def test_cross_section_validated(self, workdir, capsys):
         code, out, _ = run(["cross-section", workdir / "fig3.fsa",
                             "--oracle", workdir / "fig3.sgp",
