@@ -15,7 +15,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
-from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 EPSILON = None          # tape label meaning "read nothing"
@@ -89,6 +88,18 @@ def _check_state(i, n, what):
         raise InputError(f"{what} {i} out of range for {n} states")
 
 
+def _check_label(lab, allowed):
+    """Raise InputError unless lab is in allowed, its tape's labels."""
+    try:
+        if lab in allowed:
+            return
+    except TypeError:  # an unhashable label
+        pass
+    if lab is EPSILON:
+        raise InputError("sync automaton may not have epsilon labels")
+    raise InputError(f"unknown symbol {lab!r}")
+
+
 @dataclass(frozen=True)
 class TwoTapeAutomaton:
     """Asynchronous or synchronous two-tape automaton."""
@@ -112,40 +123,17 @@ class TwoTapeAutomaton:
         _check_state(self.initial, self.n_states, "initial state")
         for f in self.finals:
             _check_state(f, self.n_states, "final state")
-        if not self._transitions_valid():
-            # Find the first bad field, in the order the checks are stated.
-            for t in self.transitions:
-                _check_state(t.src, self.n_states, "transition source")
-                _check_state(t.dst, self.n_states, "transition target")
-                self._check_label(t.left, self.left)
-                self._check_label(t.right, self.right)
+        # a tape's labels: its symbols, and epsilon (async) or pad (sync)
+        extra = EPSILON if self.mode == "async" else PAD
+        left, right = {extra, *self.left}, {extra, *self.right}
+        n = self.n_states
+        for src, lab_left, lab_right, dst in self.transitions:
+            _check_state(src, n, "transition source")
+            _check_state(dst, n, "transition target")
+            _check_label(lab_left, left)
+            _check_label(lab_right, right)
         if self.state_names is not None and len(self.state_names) != self.n_states:
             raise InputError("state_names length mismatch")
-
-    def _transitions_valid(self):
-        """Do all transitions pass the checks of _check_state and
-        _check_label? Each distinct state and label is checked once."""
-        ts = self.transitions
-        extra = EPSILON if self.mode == "async" else PAD
-        try:
-            states = set(map(itemgetter(0), ts)) | set(map(itemgetter(3), ts))
-            return (set(map(itemgetter(1), ts)) <= {extra, *self.left}
-                    and set(map(itemgetter(2), ts)) <= {extra, *self.right}
-                    and all(isinstance(q, int) for q in states)
-                    and (not states
-                         or 0 <= min(states) and max(states) < self.n_states))
-        except TypeError:  # an unhashable state or label
-            return False
-
-    def _check_label(self, lab, alphabet):
-        if self.mode == "sync":
-            if lab is EPSILON:
-                raise InputError("sync automaton may not have epsilon labels")
-            if lab != PAD and lab not in alphabet:
-                raise InputError(f"unknown symbol {lab!r}")
-        else:
-            if lab is not EPSILON and lab not in alphabet:
-                raise InputError(f"unknown symbol {lab!r}")
 
     def accepts(self, left_word, right_word):
         return accepts_two_tape(self, left_word, right_word)
@@ -163,9 +151,9 @@ class TwoTapeAutomaton:
 
     @cached_property
     def async_view(self):
-        """sync_to_async(self) for a sync automaton, else the automaton
-        itself."""
-        return sync_to_async(self) if self.mode == "sync" else self
+        """sync_to_async(self), for a sync automaton only: an async
+        automaton kept as its own view would be a reference cycle."""
+        return sync_to_async(self)
 
     @cached_property
     def silent_free(self):
@@ -733,10 +721,6 @@ def sync_to_async(aut):
 
 
 def _as_async(aut):
-    """A sync automaton viewed as async; any other automaton unchanged.
-
-    Only a sync automaton's view is kept on it: an automaton that kept
-    itself would be a reference cycle, freed by the cyclic collector
-    instead of as soon as its last user drops it.
-    """
+    """A sync automaton viewed as async (kept on it, see async_view); any
+    other automaton unchanged."""
     return aut.async_view if getattr(aut, "mode", None) == "sync" else aut

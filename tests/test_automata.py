@@ -29,7 +29,9 @@ from ratwp import (
     validate_sync,
 )
 import ratwp.automata
-from ratwp.automata import _accepted_shortlex, _accepting_run, _first_runs
+from ratwp.automata import (
+    _accepted_shortlex, _accepting_run, _as_async, _first_runs,
+)
 from random_automata import (
     accepted_pairs,
     all_reachable,
@@ -334,6 +336,15 @@ def test_async_view_computed_once(monkeypatch):
     assert len(calls) == 1
     assert enumerate_accepted(aut, 3) == first
     assert len(calls) == 1
+
+
+def test_async_view_is_for_sync_automata_only():
+    # an async automaton is its own view; keeping it on itself would be a
+    # reference cycle, so _as_async returns it and async_view refuses it
+    aut = builtin("fig3")
+    assert _as_async(aut) is aut
+    with pytest.raises(InputError, match="not a sync automaton"):
+        aut.async_view
 
 
 def test_enumeration_leaves_no_reference_cycle():
