@@ -155,11 +155,18 @@ class TwoTapeAutomaton:
         automaton kept as its own view would be a reference cycle."""
         return sync_to_async(self)
 
-    @cached_property
+    @property
     def silent_free(self):
-        """eliminate_silent_steps(self): the automaton itself when it has no
-        silent steps."""
-        return eliminate_silent_steps(self)
+        """eliminate_silent_steps(self), computed once."""
+        form = self._silent_free_form
+        return self if form is None else form
+
+    @cached_property
+    def _silent_free_form(self):
+        """eliminate_silent_steps(self), or None when that is the automaton
+        itself: an automaton kept on itself would be a reference cycle."""
+        form = eliminate_silent_steps(self)
+        return None if form is self else form
 
 
 @dataclass(frozen=True)
@@ -507,32 +514,40 @@ def _accepted_codes(aut, len_bound):
     """The accepted pairs with both words of length <= len_bound, as a set
     of integer codes, and the function that decodes one code to its pair.
 
-    A depth-first search over the nodes of _pair_coding: it keeps only the
-    set of nodes seen.
+    A layered search: the (state, v, w) that runs reach are grouped by
+    (state, |v|, |w|), each group a set of pair codes. Every step of the
+    silent-free form reads a symbol, so a group only grows from groups of
+    smaller |v| + |w|; the groups are expanded in order of |v| + |w|, each
+    complete when it is expanded and dropped after. A step is applied to a
+    whole group at once, its length bound checked once: with p = code(v) R
+    + code(w), reading with multipliers ml, mr and digits dl, dr maps p to
+    ml p + (mr - ml) (p mod R) + dl R + dr.
     """
-    aut, lim_left, lim_right, steps, decode = _pair_coding(aut, len_bound)
-    n = aut.n_states
-    final = [q in aut.finals for q in range(n)]
-    start = aut.initial
-    seen = {start}
-    stack = [start]
+    aut, _, lim_right, steps, decode = _pair_coding(aut, len_bound)
+    moves = [[(dl > 0, dr > 0, ml, mr - ml, dl * lim_right + dr, dst)
+              for ml, dl, mr, dr, dst in out] for out in steps]
+    finals = aut.finals
+    layers = [{} for _ in range(2 * len_bound + 1)]
+    layers[0][aut.initial, 0, 0] = {0}
     accepted = set()
-    while stack:
-        pair, q = divmod(stack.pop(), n)
-        if final[q]:
-            accepted.add(pair)
-        v, w = divmod(pair, lim_right)
-        for ml, dl, mr, dr, dst in steps[q]:
-            nv = v * ml + dl
-            if nv >= lim_left:
-                continue
-            nw = w * mr + dr
-            if nw >= lim_right:
-                continue
-            node = (nv * lim_right + nw) * n + dst
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
+    for total in range(2 * len_bound + 1):
+        # taken out of the list, so a step that read nothing would fail
+        layer, layers[total] = layers[total], None
+        while layer:
+            (q, i, j), codes = layer.popitem()
+            if q in finals:
+                accepted |= codes
+            for reads_left, reads_right, a, b, c, dst in moves[q]:
+                ni, nj = i + reads_left, j + reads_right
+                if ni > len_bound or nj > len_bound:
+                    continue
+                if b:
+                    new = {a * p + b * (p % lim_right) + c for p in codes}
+                else:
+                    new = {a * p + c for p in codes}
+                group = layers[ni + nj].setdefault((dst, ni, nj), new)
+                if group is not new:
+                    group |= new
     return accepted, decode
 
 
@@ -544,10 +559,12 @@ def _first_runs(aut, len_bound):
     Returns (first, parent, decode): first maps each accepted pair code to
     the first accepting node the search reaches with it, parent maps each
     node to the node it was reached from (None for the start), and decode
-    is as in _accepted_codes. The search is first-in first-out and takes
-    each state's transitions in by_src order, and every node on a run of
-    (v, w) reads prefixes of v and w, so for a silent-free aut the parent
-    chain of first[code] is the run _accepting_run(aut, v, w) finds.
+    is as in _pair_coding. A node is the int (code(v) R + code(w)) n + q
+    for the n states q of the silent-free form. The search is first-in
+    first-out and takes each state's transitions in by_src order, and
+    every node on a run of (v, w) reads prefixes of v and w, so for a
+    silent-free aut the parent chain of first[code] is the run
+    _accepting_run(aut, v, w) finds.
     """
     aut, lim_left, lim_right, steps, decode = _pair_coding(aut, len_bound)
     n = aut.n_states
@@ -576,26 +593,27 @@ def _first_runs(aut, len_bound):
 
 
 def _pair_coding(aut, len_bound):
-    """The integer coding of the pair searches.
+    """The integer coding of the pair searches, _accepted_codes and
+    _first_runs.
 
     A word over k symbols is coded in bijective base k: the empty word is
     0 and code(w s) = code(w) k + index(s) + 1, so codes count the words
     in shortlex order and a word is within the bound iff its code is below
     the number of such words. The pair (v, w) is code(v) R + code(w), R
     being that number for the right tape, so pair codes sort like
-    (word_key(v), word_key(w)). A search node is the int
-    (code(v) R + code(w)) n + q for the n states q of the silent-free form.
+    (word_key(v), word_key(w)).
 
     Returns (form, lim_left, lim_right, steps, decode): form is the
-    silent-free form of aut, lim_* the code limits per tape, steps[q] the
-    transitions out of q as (multiplier, digit) per tape and the target
-    (reading s multiplies by k and adds index(s) + 1, epsilon multiplies
-    by 1 and adds 0), in by_src order, and decode(code) the pair of a pair
-    code.
+    silent-free form of aut (kept on it, see silent_free), lim_* the code
+    limits per tape, steps[q] the transitions out of q as (multiplier,
+    digit) per tape and the target (reading s multiplies by k and adds
+    index(s) + 1, epsilon multiplies by 1 and adds 0; only the digit tells
+    whether a step reads, since k may be 1), in by_src order, and
+    decode(code) the pair of a pair code.
     """
     if len_bound < 0:
         raise InputError("bound must be >= 0")
-    aut = eliminate_silent_steps(_as_async(aut))
+    aut = _as_async(aut).silent_free
     k_left, k_right = len(aut.left), len(aut.right)
     lim_left = sum(k_left ** i for i in range(len_bound + 1))
     lim_right = sum(k_right ** i for i in range(len_bound + 1))
@@ -619,7 +637,7 @@ def _pair_coding(aut, len_bound):
 
 
 def _word_decoder(alphabet):
-    """The word of a bijective base-k code (see _accepted_codes), with a
+    """The word of a bijective base-k code (see _pair_coding), with a
     memo shared by every call of the returned function."""
     symbols, k = alphabet.symbols, len(alphabet)
     memo = {0: ()}

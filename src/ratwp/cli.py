@@ -7,6 +7,7 @@ disagreements found, 2 = input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .automata import (
@@ -272,39 +273,33 @@ def build_parser():
     p.add_argument("automaton")
     p.add_argument("left")
     p.add_argument("right")
-    p.set_defaults(func=cmd_accept)
 
     p = sub.add_parser("verify", help="compare against a bounded oracle")
     p.add_argument("automaton")
     p.add_argument("oracle", help=".sgp presentation or .tbl table")
     _add_oracle_flags(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("compose", help="relational composition")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("fix-tape", help="slice a relation at a fixed word")
     p.add_argument("automaton")
     p.add_argument("word")
     p.add_argument("--side", choices=("left", "right"), default="left")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_fix_tape)
 
     p = sub.add_parser("cross", help="cross product of two languages")
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_cross)
 
     p = sub.add_parser("intersect", help="intersect with a rectangle L x K")
     p.add_argument("automaton")
     p.add_argument("left_lang")
     p.add_argument("right_lang")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_intersect)
 
     p = sub.add_parser("construct", help="build a word-problem automaton")
     p.add_argument("what", choices=(
@@ -321,19 +316,16 @@ def build_parser():
     p.add_argument("--pairs", default=None,
                    help="sym=element:symbol,... for product-finite")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("trim", help="keep useful states only")
     p.add_argument("automaton")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_trim)
 
     p = sub.add_parser("pump", help="decompose and pump an accepted pair")
     p.add_argument("automaton")
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--imax", type=int, default=5)
-    p.set_defaults(func=cmd_pump)
 
     p = sub.add_parser("pump-refute",
                        help="search for a pumping counterexample")
@@ -341,7 +333,6 @@ def build_parser():
     p.add_argument("oracle")
     p.add_argument("--imax", type=int, default=5)
     _add_oracle_flags(p)
-    p.set_defaults(func=cmd_pump_refute)
 
     p = sub.add_parser("check", help="relation property checks")
     p.add_argument("property", choices=("equiv", "congruence"))
@@ -350,7 +341,6 @@ def build_parser():
     p.add_argument("--kind", choices=("semigroup", "monoid"),
                    default="semigroup",
                    help="monoid: include the empty word")
-    p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("cross-section", help="loop-removal cross-section")
     p.add_argument("automaton")
@@ -358,20 +348,27 @@ def build_parser():
                    help="validate against this .sgp/.tbl oracle")
     _add_oracle_flags(p)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_cross_section)
 
     p = sub.add_parser("dot", help="graph description to stdout")
     p.add_argument("automaton")
-    p.set_defaults(func=cmd_dot)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """build_parser(), built on the first call only: parse_args keeps no
+    state between calls."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Each command runs cmd_<command>, looked up at call time rather than
+    # kept in the cached parser, so a replaced cmd_* function takes effect.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

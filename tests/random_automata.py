@@ -106,9 +106,11 @@ def all_reachable(aut):
 
 
 def accepted_pairs(aut, bound):
-    """Reference for the accepted pairs of an async automaton with both
-    words of length <= bound: a search over (state, left word, right word)
-    that follows silent transitions as they are, without eliminating them."""
+    """Reference for the accepted pairs of an automaton with both words of
+    length <= bound: a search over (state, left word, right word) that
+    follows silent transitions as they are, without eliminating them. A
+    pad reads nothing, as epsilon does: for a sync automaton that keeps
+    the padding discipline, every run reads pad(v, w) for its pair."""
     start = (aut.initial, (), ())
     seen = {start}
     todo = [start]
@@ -120,8 +122,8 @@ def accepted_pairs(aut, bound):
         for t in aut.transitions:
             if t.src != q:
                 continue
-            nv = v if t.left is EPSILON else v + (t.left,)
-            nw = w if t.right is EPSILON else w + (t.right,)
+            nv = v if t.left in (EPSILON, PAD) else v + (t.left,)
+            nw = w if t.right in (EPSILON, PAD) else w + (t.right,)
             node = (t.dst, nv, nw)
             if len(nv) <= bound and len(nw) <= bound and node not in seen:
                 seen.add(node)

@@ -3,7 +3,7 @@ import weakref
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratwp import (
@@ -293,8 +293,36 @@ def test_accepts_agrees_with_enumerate_accepted(aut):
         assert aut.accepts(v, u) == ((v, u) in accepted)
 
 
+A1 = Alphabet(("a",))
+XYZ = Alphabet(("x", "y", "z"))
+# one-symbol tapes: a step that reads multiplies a code by 1, as one that
+# does not; only its digit tells them apart
+ONE_SYMBOL = TwoTapeAutomaton(
+    2, A1, A1, 0, frozenset({1}),
+    ((0, "a", EPSILON, 0), (0, EPSILON, "a", 1), (1, "a", "a", 1)))
+# tapes of 2 and 3 symbols, with steps that read both
+UNEQUAL_TAPES = TwoTapeAutomaton(
+    2, AB, XYZ, 0, frozenset({0, 1}),
+    ((0, "a", "x", 0), (0, "b", "z", 1), (1, "a", EPSILON, 1),
+     (1, EPSILON, "y", 0), (1, "b", "y", 0)))
+# sync: w a nonempty prefix of v, the right tape padded in state 2
+PADS_RIGHT = TwoTapeAutomaton(
+    3, AB, AB, 0, frozenset({1, 2}),
+    tuple((q, x, x, 1) for q in (0, 1) for x in "ab")
+    + tuple((q, x, PAD, 2) for q in (1, 2) for x in "ab"),
+    mode="sync")
+
+
 @settings(max_examples=150, deadline=None)
 @given(two_tape_automata_any_alphabets(), st.integers(0, 4))
+@example(ONE_SYMBOL, 4)
+@example(swap_tapes(ONE_SYMBOL), 3)
+@example(UNEQUAL_TAPES, 4)
+@example(swap_tapes(UNEQUAL_TAPES), 4)
+@example(UNEQUAL_TAPES, 0)
+@example(ONE_SYMBOL, 0)
+@example(PADS_RIGHT, 4)
+@example(swap_tapes(PADS_RIGHT), 3)
 def test_enumerate_accepted_matches_reference(aut, bound):
     # over one symbol a word's code is its length; over two or three
     # symbols codes interleave the symbols, on each tape separately
@@ -348,18 +376,37 @@ def test_async_view_is_for_sync_automata_only():
 
 
 def test_enumeration_leaves_no_reference_cycle():
-    # an automaton kept on itself, as its own async view, would outlive
-    # its last user until the cyclic collector runs
+    # an automaton kept on itself, as its own async view or silent-free
+    # form, would outlive its last user until the cyclic collector runs
     gc.disable()
     try:
         for make in (lambda: builtin("fig3"), TestSync().sync_equality):
-            aut = make()
-            alive = weakref.ref(aut)
-            enumerate_accepted(aut, 3)
-            del aut
-            assert alive() is None
+            for use in (lambda a: enumerate_accepted(a, 3),
+                        lambda a: a.accepts(("a", "b"), ("a", "b"))):
+                aut = make()
+                alive = weakref.ref(aut)
+                use(aut)
+                del aut
+                assert alive() is None
     finally:
         gc.enable()
+
+
+def test_silent_free_form_computed_once(monkeypatch):
+    # enumerate_accepted reads the silent-free form kept on the automaton
+    # (on a sync automaton's async view), so a second call on the same
+    # automaton eliminates no silent steps
+    calls = []
+    eliminate = ratwp.automata.eliminate_silent_steps
+    monkeypatch.setattr(ratwp.automata, "eliminate_silent_steps",
+                        lambda a: calls.append(a) or eliminate(a))
+    fig3 = builtin("fig3")
+    for aut in (union(fig3, fig3), fig3, TestSync().sync_equality()):
+        calls.clear()
+        first = enumerate_accepted(aut, 3)
+        assert len(calls) == 1
+        assert enumerate_accepted(aut, 3) == first
+        assert len(calls) == 1
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@ import pytest
 
 from ratwp import builtin, free_wp, loads_fsa, save_fsa
 from ratwp.automata import Alphabet
+import ratwp.cli
 from ratwp.cli import main
 
 FIG3_SGP = "kind: semigroup\ngens: a b\nrel: a a = a\nrel: b a = b\n"
@@ -197,3 +198,22 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+def test_parser_reused_across_calls(workdir, capsys):
+    # main builds its parser once; each call must still parse as if fresh,
+    # so --tokens on one call does not carry over to the next
+    calls = [
+        ["--tokens", "accept", workdir / "fig3.fsa", "b a", "b"],
+        ["accept", workdir / "fig3.fsa", "b a", "b"],
+        ["verify", workdir / "fig3.fsa", workdir / "fig3.sgp", "--bound", "3"],
+        ["check", "equiv", workdir / "fig3.fsa", "--bound", "3"],
+        ["--tokens", "accept", workdir / "fig3.fsa", "b a", "b"],
+    ]
+    fresh = []
+    for args in calls:
+        ratwp.cli._parser.cache_clear()
+        fresh.append(run(args, capsys))
+    reused = [run(args, capsys) for args in calls]
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 0, 0, 0]
