@@ -3,6 +3,7 @@ cross-section transformation."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .automata import (
@@ -14,12 +15,13 @@ from .automata import (
     _accepted_shortlex,
     _accepting_run,
     _as_async,
+    _code_limit,
     _first_runs,
     eliminate_silent_steps,
     enumerate_language,
     trim,
 )
-from .oracle import _UnionFind, _unrelated_pairs
+from .oracle import _UnionFind
 
 
 @dataclass(frozen=True)
@@ -126,40 +128,84 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
     any hit proves the automaton does not decide the oracle's word problem.
 
     Pairs are tried in shortlex order, each decomposed as pump_decompose
-    does, but all their runs come from one breadth-first search.
+    does, but all their runs come from one breadth-first search. A pair is
+    pumped on integer codes: the prefix, loop and suffix of each tape are
+    read off the pair codes at the two cut nodes of its run, each pumped
+    word's code is built from them step by step over i and looked up in
+    the oracle's class_by_code. Only a witness is built as words.
     """
     if (tuple(aut.left.symbols) != tuple(oracle.alphabet.symbols)
             or tuple(aut.right.symbols) != tuple(oracle.alphabet.symbols)):
         raise InputError("automaton and oracle alphabets differ")
     form = _pump_form(aut)
     n = form.n_states
+    k = len(oracle.alphabet)
     max_len = oracle.bound + oracle.slack
     skip_empty = not oracle.includes_empty
-    class_of = oracle.class_of
+    class_by_code = oracle.class_by_code
     first, parent, decode = _first_runs(form, bound)
+    lim = _code_limit(k, bound)
+    # the codes of the words of length m + 1 start at starts[m]
+    starts = [_code_limit(k, m) for m in range(bound + 1)]
+    power = [k ** m for m in range(bound + 1)]
+
+    def cut(start_node, stop_node):
+        """The nodes where a run's loop starts and stops and, per tape,
+        (x, u, |u|, z, |z|): the codes of the prefix x, of the loop u and of
+        z = x u, read off the pair codes of those nodes. In bijective base
+        k, code(a b) = code(a) k^|b| + code(b)."""
+        tapes = []
+        for x, z in zip(divmod(start_node // n, lim),
+                        divmod(stop_node // n, lim)):
+            lx, lz = bisect_right(starts, x), bisect_right(starts, z)
+            tapes.append((x, z - x * power[lz - lx], lz - lx, z, lz))
+        return start_node, stop_node, tapes
+
     witnesses = []
+    cut_at = {}  # node -> the cut of the run ending there, once it repeats
     for code in sorted(first):
-        v, w = decode(code)
-        if len(v) + len(w) <= 2 * n or skip_empty and not (v and w):
+        v, w = divmod(code, lim)
+        lv, lw = bisect_right(starts, v), bisect_right(starts, w)
+        if lv + lw <= 2 * n or skip_empty and not (lv and lw):
             continue
-        chain = [first[code]]
-        while (node := parent[chain[-1]]) is not None:
-            chain.append(node)
-        chain.reverse()
-        start, stop = _first_repeat([node % n for node in chain])
-        dec = _cut(v, w, decode(chain[start] // n), decode(chain[stop] // n))
-        du, dw = len(dec.loop[0]), len(dec.loop[1])
+        # walk the run back to a node whose cut is known, or to its start
+        node, up = first[code], []
+        while node is not None and node not in cut_at:
+            up.append(node)
+            node = parent[node]
+        if node is None:
+            chain = up[::-1]
+            start, stop = _first_repeat([q % n for q in chain])
+            run_cut = cut(chain[start], chain[stop])
+            del up[len(up) - stop:]  # nodes before the repeat have no cut
+        else:
+            run_cut = cut_at[node]
+        for node in up:
+            cut_at[node] = run_cut
+        start_node, stop_node, (tape_v, tape_w) = run_cut
+        # per tape, x u^i y is coded as code(x u^i) k^|y| + code(y), and
+        # code(x u^(i+1)) = code(x u^i) k^|u| + code(u)
+        head_v, uv, luv, zv, lzv = tape_v
+        head_w, uw, luw, zw, lzw = tape_w
+        shift_v, shift_w = power[lv - lzv], power[lw - lzw]
+        yv, yw = v - zv * shift_v, w - zw * shift_w
+        len_v, len_w = lv - luv, lw - luw
         for i in range(i_max + 1):
-            # the lengths and emptiness that Oracle.equal checks
-            lv, lw = len(v) + (i - 1) * du, len(w) + (i - 1) * dw
-            if lv > max_len or lw > max_len:
-                continue
-            if skip_empty and not (lv and lw):
-                continue
-            pv, pw = dec.pumped(i)
-            if class_of[pv] != class_of[pw]:
-                witnesses.append(((v, w), i, (pv, pw)))
+            # the lengths and emptiness that Oracle.equal checks; lengths
+            # do not fall as i grows
+            if len_v > max_len or len_w > max_len:
                 break
+            if ((len_v and len_w or not skip_empty)
+                    and class_by_code[head_v * shift_v + yv]
+                    != class_by_code[head_w * shift_w + yw]):
+                pair = decode(code)
+                dec = _cut(*pair, decode(start_node // n),
+                           decode(stop_node // n))
+                witnesses.append((pair, i, dec.pumped(i)))
+                break
+            head_v = head_v * power[luv] + uv
+            head_w = head_w * power[luw] + uw
+            len_v, len_w = len_v + luv, len_w + luw
         if len(witnesses) >= max_witnesses:
             break
     verdict = "refuted" if witnesses else "not-refuted"
@@ -177,6 +223,21 @@ def _checked_pairs(aut, bound, kind):
     if kind == "semigroup":
         pairs = [(v, w) for v, w in pairs if v and w]
     return dict.fromkeys(pairs)
+
+
+def _unrelated_pairs(groups, related, n_related_inside):
+    """Yield each (v, w) with v and w in one group and (v, w) not in
+    `related`, group by group. `n_related_inside` counts the pairs of
+    `related` that lie inside a group: when it equals the sum of
+    |group|^2, every such pair is related and no group is walked."""
+    groups = list(groups)
+    if n_related_inside == sum(len(g) ** 2 for g in groups):
+        return
+    for group in groups:
+        for v in group:
+            for w in group:
+                if (v, w) not in related:
+                    yield v, w
 
 
 def equivalence_check(aut, bound, kind="semigroup"):

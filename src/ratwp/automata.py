@@ -155,6 +155,29 @@ class TwoTapeAutomaton:
         automaton kept as its own view would be a reference cycle."""
         return sync_to_async(self)
 
+    @cached_property
+    def _padding_checked(self):
+        """True once validate_sync has passed on a sync automaton; a
+        failed check raises and is not kept."""
+        _check_padding(self)
+        return True
+
+    @cached_property
+    def _code_steps(self):
+        """The per-state step table of _pair_coding, for an async automaton
+        without silent steps: it does not depend on the bound."""
+        k_left, k_right = len(self.left), len(self.right)
+        index_left = {s: i + 1 for i, s in enumerate(self.left)}
+        index_right = {s: i + 1 for i, s in enumerate(self.right)}
+        steps = [[] for _ in range(self.n_states)]
+        for t in self.transitions:
+            ml, dl = ((1, 0) if t.left is EPSILON
+                      else (k_left, index_left[t.left]))
+            mr, dr = ((1, 0) if t.right is EPSILON
+                      else (k_right, index_right[t.right]))
+            steps[t.src].append((ml, dl, mr, dr, t.dst))
+        return steps
+
     @property
     def silent_free(self):
         """eliminate_silent_steps(self), computed once."""
@@ -599,33 +622,22 @@ def _pair_coding(aut, len_bound):
     A word over k symbols is coded in bijective base k: the empty word is
     0 and code(w s) = code(w) k + index(s) + 1, so codes count the words
     in shortlex order and a word is within the bound iff its code is below
-    the number of such words. The pair (v, w) is code(v) R + code(w), R
-    being that number for the right tape, so pair codes sort like
-    (word_key(v), word_key(w)).
+    the number of such words (_code_limit). The pair (v, w) is code(v) R +
+    code(w), R being that number for the right tape, so pair codes sort
+    like (word_key(v), word_key(w)).
 
     Returns (form, lim_left, lim_right, steps, decode): form is the
     silent-free form of aut (kept on it, see silent_free), lim_* the code
     limits per tape, steps[q] the transitions out of q as (multiplier,
     digit) per tape and the target (reading s multiplies by k and adds
     index(s) + 1, epsilon multiplies by 1 and adds 0; only the digit tells
-    whether a step reads, since k may be 1), in by_src order, and
-    decode(code) the pair of a pair code.
+    whether a step reads, since k may be 1), in by_src order and kept on
+    the form, and decode(code) the pair of a pair code.
     """
     if len_bound < 0:
         raise InputError("bound must be >= 0")
     aut = _as_async(aut).silent_free
-    k_left, k_right = len(aut.left), len(aut.right)
-    lim_left = sum(k_left ** i for i in range(len_bound + 1))
-    lim_right = sum(k_right ** i for i in range(len_bound + 1))
-    index_left = {s: i + 1 for i, s in enumerate(aut.left)}
-    index_right = {s: i + 1 for i, s in enumerate(aut.right)}
-    steps = [[] for _ in range(aut.n_states)]
-    for t in aut.transitions:
-        ml, dl = ((1, 0) if t.left is EPSILON
-                  else (k_left, index_left[t.left]))
-        mr, dr = ((1, 0) if t.right is EPSILON
-                  else (k_right, index_right[t.right]))
-        steps[t.src].append((ml, dl, mr, dr, t.dst))
+    lim_right = _code_limit(len(aut.right), len_bound)
     decode_left = _word_decoder(aut.left)
     decode_right = _word_decoder(aut.right)
 
@@ -633,7 +645,14 @@ def _pair_coding(aut, len_bound):
         v, w = divmod(code, lim_right)
         return decode_left(v), decode_right(w)
 
-    return aut, lim_left, lim_right, steps, decode
+    return (aut, _code_limit(len(aut.left), len_bound), lim_right,
+            aut._code_steps, decode)
+
+
+def _code_limit(k, len_bound):
+    """The number of words of length <= len_bound over k symbols: the
+    bijective base-k codes of those words are exactly the ints below it."""
+    return sum(k ** i for i in range(len_bound + 1))
 
 
 def _word_decoder(alphabet):
@@ -686,10 +705,18 @@ def validate_sync(aut):
 
     Along any path from the initial state, once a pad is read on a tape,
     only pads may follow on that tape; pads on both tapes at once are
-    never allowed.
+    never allowed. A pass is kept on the automaton, so the check runs once
+    per automaton, however often it is asked for.
     """
     if aut.mode != "sync":
         raise InputError("not a sync automaton")
+    aut._padding_checked  # checks on the first call only
+    return aut
+
+
+def _check_padding(aut):
+    """The check of validate_sync: raise InputError at the first break of
+    the padding discipline."""
     for t in aut.transitions:
         if t.left == PAD and t.right == PAD:
             raise InputError("transition padded on both tapes")
@@ -711,7 +738,6 @@ def validate_sync(aut):
             if node not in seen:
                 seen.add(node)
                 stack.append(node)
-    return aut
 
 
 def sync_to_async(aut):

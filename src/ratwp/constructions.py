@@ -17,6 +17,7 @@ from .automata import (
     TwoTapeAutomaton,
     _as_async,
     _explore,
+    _reachable,
     swap_tapes,
     union,
 )
@@ -48,6 +49,12 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
     right-padding) of pairs of semigroup elements; each copy tracks right
     multiplication of both tapes' values, and the padding copies enforce
     that a pad is only ever followed by pads on its tape.
+
+    Only the useful states are built, those on a path from the initial
+    state to a final one, numbered in breadth-first discovery order. A
+    right-padding state (s, t) reaches a final state iff t is in s S^1, a
+    left-padding one iff s is in t S^1, and a neutral one iff s = t or one
+    of its successors does.
     """
     gens = tuple(gens)
     gen_idx = {}
@@ -57,61 +64,66 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
     for i, name in enumerate(table.elements):
         if i not in reached:
             raise InputError(f"generators do not generate: {name!r} unreached")
-    alphabet = Alphabet(gens)
-    n = len(table)
-    copies = ("L", "N", "R")
-
-    def st(s, t, c):
-        return 1 + (s * n + t) * 3 + c
-
-    L, N, R = 0, 1, 2
-    names = ["q0"]
-    for s in range(n):
-        for t in range(n):
-            for c in copies:
-                names.append(f"({table.elements[s]},{table.elements[t]},{c})")
-    trans = []
-    for x, y in iproduct(gens, repeat=2):
-        trans.append(Transition(0, x, y, st(gen_idx[x], gen_idx[y], N)))
-    for s in range(n):
-        for t in range(n):
-            for x, y in iproduct(gens, repeat=2):
-                trans.append(Transition(
-                    st(s, t, N), x, y,
-                    st(table.mul(s, gen_idx[x]), table.mul(t, gen_idx[y]), N)))
-            for x in gens:
-                sx = table.mul(s, gen_idx[x])
-                trans.append(Transition(st(s, t, N), x, PAD, st(sx, t, R)))
-                trans.append(Transition(st(s, t, R), x, PAD, st(sx, t, R)))
-            for y in gens:
-                ty = table.mul(t, gen_idx[y])
-                trans.append(Transition(st(s, t, N), PAD, y, st(s, ty, L)))
-                trans.append(Transition(st(s, t, L), PAD, y, st(s, ty, L)))
-    finals = {st(s, s, c) for s in range(n) for c in (L, N, R)}
-    initial_final = False
     if kind == "monoid":
         e = table.identity_index()
         if e is None:
             raise InputError("monoid kind requires a table with an identity")
-        initial_final = True
-        for x in gens:
-            trans.append(Transition(0, x, PAD, st(gen_idx[x], e, R)))
-        for y in gens:
-            trans.append(Transition(0, PAD, y, st(e, gen_idx[y], L)))
     elif kind != "semigroup":
         raise InputError(f"unknown kind {kind!r}")
-    if initial_final:
-        finals.add(0)
-    return TwoTapeAutomaton(
-        n_states=1 + n * n * 3,
-        left=alphabet,
-        right=alphabet,
-        initial=0,
-        finals=frozenset(finals),
-        transitions=tuple(trans),
-        mode="sync",
-        state_names=tuple(names),
-    )
+    alphabet = Alphabet(gens)
+    n = len(table)
+    pairs = list(iproduct(gens, repeat=2))
+    times = [{g: table.mul(s, gen_idx[g]) for g in gens} for s in range(n)]
+    right_mul = {s: times[s].values() for s in range(n)}
+    ideal = [_reachable((s,), right_mul) for s in range(n)]  # s S^1
+    # The useful neutral (s, t): a backward search over the neutral pairs
+    # from those that are final or step into a useful padding state.
+    before = {}
+    seeds = []
+    for s, t in iproduct(range(n), repeat=2):
+        for x, y in pairs:
+            before.setdefault((times[s][x], times[t][y]), []).append((s, t))
+        if (s == t or any(t in ideal[times[s][x]] for x in gens)
+                or any(s in ideal[times[t][y]] for y in gens)):
+            seeds.append((s, t))
+    useful = {(s, t, "N") for s, t in _reachable(seeds, before)}
+    for s, t in iproduct(range(n), repeat=2):
+        if t in ideal[s]:
+            useful.add((s, t, "R"))
+        if s in ideal[t]:
+            useful.add((s, t, "L"))
+
+    def moves(state):
+        # the initial state is None
+        if state is None:
+            for x, y in pairs:
+                yield x, y, (gen_idx[x], gen_idx[y], "N")
+            if kind == "monoid":
+                for x in gens:
+                    yield x, PAD, (gen_idx[x], e, "R")
+                for y in gens:
+                    yield PAD, y, (e, gen_idx[y], "L")
+            return
+        s, t, copy = state
+        if copy == "N":
+            for x, y in pairs:
+                yield x, y, (times[s][x], times[t][y], "N")
+        if copy != "L":
+            for x in gens:
+                yield x, PAD, (times[s][x], t, "R")
+        if copy != "R":
+            for y in gens:
+                yield PAD, y, (s, times[t][y], "L")
+
+    def successors(state):
+        return [move for move in moves(state) if move[-1] in useful]
+
+    def is_final(state):
+        return kind == "monoid" if state is None else state[0] == state[1]
+
+    n_states, finals, trans = _explore(None, successors, is_final)
+    return TwoTapeAutomaton(n_states, alphabet, alphabet, 0, finals, trans,
+                            mode="sync")
 
 
 def free_wp(alphabet, kind="semigroup"):

@@ -78,6 +78,9 @@ def loads_fsa(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if line.startswith("trans:"):
+            trans_lines.append(line[6:].strip())
+            continue
         head = _directive(line)
         if head is None:
             raise InputError(f"not a directive: {raw!r}")
@@ -99,10 +102,10 @@ def loads_fsa(text):
     if kind not in ("async", "sync", "nfa"):
         raise InputError(f"unknown automaton type {kind!r}")
     if kind == "nfa":
-        alphabet = Alphabet(tuple(take("alphabet").split()))
+        tapes = (Alphabet(tuple(take("alphabet").split())),)
     else:
-        left = Alphabet(tuple(take("left").split()))
-        right = Alphabet(tuple(take("right").split()))
+        tapes = (Alphabet(tuple(take("left").split())),
+                 Alphabet(tuple(take("right").split())))
     try:
         n_states = int(take("states"))
     except ValueError:
@@ -112,37 +115,50 @@ def loads_fsa(text):
     if single:
         raise InputError(f"unknown directive {sorted(single)[0]!r}")
 
-    n_fields = 3 if kind == "nfa" else 4
-    if kind == "nfa":
-        labels = _label_table(alphabet, False)
-    else:
-        labels_l = _label_table(left, kind == "sync")
-        labels_r = _label_table(right, kind == "sync")
+    labels = [_label_table(tape, kind == "sync") for tape in tapes]
+    # Canonical lines are read with one dict lookup per field; any other
+    # line, valid or not, goes through _parse_trans for its fields or its
+    # error message.
+    states = {str(q): q for q in range(n_states)}
+    fast = [{tok: lab for tok, lab in table.items()
+             if kind != "sync" or lab is not EPSILON} for table in labels]
+    make = NfaTransition if kind == "nfa" else Transition
     trans = []
     for rest in trans_lines:
         tokens = rest.split()
-        if len(tokens) < n_fields:
-            raise InputError(f"trans line needs {n_fields} fields: {rest!r}")
-        if len(tokens) > n_fields and not tokens[n_fields].startswith("#"):
-            raise InputError(f"trailing junk in trans line: {rest!r}")
-        tokens = tokens[:n_fields]
-        src = _parse_state(tokens[0], n_states)
-        dst = _parse_state(tokens[-1], n_states)
-        if kind == "nfa":
-            trans.append(NfaTransition(
-                src, _parse_label(tokens[1], labels), dst))
-        else:
-            lab_l = _parse_label(tokens[1], labels_l)
-            lab_r = _parse_label(tokens[2], labels_r)
-            if kind == "sync" and EPSILON in (lab_l, lab_r):
-                raise InputError("sync automaton may not have epsilon labels")
-            trans.append(Transition(src, lab_l, lab_r, dst))
+        try:
+            if kind == "nfa":
+                src, lab, dst = tokens
+                t = make(states[src], fast[0][lab], states[dst])
+            else:
+                src, lab_l, lab_r, dst = tokens
+                t = make(states[src], fast[0][lab_l], fast[1][lab_r],
+                         states[dst])
+        except (ValueError, KeyError):  # a field count or token to check
+            t = make(*_parse_trans(rest, tokens, kind, labels, n_states))
+        trans.append(t)
 
     if kind == "nfa":
-        return OneTapeAutomaton(n_states, alphabet, initial, finals,
+        return OneTapeAutomaton(n_states, *tapes, initial, finals,
                                 tuple(trans))
-    return TwoTapeAutomaton(n_states, left, right, initial, finals,
-                            tuple(trans), mode=kind)
+    return TwoTapeAutomaton(n_states, *tapes, initial, finals, tuple(trans),
+                            mode=kind)
+
+
+def _parse_trans(rest, tokens, kind, labels, n_states):
+    """The fields of the trans line `rest` (split into `tokens`), or the
+    InputError that says what is wrong with it."""
+    n_fields = len(labels) + 2
+    if len(tokens) < n_fields:
+        raise InputError(f"trans line needs {n_fields} fields: {rest!r}")
+    if len(tokens) > n_fields and not tokens[n_fields].startswith("#"):
+        raise InputError(f"trailing junk in trans line: {rest!r}")
+    src = _parse_state(tokens[0], n_states)
+    dst = _parse_state(tokens[n_fields - 1], n_states)
+    labs = [_parse_label(tok, table) for tok, table in zip(tokens[1:], labels)]
+    if kind == "sync" and EPSILON in labs:
+        raise InputError("sync automaton may not have epsilon labels")
+    return (src, *labs, dst)
 
 
 def _label_token(lab):

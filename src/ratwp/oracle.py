@@ -10,9 +10,11 @@ to the queried lengths stops changing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
-from .automata import Alphabet, InputError, enumerate_accepted
+from .automata import Alphabet, InputError, _accepted_codes, _code_limit
 
 DEFAULT_WORD_CAP = 2_000_000
 DEFAULT_SLACK_SEARCH = 4
@@ -50,6 +52,18 @@ class Oracle:
     @property
     def includes_empty(self):
         return self.kind == "monoid"
+
+    @cached_property
+    def class_by_code(self):
+        """The class id of every word of length <= bound + slack, as a list
+        indexed by the word's bijective shortlex code (see
+        automata._pair_coding). Entry 0 is the empty word's, None for a
+        semigroup oracle. Built once per oracle; callers must not mutate
+        it."""
+        class_of = self.class_of
+        empty = class_of[()] if self.includes_empty else None
+        return [empty] + [class_of[w] for w in self.alphabet.words(
+            self.bound + self.slack, min_len=1)]
 
     def words(self, max_len=None):
         max_len = self.bound if max_len is None else max_len
@@ -198,21 +212,6 @@ def table_oracle(table, gens, bound=8, kind="semigroup"):
     )
 
 
-def _unrelated_pairs(groups, related, n_related_inside):
-    """Yield each (v, w) with v and w in one group and (v, w) not in
-    `related`, group by group. `n_related_inside` counts the pairs of
-    `related` that lie inside a group: when it equals the sum of
-    |group|^2, every such pair is related and no group is walked."""
-    groups = list(groups)
-    if n_related_inside == sum(len(g) ** 2 for g in groups):
-        return
-    for group in groups:
-        for v in group:
-            for w in group:
-                if (v, w) not in related:
-                    yield v, w
-
-
 def verify(aut, oracle, bound):
     """All pairs of the oracle's words up to the bound where automaton
     acceptance and oracle equality disagree, sorted by word_key; empty
@@ -223,28 +222,43 @@ def verify(aut, oracle, bound):
     reported when the oracle calls it unequal; a semigroup oracle has no
     empty word, and accepted pairs with an empty side are ignored.
 
-    Costs one pass over the accepted pairs plus, only when some equal pair
-    is not accepted, the sum of |class|^2 over the oracle's classes.
+    Works on the integer codes of _accepted_codes and the oracle's
+    class_by_code throughout: a pair code p is split into word codes by
+    divmod(p, R), and only the reported pairs are decoded to words. Costs
+    one pass over the accepted pairs plus, only when some equal pair is
+    not accepted, the sum of |class|^2 over the oracle's classes.
     """
     if bound > oracle.bound + oracle.slack:
         raise InputError("verification bound exceeds the oracle bound")
     if (tuple(aut.left.symbols) != tuple(oracle.alphabet.symbols)
             or tuple(aut.right.symbols) != tuple(oracle.alphabet.symbols)):
         raise InputError("automaton and oracle alphabets differ")
-    accepted = enumerate_accepted(aut, bound)
-    class_of = oracle.class_of
-    skip_empty = not oracle.includes_empty
+    accepted, decode = _accepted_codes(aut, bound)
+    lim = _code_limit(len(oracle.alphabet), bound)
+    class_by_code = oracle.class_by_code
+    first = 0 if oracle.includes_empty else 1  # the first word code compared
     disagreements = []
     n_equal = 0
-    for v, w in accepted:
-        if skip_empty and not (v and w):
+    for p in accepted:
+        v, w = divmod(p, lim)
+        if v < first or w < first:
             continue
-        if class_of[v] == class_of[w]:
+        if class_by_code[v] == class_by_code[w]:
             n_equal += 1
         else:
-            disagreements.append((v, w))
-    disagreements.extend(_unrelated_pairs(
-        oracle.classes(bound).values(), accepted, n_equal))
-    key = oracle.alphabet.word_key
-    disagreements.sort(key=lambda p: (key(p[0]), key(p[1])))
-    return disagreements
+            disagreements.append(p)
+    # Every equal pair is accepted iff n_equal is the sum of |class|^2;
+    # otherwise walk the pairs inside each class for the missing ones.
+    sizes = Counter(class_by_code[first:lim]).values()
+    if n_equal != sum(size * size for size in sizes):
+        classes = {}
+        for code in range(first, lim):
+            classes.setdefault(class_by_code[code], []).append(code)
+        for members in classes.values():
+            for v in members:
+                row = v * lim
+                disagreements.extend(row + w for w in members
+                                     if row + w not in accepted)
+    # pair codes sort like (word_key(v), word_key(w))
+    disagreements.sort()
+    return [decode(p) for p in disagreements]

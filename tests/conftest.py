@@ -33,3 +33,16 @@ def c2_table():
 @pytest.fixture(scope="session")
 def left_zero_table():
     return MultiplicationTable(("l", "r"), ((0, 0), (1, 1)))
+
+
+@pytest.fixture(scope="session")
+def t3_table():
+    """The full transformation monoid on three points, each map named by
+    its images ("102" sends 0 to 1, 1 to 0 and 2 to 2); x y applies x
+    first."""
+    maps = [(a, b, c) for a in range(3) for b in range(3) for c in range(3)]
+    index = {m: i for i, m in enumerate(maps)}
+    product = tuple(tuple(index[tuple(y[x[p]] for p in range(3))]
+                          for y in maps) for x in maps)
+    return MultiplicationTable(tuple("".join(map(str, m)) for m in maps),
+                               product)

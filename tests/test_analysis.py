@@ -1,12 +1,13 @@
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratwp import (
     Alphabet,
     InputError,
+    Presentation,
     PumpDecomposition,
     Transition,
     TwoTapeAutomaton,
@@ -36,6 +37,8 @@ from random_automata import (
 )
 
 AB = Alphabet(("a", "b"))
+A = Alphabet(("a",))
+XYZ = Alphabet(("x", "y", "z"))
 
 
 def with_extra_transition(aut, extra):
@@ -125,6 +128,21 @@ class TestPumpRefute:
 
 
 @settings(max_examples=200, deadline=None)
+# one-symbol and three-symbol alphabets, k = 1 and k = 3 in the coding:
+# (a^i, a^j) for i, j >= 1 pumped against a a = a (never refuted), and the
+# equal pairs over {x, y, z} with extra z on the left, against z z = z
+@example(TwoTapeAutomaton(2, A, A, 0, frozenset({1}), (
+             (0, "a", "a", 1), (1, "a", None, 1), (1, None, "a", 1))),
+         Presentation("semigroup", A, ((("a", "a"), ("a",)),)),
+         4, 5, 5, 5)
+@example(with_extra_transition(free_wp(A, kind="monoid"), (1, None, "a", 0)),
+         Presentation("monoid", A, ((("a", "a"), ()),)), 4, 5, 3, 2)
+@example(with_extra_transition(free_wp(XYZ), (1, "z", None, 1)),
+         Presentation("semigroup", XYZ, ((("z", "z"), ("z",)),)),
+         4, 4, 5, 5)
+@example(with_extra_transition(free_wp(XYZ), (1, "y", None, 1)),
+         Presentation("semigroup", XYZ, ((("z", "z"), ("z",)),)),
+         3, 4, 2, 1)
 @given(st.one_of(two_tape_automata(), sync_automata()), presentations(),
        st.integers(1, 4), st.integers(0, 5), st.integers(0, 5),
        st.integers(1, 5))

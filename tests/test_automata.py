@@ -30,8 +30,9 @@ from ratwp import (
 )
 import ratwp.automata
 from ratwp.automata import (
-    _accepted_shortlex, _accepting_run, _as_async, _first_runs,
+    _accepted_shortlex, _accepting_run, _as_async, _first_runs, _pair_coding,
 )
+from ratwp.fileio import dumps_fsa, load_fsa
 from random_automata import (
     accepted_pairs,
     all_reachable,
@@ -407,6 +408,42 @@ def test_silent_free_form_computed_once(monkeypatch):
         assert len(calls) == 1
         assert enumerate_accepted(aut, 3) == first
         assert len(calls) == 1
+
+
+def test_step_table_computed_once():
+    # only the code limits of _pair_coding depend on the bound; its step
+    # table is kept on the silent-free form, so later calls reuse it
+    fig3 = builtin("fig3")
+    for aut in (union(fig3, fig3), fig3, TestSync().sync_equality()):
+        form, _, _, steps, _ = _pair_coding(aut, 3)
+        assert "_code_steps" in vars(form)
+        for bound in (3, 0, 5):
+            again, _, _, same_steps, _ = _pair_coding(aut, bound)
+            assert again is form and same_steps is steps
+        assert enumerate_accepted(aut, 3) == accepted_pairs(aut, 3)
+
+
+def test_padding_checked_once(monkeypatch, tmp_path):
+    # load_fsa checks a sync automaton's padding; its async view, built by
+    # enumerate_accepted, does not check it again
+    calls = []
+    check = ratwp.automata._check_padding
+    monkeypatch.setattr(ratwp.automata, "_check_padding",
+                        lambda a: calls.append(a) or check(a))
+    path = tmp_path / "sync.fsa"
+    path.write_text(dumps_fsa(TestSync().sync_equality()))
+    aut = load_fsa(path)
+    assert len(calls) == 1
+    enumerate_accepted(aut, 3)
+    validate_sync(aut)
+    assert len(calls) == 1
+    # a failed check is not kept
+    bad = TwoTapeAutomaton(1, AB, AB, 0, frozenset(), ((0, PAD, PAD, 0),),
+                           mode="sync")
+    for _ in range(2):
+        with pytest.raises(InputError):
+            validate_sync(bad)
+    assert len(calls) == 3
 
 
 @settings(max_examples=100, deadline=None)

@@ -26,6 +26,7 @@ from ratwp import (
     remove_generator,
     sync_to_async,
     table_oracle,
+    trim,
     validate_sync,
     verify,
     zero_union,
@@ -35,6 +36,8 @@ from random_automata import all_reachable
 
 A = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
+# a transposition, a 3-cycle and a map of rank 2: they generate t3_table
+T3_GENS = ("102", "120", "001")
 
 
 def fig3_semigroup_presentation(extra_symbols=(), extra_relations=()):
@@ -78,6 +81,29 @@ class TestCayley:
     def test_non_generating_set(self, c2_table):
         with pytest.raises(InputError):
             cayley_wp_sync(c2_table, ("1",))
+
+    @pytest.mark.parametrize("name, gens, kinds", [
+        ("c2_table", ("g",), ("semigroup", "monoid")),
+        ("left_zero_table", ("l", "r"), ("semigroup",)),
+        ("t3_table", T3_GENS, ("semigroup", "monoid")),
+    ])
+    def test_every_state_useful(self, request, name, gens, kinds):
+        # only states on an initial-to-final path are built, so trim keeps
+        # every one, and the automaton still decides the table's word
+        # problem
+        table = request.getfixturevalue(name)
+        for kind in kinds:
+            wp = cayley_wp_sync(table, gens, kind=kind)
+            assert trim(wp) == wp
+            oracle = table_oracle(table, gens, bound=4, kind=kind)
+            assert verify(wp, oracle, 4) == []
+
+    def test_t3_state_counts(self, t3_table):
+        # what trim keeps of the 1 + 3 * 27^2 states of every element pair:
+        # the initial state, the 729 neutral states and 333 of each
+        # padding kind
+        wp = cayley_wp_sync(t3_table, T3_GENS)
+        assert (wp.n_states, len(wp.transitions)) == (1396, 9990)
 
 
 class TestFreeWp:

@@ -1,11 +1,12 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratwp import (
     EPSILON,
     Alphabet,
     InputError,
+    Oracle,
     Presentation,
     Transition,
     TwoTapeAutomaton,
@@ -26,6 +27,17 @@ from random_automata import (
 )
 
 AB = Alphabet(("a", "b"))
+A = Alphabet(("a",))
+XYZ = Alphabet(("x", "y", "z"))
+
+
+def all_pairs_plus(alphabet):
+    """Accepts every pair of two nonempty words over the alphabet."""
+    trans = [(0, s, s2, 1) for s in alphabet for s2 in alphabet]
+    trans += [(1, s, EPSILON, 1) for s in alphabet]
+    trans += [(1, EPSILON, s, 1) for s in alphabet]
+    return TwoTapeAutomaton(2, alphabet, alphabet, 0, frozenset({1}),
+                            tuple(trans))
 
 
 def free_monoid_with_eps_a():
@@ -210,6 +222,16 @@ class TestVerify:
 
 
 @settings(max_examples=200, deadline=None)
+# one-symbol and three-symbol alphabets, k = 1 and k = 3 in the coding
+@example(all_pairs_plus(A),
+         Presentation("semigroup", A, ((("a", "a", "a"), ("a",)),)), 4)
+@example(free_wp(A, kind="monoid"),
+         Presentation("monoid", A, ((("a", "a"), ()),)), 4)
+@example(all_pairs_plus(XYZ),
+         Presentation("semigroup", XYZ, ((("x", "y"), ("z",)),)), 3)
+@example(free_wp(XYZ, kind="monoid"),
+         Presentation("monoid", XYZ, ((("x", "y"), ("y", "x")),
+                                      (("z",), ()))), 3)
 @given(st.one_of(
            two_tape_automata(),
            sync_automata(),
@@ -220,3 +242,46 @@ class TestVerify:
 def test_verify_agrees_with_all_pairs(aut, presentation, bound):
     oracle = build_oracle(presentation, bound, slack=1)
     assert verify(aut, oracle, bound) == verify_all_pairs(aut, oracle, bound)
+
+
+def code_of(word, alphabet):
+    """A word's bijective base-k code, computed digit by digit."""
+    code = 0
+    for sym in word:
+        code = code * len(alphabet) + alphabet.index(sym) + 1
+    return code
+
+
+def assert_class_by_code_agrees(oracle):
+    """class_by_code holds class_of at every word's code, and None at the
+    empty word's for a semigroup oracle."""
+    words = list(oracle.alphabet.words(oracle.bound + oracle.slack,
+                                       min_len=0))
+    table = oracle.class_by_code
+    assert len(table) == len(words)
+    for word in words:
+        expected = (oracle.class_of[word] if word or oracle.includes_empty
+                    else None)
+        assert table[code_of(word, oracle.alphabet)] == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(), st.integers(1, 4), st.integers(0, 2),
+       st.sampled_from((("c2", ("g",), "semigroup"), ("c2", ("g",), "monoid"),
+                        ("c2", ("g", "1"), "monoid"),
+                        ("left_zero", ("l", "r"), "semigroup"))))
+def test_class_by_code_agrees_with_class_of(c2_table, left_zero_table,
+                                           presentation, bound, slack,
+                                           table_case):
+    closure = build_oracle(presentation, bound, slack=slack)
+    assert_class_by_code_agrees(closure)
+    name, gens, kind = table_case
+    table = c2_table if name == "c2" else left_zero_table
+    assert_class_by_code_agrees(table_oracle(table, gens, bound, kind=kind))
+    # class_of in reverse shortlex order: the table follows the codes, not
+    # the order the dict was built in
+    reverse = Oracle(closure.alphabet, closure.kind, closure.bound,
+                     closure.slack,
+                     dict(reversed(list(closure.class_of.items()))))
+    assert_class_by_code_agrees(reverse)
+    assert reverse.class_by_code == closure.class_by_code
