@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 EPSILON = None          # tape label meaning "read nothing"
 EPSILON_TOKEN = "-"     # how epsilon is written in .fsa files
@@ -111,7 +111,6 @@ class TwoTapeAutomaton:
     finals: frozenset
     transitions: tuple
     mode: str = "async"
-    state_names: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
@@ -132,8 +131,6 @@ class TwoTapeAutomaton:
             _check_state(dst, n, "transition target")
             _check_label(lab_left, left)
             _check_label(lab_right, right)
-        if self.state_names is not None and len(self.state_names) != self.n_states:
-            raise InputError("state_names length mismatch")
 
     def accepts(self, left_word, right_word):
         return accepts_two_tape(self, left_word, right_word)
@@ -201,7 +198,6 @@ class OneTapeAutomaton:
     initial: int
     finals: frozenset
     transitions: tuple
-    state_names: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
@@ -407,7 +403,7 @@ def trim(aut):
     useful = _reachable((aut.initial,), succ) & _reachable(aut.finals, pred)
     if aut.initial not in useful:
         return replace(aut, n_states=1, initial=0, finals=frozenset(),
-                       transitions=(), state_names=None)
+                       transitions=())
     order = sorted(useful)
     remap = {old: new for new, old in enumerate(order)}
     trans = tuple(
@@ -415,16 +411,12 @@ def trim(aut):
         for t in aut.transitions
         if t.src in useful and t.dst in useful
     )
-    names = None
-    if aut.state_names is not None:
-        names = tuple(aut.state_names[q] for q in order)
     return replace(
         aut,
         n_states=len(order),
         initial=remap[aut.initial],
         finals=frozenset(remap[f] for f in aut.finals if f in useful),
         transitions=trans,
-        state_names=names,
     )
 
 
@@ -476,18 +468,8 @@ def determinize(aut):
 
 def swap_tapes(aut):
     """Reverse the relation: (v, w) accepted iff (w, v) was."""
-    return TwoTapeAutomaton(
-        n_states=aut.n_states,
-        left=aut.right,
-        right=aut.left,
-        initial=aut.initial,
-        finals=aut.finals,
-        transitions=tuple(
-            Transition(t.src, t.right, t.left, t.dst) for t in aut.transitions
-        ),
-        mode=aut.mode,
-        state_names=aut.state_names,
-    )
+    return replace(aut, left=aut.right, right=aut.left, transitions=tuple(
+        Transition(t.src, t.right, t.left, t.dst) for t in aut.transitions))
 
 
 def union(r, s):
@@ -511,7 +493,7 @@ def union(r, s):
         {f + off_r for f in r.finals} | {f + off_s for f in s.finals}
     )
     return replace(r, n_states=off_s + s.n_states, initial=0, finals=finals,
-                   transitions=tuple(trans), state_names=None)
+                   transitions=tuple(trans))
 
 
 def _tapes(aut):
@@ -752,16 +734,7 @@ def sync_to_async(aut):
         )
         for t in aut.transitions
     )
-    return TwoTapeAutomaton(
-        n_states=aut.n_states,
-        left=aut.left,
-        right=aut.right,
-        initial=aut.initial,
-        finals=aut.finals,
-        transitions=trans,
-        mode="async",
-        state_names=aut.state_names,
-    )
+    return replace(aut, transitions=trans, mode="async")
 
 
 def _as_async(aut):

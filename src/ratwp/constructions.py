@@ -21,13 +21,7 @@ from .automata import (
     swap_tapes,
     union,
 )
-from .presentations import (
-    IdealData,
-    MultiplicationTable,
-    Presentation,
-    ProductGenerators,
-    RelationSchema,
-)
+from .presentations import IdealData, Presentation, RelationSchema
 from .relations import (
     compose,
     cross_product,
@@ -57,19 +51,8 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
     of its successors does.
     """
     gens = tuple(gens)
-    gen_idx = {}
-    for g in gens:
-        gen_idx[g] = table.index(g)
-    reached = table.closure_of(gen_idx.values())
-    for i, name in enumerate(table.elements):
-        if i not in reached:
-            raise InputError(f"generators do not generate: {name!r} unreached")
-    if kind == "monoid":
-        e = table.identity_index()
-        if e is None:
-            raise InputError("monoid kind requires a table with an identity")
-    elif kind != "semigroup":
-        raise InputError(f"unknown kind {kind!r}")
+    gen_idx = table.generator_indices(gens, kind)
+    e = table.identity_index()
     alphabet = Alphabet(gens)
     n = len(table)
     pairs = list(iproduct(gens, repeat=2))
@@ -156,16 +139,7 @@ def remove_generator(wp, c):
     new_left = Alphabet(tuple(s for s in wp.left if s != c))
     new_right = Alphabet(tuple(s for s in wp.right if s != c))
     trans = tuple(t for t in wp.transitions if t.left != c and t.right != c)
-    return TwoTapeAutomaton(
-        n_states=wp.n_states,
-        left=new_left,
-        right=new_right,
-        initial=wp.initial,
-        finals=wp.finals,
-        transitions=trans,
-        mode="async",
-        state_names=wp.state_names,
-    )
+    return replace(wp, left=new_left, right=new_right, transitions=trans)
 
 
 def adjoin_identity(wp, one):
@@ -336,19 +310,11 @@ def free_product(wp_s, wp_t):
 
 
 def _widen_two_tape(aut, alphabet):
-    return TwoTapeAutomaton(
-        n_states=aut.n_states, left=alphabet, right=alphabet,
-        initial=aut.initial, finals=aut.finals,
-        transitions=aut.transitions, mode="async",
-        state_names=aut.state_names,
-    )
+    return replace(aut, left=alphabet, right=alphabet)
 
 
 def _widen_one_tape(aut, alphabet):
-    return OneTapeAutomaton(
-        n_states=aut.n_states, alphabet=alphabet, initial=aut.initial,
-        finals=aut.finals, transitions=aut.transitions,
-    )
+    return replace(aut, alphabet=alphabet)
 
 
 def zero_union(wp_s, wp_t, zero):
@@ -433,7 +399,6 @@ def _fig2_automaton():
     return TwoTapeAutomaton(
         n_states=5, left=a_b, right=a_b, initial=0,
         finals=frozenset({1, 2, 4}), transitions=tuple(t),
-        state_names=("q0", "q1", "q2", "q3", "q4"),
     )
 
 
@@ -449,7 +414,6 @@ def _fig3_automaton():
     return TwoTapeAutomaton(
         n_states=2, left=a_b, right=a_b, initial=0,
         finals=frozenset({1}), transitions=tuple(t),
-        state_names=("q0", "q1"),
     )
 
 

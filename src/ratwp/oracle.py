@@ -82,16 +82,17 @@ class Oracle:
         return self.class_of[v] == self.class_of[w]
 
     def classes(self, max_len=None):
-        """Class id -> sorted members of length <= max_len (default: bound)."""
+        """Class id -> members of length <= max_len (default: bound), in
+        shortlex order."""
         max_len = self.bound if max_len is None else max_len
         out = {}
         for w in self.words(max_len):
             out.setdefault(self.class_of[w], []).append(w)
-        key = self.alphabet.word_key
-        return {c: sorted(ws, key=key) for c, ws in out.items()}
+        return out
 
 
 def _closure_partition(words, relations, max_len):
+    """The union-find root of each word's class, listed by word position."""
     index = {w: i for i, w in enumerate(words)}
     uf = _UnionFind(len(words))
     # A single pass suffices: the word set is fixed, so every one-step
@@ -110,19 +111,7 @@ def _closure_partition(words, relations, max_len):
                     oi = index.get(other)
                     if oi is not None:
                         uf.union(wi, oi)
-    return {w: uf.find(index[w]) for w in words}
-
-
-def _canonical_ids(words, partition, alphabet):
-    key = alphabet.word_key
-    rep = {}
-    for w in words:
-        root = partition[w]
-        if root not in rep or key(w) < key(rep[root]):
-            rep[root] = w
-    order = sorted(rep.values(), key=key)
-    ids = {w: i for i, w in enumerate(order)}
-    return {w: ids[rep[partition[w]]] for w in words}
+    return [uf.find(i) for i in range(len(words))]
 
 
 def build_oracle(presentation, bound, slack=None, schema_bound=None,
@@ -131,6 +120,11 @@ def build_oracle(presentation, bound, slack=None, schema_bound=None,
 
     With slack=None the slack is grown until two consecutive values give
     the same partition on words up to the bound.
+
+    Classes are numbered in order of first appearance over the words in
+    shortlex order, so a class's id is the shortlex rank of its least
+    member among the least members of all classes, and the ids of the
+    words up to the bound are a prefix of the ids of all words.
     """
     if bound < 1:
         raise InputError("bound must be >= 1")
@@ -140,50 +134,38 @@ def build_oracle(presentation, bound, slack=None, schema_bound=None,
         relations.append((tuple(lhs), tuple(rhs)))
         if rhs != lhs:
             relations.append((tuple(rhs), tuple(lhs)))
-    include_empty = presentation.kind == "monoid"
+    min_len = 0 if presentation.kind == "monoid" else 1
+    k = len(alphabet)
+    n_bound = _code_limit(k, bound) - min_len  # the words up to the bound
 
-    def partition_at(s):
+    def class_ids(s):
         max_len = bound + s
-        n_words = sum(len(alphabet) ** i
-                      for i in range(0 if include_empty else 1, max_len + 1))
+        n_words = _code_limit(k, max_len) - min_len
         if n_words > word_cap:
             raise InputError(
                 f"word count {n_words} at slack {s} exceeds the cap {word_cap}"
             )
-        words = list(alphabet.words(max_len, min_len=0 if include_empty else 1))
-        return words, _closure_partition(words, relations, max_len)
-
-    def restricted(words, partition):
-        reps = {}
-        view = {}
-        for w in words:
-            if len(w) > bound:
-                continue
-            root = partition[w]
-            view[w] = reps.setdefault(root, len(reps))
-        return view
+        words = list(alphabet.words(max_len, min_len=min_len))
+        ids = {}
+        return words, [ids.setdefault(root, len(ids)) for root in
+                       _closure_partition(words, relations, max_len)]
 
     if slack is not None:
-        words, partition = partition_at(slack)
+        words, ids = class_ids(slack)
         chosen = slack
     else:
         prev = None
-        chosen = 0
-        for s in range(DEFAULT_SLACK_SEARCH + 1):
-            words, partition = partition_at(s)
-            cur = restricted(words, partition)
-            if prev is not None and cur == prev:
-                chosen = s
+        for chosen in range(DEFAULT_SLACK_SEARCH + 1):
+            words, ids = class_ids(chosen)
+            if ids[:n_bound] == prev:
                 break
-            prev = cur
-            chosen = s
-    class_of = _canonical_ids(words, partition, alphabet)
+            prev = ids[:n_bound]
     return Oracle(
         alphabet=alphabet,
         kind=presentation.kind,
         bound=bound,
         slack=chosen,
-        class_of=class_of,
+        class_of=dict(zip(words, ids)),
     )
 
 
@@ -191,17 +173,10 @@ def table_oracle(table, gens, bound=8, kind="semigroup"):
     """Oracle for an explicit finite semigroup: word value by folding the
     multiplication table."""
     gens = tuple(gens)
-    gen_map = {g: table.index(g) for g in gens}
-    reached = table.closure_of(gen_map.values())
-    for i, name in enumerate(table.elements):
-        if i not in reached:
-            raise InputError(f"generators do not generate: {name!r} unreached")
+    gen_map = table.generator_indices(gens, kind)
     alphabet = Alphabet(gens)
-    include_empty = kind == "monoid"
-    if include_empty and table.identity_index() is None:
-        raise InputError("monoid kind requires a table with an identity")
     class_of = {}
-    for w in alphabet.words(bound, min_len=0 if include_empty else 1):
+    for w in alphabet.words(bound, min_len=0 if kind == "monoid" else 1):
         class_of[w] = table.fold(w, gen_map) if w else table.identity_index()
     return Oracle(
         alphabet=alphabet,

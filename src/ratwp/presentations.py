@@ -3,9 +3,8 @@ and ideal data for the finite-ideal extension."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 from .automata import Alphabet, InputError
 
@@ -138,6 +137,22 @@ class MultiplicationTable:
         for sym in word[1:]:
             acc = self.product[acc][gen_map[sym]]
         return acc
+
+    def generator_indices(self, gens, kind):
+        """The element index of each generator, after checking that the
+        generators generate the table and that kind is "semigroup", or
+        "monoid" on a table with an identity."""
+        gen_map = {g: self.index(g) for g in gens}
+        reached = self.closure_of(gen_map.values())
+        for i, name in enumerate(self.elements):
+            if i not in reached:
+                raise InputError(f"generators do not generate: {name!r} unreached")
+        if kind == "monoid":
+            if self.identity_index() is None:
+                raise InputError("monoid kind requires a table with an identity")
+        elif kind != "semigroup":
+            raise InputError(f"unknown kind {kind!r}")
+        return gen_map
 
     def closure_of(self, indices):
         """Subsemigroup generated by the given element indices."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .automata import (
     EPSILON,
     Alphabet,
@@ -143,18 +145,12 @@ def _image_alphabet(alphabet, mapping):
     return Alphabet(tuple(out))
 
 
-def relabel(r, f_left, f_right, left_alphabet=None, right_alphabet=None):
+def relabel(r, f_left, f_right):
     """Rewrite every transition label componentwise (epsilon maps to
     epsilon); accepts exactly the image relation."""
     r = _as_async(r)
-    new_left = left_alphabet or _image_alphabet(r.left, f_left)
-    new_right = right_alphabet or _image_alphabet(r.right, f_right)
-    for sym in r.left:
-        if sym not in f_left:
-            raise InputError(f"relabel map is not total: missing {sym!r}")
-    for sym in r.right:
-        if sym not in f_right:
-            raise InputError(f"relabel map is not total: missing {sym!r}")
+    new_left = _image_alphabet(r.left, f_left)
+    new_right = _image_alphabet(r.right, f_right)
     trans = tuple(
         Transition(
             t.src,
@@ -164,16 +160,7 @@ def relabel(r, f_left, f_right, left_alphabet=None, right_alphabet=None):
         )
         for t in r.transitions
     )
-    return TwoTapeAutomaton(
-        n_states=r.n_states,
-        left=new_left,
-        right=new_right,
-        initial=r.initial,
-        finals=r.finals,
-        transitions=trans,
-        mode="async",
-        state_names=r.state_names,
-    )
+    return replace(r, left=new_left, right=new_right, transitions=trans)
 
 
 def identity_relation(alphabet, include_empty=False):
@@ -192,7 +179,6 @@ def identity_relation(alphabet, include_empty=False):
         finals=frozenset(finals),
         transitions=tuple(trans),
         mode="async",
-        state_names=("q0", "q1"),
     )
 
 

@@ -176,3 +176,30 @@ def pump_refute_per_pair(aut, oracle, bound, i_max=5, max_witnesses=5):
             break
     verdict = "refuted" if witnesses else "not-refuted"
     return Report("pump_refute", verdict, tuple(witnesses))
+
+
+def congruence_check_all_contexts(aut, bound, kind="semigroup"):
+    """Reference for congruence_check: every accepted pair in shortlex
+    order under every two-sided context (x, y) that fits the bound, the
+    contexts by |x|, then x, then |y|, then y, all in shortlex order. For
+    kind "semigroup" only pairs of nonempty words are accepted."""
+    accepted = enumerate_accepted(aut, bound)
+    if kind == "semigroup":
+        accepted = {(v, w) for v, w in accepted if v and w}
+    key = aut.left.word_key
+    words_of_len = {}
+    for w in aut.left.words(bound, min_len=0):
+        words_of_len.setdefault(len(w), []).append(w)
+    for v, w in sorted(accepted, key=lambda p: (key(p[0]), key(p[1]))):
+        budget = bound - max(len(v), len(w))
+        for lx in range(budget + 1):
+            for x in words_of_len.get(lx, ()):
+                for ly in range(budget - lx + 1):
+                    for y in words_of_len.get(ly, ()):
+                        if not x and not y:
+                            continue
+                        if (x + v + y, x + w + y) not in accepted:
+                            return Report(
+                                "congruence_check", "fail",
+                                (("context", (v, w), (x, y)),))
+    return Report("congruence_check", "pass")

@@ -26,10 +26,14 @@ from ratwp import (
     pump_decompose,
     pump_refute,
     pumping_constant,
+    remove_generator,
+    trim,
+    union,
     validate_cross_section,
 )
 from ratwp.automata import NfaTransition, OneTapeAutomaton
 from random_automata import (
+    congruence_check_all_contexts,
     presentations,
     pump_refute_per_pair,
     sync_automata,
@@ -232,6 +236,16 @@ class TestCongruenceCheck:
         assert congruence_check(aut, 3).verdict == "pass"
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+           two_tape_automata(),
+           two_tape_automata().map(lambda aut: union(aut, builtin("fig1")))),
+       st.sampled_from(("semigroup", "monoid")), st.integers(0, 4))
+def test_congruence_check_agrees_with_all_contexts(aut, kind, bound):
+    assert (congruence_check(aut, bound, kind=kind).verdict
+            == congruence_check_all_contexts(aut, bound, kind=kind).verdict)
+
+
 class TestCrossSection:
     def test_fig3_removes_pumping(self):
         d = cross_section(builtin("fig3"))
@@ -288,6 +302,13 @@ class TestExportDot:
 
     def test_epsilon_rendering(self):
         assert "ε" in export_dot(builtin("fig3"))
+
+    def test_nodes_labelled_by_number_after_trim(self):
+        aut = trim(remove_generator(builtin("fig2"), "a"))
+        assert aut.n_states < builtin("fig2").n_states
+        text = export_dot(aut)
+        for q in range(aut.n_states):
+            assert f"  {q} [label=\"q{q}\"" in text
 
     def test_empty_automaton(self):
         aut = TwoTapeAutomaton(1, AB, AB, 0, frozenset(), ())

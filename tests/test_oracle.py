@@ -122,6 +122,10 @@ class TestTableOracle:
         with pytest.raises(InputError):
             table_oracle(c2_table, ("1",))
 
+    def test_unknown_kind(self, c2_table):
+        with pytest.raises(InputError, match="unknown kind 'group'"):
+            table_oracle(c2_table, ("g",), kind="group")
+
     def test_agrees_with_presentation_oracle(self, c2_table):
         # C2 as a table and as <g | g^3 = g> (semigroup of g, g^2=1)
         table = table_oracle(c2_table, ("g",), bound=5)
@@ -285,3 +289,16 @@ def test_class_by_code_agrees_with_class_of(c2_table, left_zero_table,
                      dict(reversed(list(closure.class_of.items()))))
     assert_class_by_code_agrees(reverse)
     assert reverse.class_by_code == closure.class_by_code
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(), st.integers(1, 3), st.sampled_from((None, 0, 1)))
+def test_class_ids_are_shortlex_ranks_of_least_members(presentation, bound,
+                                                       slack):
+    oracle = build_oracle(presentation, bound, slack=slack)
+    key = oracle.alphabet.word_key
+    classes = oracle.classes(oracle.bound + oracle.slack)
+    for members in classes.values():
+        assert members == sorted(members, key=key)
+    least = sorted((members[0] for members in classes.values()), key=key)
+    assert [oracle.class_of[w] for w in least] == list(range(len(least)))
