@@ -1,5 +1,6 @@
 """Hypothesis strategies for small random automata, over {a, b} unless
-told otherwise, shared by the differential tests."""
+told otherwise, and the reference implementations the differential tests
+compare ratwp with."""
 
 from hypothesis import strategies as st
 
@@ -203,3 +204,65 @@ def congruence_check_all_contexts(aut, bound, kind="semigroup"):
                                 "congruence_check", "fail",
                                 (("context", (v, w), (x, y)),))
     return Report("congruence_check", "pass")
+
+
+def equivalence_check_by_words(aut, bound, kind="semigroup"):
+    """Reference for equivalence_check, on words: reflexivity over the
+    words up to the bound in shortlex order, then symmetry over the
+    accepted pairs in shortlex order, then transitivity: the first pair
+    missing inside a connected component of the accepted pairs, the
+    components in order of least member, each walked row by row. For kind
+    "semigroup" only nonempty words count."""
+    min_len = 0 if kind == "monoid" else 1
+    words = list(aut.left.words(bound, min_len=min_len))
+    key = aut.left.word_key
+    accepted = sorted(((v, w) for v, w in enumerate_accepted(aut, bound)
+                       if len(v) >= min_len and len(w) >= min_len),
+                      key=lambda p: (key(p[0]), key(p[1])))
+    related = set(accepted)
+    for v in words:
+        if (v, v) not in related:
+            return Report("equivalence_check", "fail", (("reflexivity", v),))
+    for v, w in accepted:
+        if (w, v) not in related:
+            return Report("equivalence_check", "fail",
+                          (("symmetry", v, w),))
+    linked = {}
+    for v, w in accepted:
+        linked.setdefault(v, set()).add(w)
+    done = set()
+    for u in words:
+        if u in done:
+            continue
+        component, todo = {u}, [u]
+        while todo:
+            for x in linked.get(todo.pop(), ()):
+                if x not in component:
+                    component.add(x)
+                    todo.append(x)
+        done |= component
+        members = sorted(component, key=key)
+        for v in members:
+            for w in members:
+                if (v, w) not in related:
+                    return Report("equivalence_check", "fail",
+                                  (("transitivity", v, w),))
+    return Report("equivalence_check", "pass")
+
+
+def validate_cross_section_by_words(d, oracle, bound):
+    """Reference for validate_cross_section: each oracle class up to the
+    bound, by class id, must meet D, and meet it as often as its part up
+    to bound - 1 does, membership tested by d.accepts word by word."""
+    prev_classes = oracle.classes(bound - 1) if bound > 0 else {}
+    witnesses = []
+    for cid, members in sorted(oracle.classes(bound).items()):
+        hits = sum(1 for w in members if d.accepts(w))
+        if not hits:
+            witnesses.append(("missing", members[0]))
+        elif cid in prev_classes:
+            prev_hits = sum(1 for w in prev_classes[cid] if d.accepts(w))
+            if prev_hits != hits:
+                witnesses.append(("growing", members[0], prev_hits, hits))
+    verdict = "pass" if not witnesses else "fail"
+    return Report("validate_cross_section", verdict, tuple(witnesses))

@@ -27,6 +27,7 @@ from ratwp import (
     pump_refute,
     pumping_constant,
     remove_generator,
+    swap_tapes,
     trim,
     union,
     validate_cross_section,
@@ -34,10 +35,13 @@ from ratwp import (
 from ratwp.automata import NfaTransition, OneTapeAutomaton
 from random_automata import (
     congruence_check_all_contexts,
+    equivalence_check_by_words,
+    one_tape_automata,
     presentations,
     pump_refute_per_pair,
     sync_automata,
     two_tape_automata,
+    validate_cross_section_by_words,
 )
 
 AB = Alphabet(("a", "b"))
@@ -246,6 +250,20 @@ def test_congruence_check_agrees_with_all_contexts(aut, kind, bound):
             == congruence_check_all_contexts(aut, bound, kind=kind).verdict)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+           two_tape_automata(),
+           two_tape_automata().map(lambda aut: union(aut, builtin("fig1"))),
+           two_tape_automata().map(lambda aut: union(
+               union(aut, swap_tapes(aut)), builtin("fig1")))),
+       st.sampled_from(("semigroup", "monoid")), st.integers(0, 4))
+def test_equivalence_check_matches_word_reference(aut, kind, bound):
+    # the union with fig1 makes most relations reflexive, the union with
+    # the swapped relation also symmetric, so every part of the check runs
+    assert (equivalence_check(aut, bound, kind=kind)
+            == equivalence_check_by_words(aut, bound, kind=kind))
+
+
 class TestCrossSection:
     def test_fig3_removes_pumping(self):
         d = cross_section(builtin("fig3"))
@@ -289,6 +307,16 @@ class TestValidateCrossSection:
         report = validate_cross_section(a_plus, oracle, 6)
         assert report.verdict == "fail"
         assert any(kind == "growing" for kind, *_ in report.witnesses)
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_tape_automata(), presentations(), st.integers(0, 3))
+@example(cross_section(builtin("fig3")), builtin_presentation("fig3"), 3)
+def test_validate_cross_section_matches_word_reference(d, presentation,
+                                                       bound):
+    oracle = build_oracle(presentation, 3)
+    assert (validate_cross_section(d, oracle, bound)
+            == validate_cross_section_by_words(d, oracle, bound))
 
 
 class TestExportDot:

@@ -19,6 +19,15 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def write_fsa(path, n_states, finals, transitions):
+    """An async .fsa over {a, b} on both tapes, initial state 0."""
+    path.write_text(
+        f"type: async\nleft: a b\nright: a b\nstates: {n_states}\n"
+        f"initial: 0\nfinal: {' '.join(map(str, sorted(finals)))}\n"
+        + "".join(f"trans: {t}\n" for t in transitions))
+    return path
+
+
 def run(args, capsys):
     code = main([str(a) for a in args])
     out = capsys.readouterr()
@@ -173,6 +182,43 @@ class TestAnalysisVerbs:
                             "--bound", "6"], capsys)
         assert code == 0
         assert "pass" in out
+
+    def test_check_equiv_failure_output(self, workdir, capsys):
+        # equality plus a~b and a~aa but not b~aa: not transitive
+        aut = write_fsa(workdir / "nontrans.fsa", 5, {1, 2}, (
+            "0 a a 1", "0 b b 1", "1 a a 1", "1 b b 1", "0 a b 2",
+            "0 b a 2", "0 a a 3", "3 - a 2", "0 a a 4", "4 a - 2"))
+        code, out, _ = run(["check", "equiv", aut, "--bound", "3"], capsys)
+        assert code == 1
+        assert out == ("equivalence_check: fail\n"
+                       "  ('transitivity', ('b',), ('a', 'a'))\n")
+
+    def test_check_congruence_failure_output(self, workdir, capsys):
+        # equality plus the class {a, b}, then equality: (a, b) is
+        # accepted, (aa, ab) is not
+        aut = write_fsa(workdir / "ab.fsa", 2, {1}, (
+            "0 a a 1", "0 b b 1", "1 a a 1", "1 b b 1", "0 a b 1",
+            "0 b a 1"))
+        code, out, _ = run(["check", "congruence", aut, "--bound", "3"],
+                           capsys)
+        assert code == 1
+        assert out == ("congruence_check: fail\n"
+                       "  ('context', (('a',), ('b',)), (('a',), ()))\n")
+
+    def test_cross_section_failure_output(self, workdir, capsys):
+        # D = b (a|b)*: it misses fig3's classes a+ and a b+, and meets
+        # each class b^n a* more often as the bound grows
+        aut = write_fsa(workdir / "bfree.fsa", 2, {1},
+                        ("0 b b 1", "1 a a 1", "1 b b 1"))
+        code, out, _ = run(["cross-section", aut, "--oracle",
+                            workdir / "fig3.sgp", "--bound", "3"], capsys)
+        assert code == 1
+        assert out == ("validate_cross_section: fail\n"
+                       "  ('missing', ('a',))\n"
+                       "  ('growing', ('b',), 2, 3)\n"
+                       "  ('missing', ('a', 'b'))\n"
+                       "  ('growing', ('b', 'b'), 1, 3)\n"
+                       "  ('missing', ('a', 'b', 'b'))\n")
 
     def test_dot(self, workdir, capsys):
         code, out, _ = run(["dot", workdir / "fig3.fsa"], capsys)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratwp import (
     Alphabet,
@@ -77,6 +79,19 @@ class TestMultiplicationTable:
     def test_closure(self):
         c2 = MultiplicationTable(("1", "g"), ((0, 1), (1, 0)))
         assert c2.closure_of({1}) == {0, 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.integers(0, 26), max_size=3))
+def test_closure_of_is_the_generated_subsemigroup(t3_table, indices):
+    # reference: multiply every pair both ways until nothing new appears
+    reached = set(indices)
+    while True:
+        products = {t3_table.mul(i, j) for i in reached for j in reached}
+        if products <= reached:
+            break
+        reached |= products
+    assert t3_table.closure_of(indices) == reached
 
 
 class TestIdealData:
