@@ -12,7 +12,7 @@ from .automata import (
     InputError,
     OneTapeAutomaton,
     NfaTransition,
-    _accepted_shortlex,
+    _accepted_codes,
     _accepting_run,
     _as_async,
     _code_limit,
@@ -21,7 +21,7 @@ from .automata import (
     enumerate_language,
     trim,
 )
-from .oracle import _UnionFind
+from .oracle import _UnionFind, _missing_pairs
 
 
 @dataclass(frozen=True)
@@ -212,66 +212,54 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
     return Report("pump_refute", verdict, tuple(witnesses))
 
 
-def _checked_pairs(aut, bound, kind):
+def _checked_codes(aut, bound, kind):
     """The accepted pairs up to the bound that the relation checks range
-    over: all of them for kind "monoid", those of two nonempty words for
-    kind "semigroup". A dict with the pairs as keys, in shortlex order, so
-    the first witness a check finds does not depend on hashing."""
+    over, as pair codes (see automata._pair_coding): all of them for kind
+    "monoid", those of two nonempty words for kind "semigroup". Returns
+    (codes, decode, first, lim): first is the least word code checked,
+    lim the code limit of both tapes."""
     if kind not in ("semigroup", "monoid"):
         raise InputError(f"kind must be 'semigroup' or 'monoid', not {kind!r}")
-    pairs = _accepted_shortlex(aut, bound)
+    accepted, decode = _accepted_codes(aut, bound)
+    lim = _code_limit(len(aut.left), bound)
     if kind == "semigroup":
-        pairs = [(v, w) for v, w in pairs if v and w]
-    return dict.fromkeys(pairs)
-
-
-def _unrelated_pairs(groups, related, n_related_inside):
-    """Yield each (v, w) with v and w in one group and (v, w) not in
-    `related`, group by group. `n_related_inside` counts the pairs of
-    `related` that lie inside a group: when it equals the sum of
-    |group|^2, every such pair is related and no group is walked."""
-    groups = list(groups)
-    if n_related_inside == sum(len(g) ** 2 for g in groups):
-        return
-    for group in groups:
-        for v in group:
-            for w in group:
-                if (v, w) not in related:
-                    yield v, w
+        return {p for p in accepted if p >= lim and p % lim}, decode, 1, lim
+    return accepted, decode, 0, lim
 
 
 def equivalence_check(aut, bound, kind="semigroup"):
     """Reflexivity, symmetry, and transitivity over all words up to the
     bound: nonempty words for kind "semigroup", the empty word too for
-    kind "monoid"."""
+    kind "monoid".
+
+    Works on pair codes, p = code(v) R + code(w); each check reports its
+    first failure in shortlex order and decodes only that witness."""
     if aut.left != aut.right:
         raise InputError("equivalence check needs equal tape alphabets")
-    accepted = _checked_pairs(aut, bound, kind)
-    words = list(aut.left.words(bound, min_len=0 if kind == "monoid" else 1))
-    for v in words:
-        if (v, v) not in accepted:
+    accepted, decode, first, lim = _checked_codes(aut, bound, kind)
+    for c in range(first, lim):
+        if c * lim + c not in accepted:
             return Report("equivalence_check", "fail",
-                          (("reflexivity", v),))
-    for v, w in accepted:
-        if (w, v) not in accepted:
-            return Report("equivalence_check", "fail",
-                          (("symmetry", v, w),))
+                          (("reflexivity", decode(c * lim + c)[0]),))
+    asymmetric = min((p for p in accepted
+                      if (p % lim) * lim + p // lim not in accepted),
+                     default=None)
+    if asymmetric is not None:
+        return Report("equivalence_check", "fail",
+                      (("symmetry",) + decode(asymmetric),))
     # Transitivity via connected components: the relation is transitive
     # (given reflexive + symmetric) iff it equals the union of the squared
     # components.
-    index = {v: i for i, v in enumerate(words)}
-    comp = _UnionFind(len(words))
-    for v, w in accepted:
-        comp.union(index[v], index[w])
-    members = {}
-    for v in words:
-        members.setdefault(comp.find(index[v]), []).append(v)
-    missing = next(_unrelated_pairs(members.values(), accepted,
-                                    len(accepted)), None)
+    comp = _UnionFind(lim)
+    for p in accepted:
+        comp.union(*divmod(p, lim))
+    roots = [comp.find(c) for c in range(lim)]
+    missing = next(_missing_pairs(roots, first, lim, accepted,
+                                  len(accepted)), None)
     if missing is not None:
         # some u links v and w but (v, w) is missing
         return Report("equivalence_check", "fail",
-                      (("transitivity",) + missing,))
+                      (("transitivity",) + decode(missing),))
     return Report("equivalence_check", "pass")
 
 
@@ -282,19 +270,32 @@ def congruence_check(aut, bound, kind="semigroup"):
     Only one-letter contexts are tried, right ones before left ones: if
     every accepted pair stays accepted with one more letter on either side
     wherever that fits the bound, every longer context follows one letter
-    at a time, each intermediate pair being within the bound."""
+    at a time, each intermediate pair being within the bound. A context is
+    code arithmetic: with d the letter's index + 1, code(u a) = code(u) k
+    + d and code(a u) = d k^|u| + code(u)."""
     if aut.left != aut.right:
         raise InputError("congruence check needs equal tape alphabets")
-    accepted = _checked_pairs(aut, bound, kind)
-    contexts = ([((), (a,)) for a in aut.left]
-                + [((a,), ()) for a in aut.left])
-    for v, w in accepted:
-        if max(len(v), len(w)) >= bound:
+    accepted, decode, _, lim = _checked_codes(aut, bound, kind)
+    letters = tuple(enumerate(aut.left, 1))
+    k = len(letters)
+    # the codes of the words of length m + 1 start at starts[m]; the
+    # words shorter than the bound are the codes below short
+    starts = [_code_limit(k, m) for m in range(bound)]
+    short = _code_limit(k, bound - 1)
+    for p in sorted(accepted):
+        v, w = divmod(p, lim)
+        if v >= short or w >= short:
             continue
-        for x, y in contexts:
-            if (x + v + y, x + w + y) not in accepted:
+        for d, a in letters:
+            if (v * k + d) * lim + w * k + d not in accepted:
                 return Report("congruence_check", "fail",
-                              (("context", (v, w), (x, y)),))
+                              (("context", decode(p), ((), (a,))),))
+        shift_v = k ** bisect_right(starts, v)
+        shift_w = k ** bisect_right(starts, w)
+        for d, a in letters:
+            if (d * shift_v + v) * lim + d * shift_w + w not in accepted:
+                return Report("congruence_check", "fail",
+                              (("context", decode(p), ((a,), ())),))
     return Report("congruence_check", "pass")
 
 
@@ -384,22 +385,19 @@ def cross_section(aut):
 def validate_cross_section(d, oracle, bound):
     """Check that every oracle class with a short representative meets D,
     and that per-class membership counts are stable from bound-1 to bound
-    (the desk-scale finiteness proxy)."""
+    (the desk-scale finiteness proxy).
+
+    D is enumerated once, at the bound: its part up to bound - 1 is its
+    words shorter than the bound, and a class has a part up to bound - 1
+    iff its least member is shorter than the bound."""
     lang = enumerate_language(d, bound)
-    lang_prev = enumerate_language(d, bound - 1) if bound > 0 else set()
-    classes = oracle.classes(bound)
-    prev_classes = oracle.classes(bound - 1) if bound > 0 else {}
     witnesses = []
-    counts = {}
-    for cid, members in sorted(classes.items()):
+    for _, members in sorted(oracle.classes(bound).items()):
         hits = [w for w in members if w in lang]
-        counts[members[0]] = len(hits)
         if not hits:
             witnesses.append(("missing", members[0]))
-            continue
-        prev_members = prev_classes.get(cid)
-        if prev_members is not None:
-            prev_hits = sum(1 for w in prev_members if w in lang_prev)
+        elif len(members[0]) < bound:
+            prev_hits = sum(1 for w in hits if len(w) < bound)
             if prev_hits != len(hits):
                 witnesses.append(
                     ("growing", members[0], prev_hits, len(hits)))

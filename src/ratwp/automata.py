@@ -216,6 +216,16 @@ class OneTapeAutomaton:
     def accepts(self, word):
         return accepts_one_tape(self, word)
 
+    @cached_property
+    def relation_view(self):
+        """The language L as the relation L x {ε}: a two-tape automaton
+        with an empty right alphabet, each transition reading nothing on
+        the right. Kept with the frozen value; callers must not mutate it."""
+        return TwoTapeAutomaton(
+            self.n_states, self.alphabet, Alphabet(()), self.initial,
+            self.finals, tuple((t.src, t.label, EPSILON, t.dst)
+                               for t in self.transitions))
+
 
 def as_word(text_or_tokens, alphabet=None, tokens=False):
     """Turn a string or iterable of tokens into a word (tuple of tokens).
@@ -317,19 +327,13 @@ def _accepting_run(aut, v, w):
 
 
 def accepts_one_tape(aut, word):
+    """Is the word accepted? A run search on (word, ε) in the relation
+    view."""
     w = tuple(word)
     for s in w:
         if s not in aut.alphabet:
             raise InputError(f"symbol {s!r} not in alphabet")
-    closure = _silent_closure(aut)
-    states = set(closure[aut.initial])
-    for sym in w:
-        step = {t.dst for q in states for t in aut.transitions
-                if t.src == q and t.label == sym}
-        states = {r for q in step for r in closure[q]}
-        if not states:
-            return False
-    return bool(states & aut.finals)
+    return _accepting_run(aut.relation_view.silent_free, w, ()) is not None
 
 
 def _is_silent(t):
@@ -509,12 +513,6 @@ def enumerate_accepted(aut, len_bound):
     return {decode(c) for c in codes}
 
 
-def _accepted_shortlex(aut, len_bound):
-    """enumerate_accepted as a list sorted by (word_key(v), word_key(w))."""
-    codes, decode = _accepted_codes(aut, len_bound)
-    return [decode(c) for c in sorted(codes)]
-
-
 def _accepted_codes(aut, len_bound):
     """The accepted pairs with both words of length <= len_bound, as a set
     of integer codes, and the function that decodes one code to its pair.
@@ -654,32 +652,9 @@ def _word_decoder(alphabet):
 
 
 def enumerate_language(aut, len_bound):
-    """All accepted words of length <= len_bound of a one-tape automaton."""
-    closure = _silent_closure(aut)
-    by_src = {}
-    for t in aut.transitions:
-        if t.label is not EPSILON:
-            by_src.setdefault(t.src, []).append(t)
-    start_states = frozenset(closure[aut.initial])
-    seen = {((), start_states)}
-    stack = [((), start_states)]
-    accepted = set()
-    while stack:
-        w, states = stack.pop()
-        if states & aut.finals:
-            accepted.add(w)
-        if len(w) == len_bound:
-            continue
-        targets = {}
-        for q in states:
-            for t in by_src.get(q, ()):
-                targets.setdefault(t.label, set()).update(closure[t.dst])
-        for sym, dst in targets.items():
-            node = (w + (sym,), frozenset(dst))
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
-    return accepted
+    """All accepted words of length <= len_bound of a one-tape automaton:
+    the left words of the pairs its relation view accepts."""
+    return {v for v, _ in enumerate_accepted(aut.relation_view, len_bound)}
 
 
 def validate_sync(aut):

@@ -222,18 +222,28 @@ def verify(aut, oracle, bound):
             n_equal += 1
         else:
             disagreements.append(p)
-    # Every equal pair is accepted iff n_equal is the sum of |class|^2;
-    # otherwise walk the pairs inside each class for the missing ones.
-    sizes = Counter(class_by_code[first:lim]).values()
-    if n_equal != sum(size * size for size in sizes):
-        classes = {}
-        for code in range(first, lim):
-            classes.setdefault(class_by_code[code], []).append(code)
-        for members in classes.values():
-            for v in members:
-                row = v * lim
-                disagreements.extend(row + w for w in members
-                                     if row + w not in accepted)
+    disagreements += _missing_pairs(class_by_code, first, lim, accepted,
+                                    n_equal)
     # pair codes sort like (word_key(v), word_key(w))
     disagreements.sort()
     return [decode(p) for p in disagreements]
+
+
+def _missing_pairs(class_ids, first, lim, related, n_related):
+    """Yield the pair codes v lim + w not in `related` of the word codes v
+    and w in [first, lim) with equal class_ids, class by class in order of
+    least member, each class row by row. n_related counts the pairs of
+    `related` inside a class: when it equals the sum of |class|^2, every
+    such pair is related and no class is walked."""
+    sizes = Counter(class_ids[first:lim]).values()
+    if n_related == sum(size * size for size in sizes):
+        return
+    classes = {}
+    for code in range(first, lim):
+        classes.setdefault(class_ids[code], []).append(code)
+    for members in classes.values():
+        for v in members:
+            row = v * lim
+            for w in members:
+                if row + w not in related:
+                    yield row + w

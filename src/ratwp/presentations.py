@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .automata import Alphabet, InputError
+from .automata import Alphabet, InputError, _reachable
 
 
 @dataclass(frozen=True)
@@ -155,17 +155,11 @@ class MultiplicationTable:
         return gen_map
 
     def closure_of(self, indices):
-        """Subsemigroup generated by the given element indices."""
-        reached = set(indices)
-        frontier = list(reached)
-        while frontier:
-            i = frontier.pop()
-            for j in list(reached):
-                for k in (self.product[i][j], self.product[j][i]):
-                    if k not in reached:
-                        reached.add(k)
-                        frontier.append(k)
-        return reached
+        """Subsemigroup generated by the given element indices: a product
+        g1 ... gk is reached from g1 by right multiplications by them."""
+        gens = set(indices)
+        return _reachable(gens, {i: [row[g] for g in gens]
+                                 for i, row in enumerate(self.product)})
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from ratwp import MultiplicationTable
@@ -23,6 +25,22 @@ def pytest_terminal_summary(terminalreporter):
     for number in sorted(_ACCEPTANCE):
         verdict = "PASS" if _ACCEPTANCE[number] else "FAIL"
         terminalreporter.write_line(f"criterion {number}: {verdict}")
+
+
+@pytest.fixture
+def time_limit():
+    """Fail the test after 10 s, so that a hang fails fast instead of
+    stalling the run (POSIX only: SIGALRM). The failure is pytest's own
+    exception, which no `except Exception` in the code under test
+    catches."""
+    def expire(signum, frame):
+        pytest.fail("test ran longer than 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -220,6 +220,18 @@ class TestAnalysisVerbs:
                        "  ('growing', ('b', 'b'), 1, 3)\n"
                        "  ('missing', ('a', 'b', 'b'))\n")
 
+    def test_cross_section_negative_bound(self, workdir, capsys,
+                                          time_limit):
+        # the enumeration of D must reject the bound, not run forever
+        code, _, _ = run(["construct", "cayley", workdir / "c2.tbl",
+                          "--gens", "g", "-o", workdir / "c2wp.fsa"], capsys)
+        assert code == 0
+        code, out, err = run(["cross-section", workdir / "c2wp.fsa",
+                              "--oracle", workdir / "c2.tbl",
+                              "--bound", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: bound must be >= 0\n"
+
     def test_dot(self, workdir, capsys):
         code, out, _ = run(["dot", workdir / "fig3.fsa"], capsys)
         assert code == 0
