@@ -17,11 +17,10 @@ from .automata import (
     _as_async,
     _code_limit,
     _first_runs,
-    eliminate_silent_steps,
     enumerate_language,
     trim,
 )
-from .oracle import _UnionFind, _missing_pairs
+from .oracle import _UnionFind, _check_alphabets, _missing_pairs
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ class PumpDecomposition:
 
 
 def _pump_form(aut):
-    return trim(eliminate_silent_steps(_as_async(aut)))
+    return trim(_as_async(aut).silent_free)
 
 
 def pumping_constant(aut):
@@ -134,9 +133,7 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
     word's code is built from them step by step over i and looked up in
     the oracle's class_by_code. Only a witness is built as words.
     """
-    if (tuple(aut.left.symbols) != tuple(oracle.alphabet.symbols)
-            or tuple(aut.right.symbols) != tuple(oracle.alphabet.symbols)):
-        raise InputError("automaton and oracle alphabets differ")
+    _check_alphabets(oracle, aut.left, aut.right)
     form = _pump_form(aut)
     n = form.n_states
     k = len(oracle.alphabet)
@@ -391,6 +388,7 @@ def validate_cross_section(d, oracle, bound):
     words shorter than the bound, and a class has a part up to bound - 1
     iff its least member is shorter than the bound."""
     lang = enumerate_language(d, bound)
+    _check_alphabets(oracle, d.alphabet)
     witnesses = []
     for _, members in sorted(oracle.classes(bound).items()):
         hits = [w for w in members if w in lang]

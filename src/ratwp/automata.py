@@ -244,16 +244,6 @@ def as_word(text_or_tokens, alphabet=None, tokens=False):
     return w
 
 
-def pad(left_word, right_word):
-    """Pad the shorter word with the padding token, columnwise."""
-    n = max(len(left_word), len(right_word))
-    return [
-        (left_word[i] if i < len(left_word) else PAD,
-         right_word[i] if i < len(right_word) else PAD)
-        for i in range(n)
-    ]
-
-
 def _check_pair(aut, v, w):
     for s in v:
         if s not in aut.left:
@@ -264,24 +254,11 @@ def _check_pair(aut, v, w):
 
 
 def accepts_two_tape(aut, left_word, right_word):
-    """Does an accepting computation project to the given pair?"""
+    """Does an accepting computation project to the given pair? A sync
+    automaton is read through its async view."""
     v, w = tuple(left_word), tuple(right_word)
     _check_pair(aut, v, w)
-    if aut.mode == "sync":
-        return _accepts_sync(aut, v, w)
-    return _accepting_run(aut.silent_free, v, w) is not None
-
-
-def _accepts_sync(aut, v, w):
-    columns = pad(v, w)
-    states = {aut.initial}
-    by_src = aut.by_src
-    for a, b in columns:
-        states = {t.dst for q in states for t in by_src.get(q, ())
-                  if t.left == a and t.right == b}
-        if not states:
-            return False
-    return bool(states & aut.finals)
+    return _accepting_run(_as_async(aut).silent_free, v, w) is not None
 
 
 def _accepting_run(aut, v, w):

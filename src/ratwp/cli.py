@@ -61,30 +61,38 @@ def _emit(aut, args):
     return 0
 
 
-def _two_tape(aut, path):
+def _automaton(args, name="automaton"):
+    """The two-tape automaton in the .fsa file args.<name>."""
+    path = getattr(args, name)
+    aut = load_fsa(path)
     if not isinstance(aut, TwoTapeAutomaton):
         raise InputError(f"{path} is not a two-tape automaton")
     return aut
 
 
-def _one_tape(aut, path):
+def _language(args, name):
+    """The one-tape automaton in the .fsa file args.<name>."""
+    path = getattr(args, name)
+    aut = load_fsa(path)
     if not isinstance(aut, OneTapeAutomaton):
         raise InputError(f"{path} is not a one-tape automaton")
     return aut
 
 
+def _generators(args, table):
+    return args.gens.split(",") if args.gens else list(table.elements)
+
+
 def _load_oracle(path, args):
     if path.endswith(".tbl"):
         table = load_tbl(path)
-        gens = args.gens.split(",") if args.gens else list(table.elements)
-        return table_oracle(table, gens, bound=args.bound, kind=args.kind)
-    presentation = load_sgp(path)
-    return build_oracle(presentation, args.bound,
-                        schema_bound=args.schema_bound)
+        return table_oracle(table, _generators(args, table), bound=args.bound,
+                            kind=args.kind)
+    return build_oracle(load_sgp(path), args.bound)
 
 
 def cmd_accept(args):
-    aut = _two_tape(load_fsa(args.automaton), args.automaton)
+    aut = _automaton(args)
     v = _word(args.left, args, aut.left)
     w = _word(args.right, args, aut.right)
     if aut.accepts(v, w):
@@ -95,7 +103,7 @@ def cmd_accept(args):
 
 
 def cmd_verify(args):
-    aut = _two_tape(load_fsa(args.automaton), args.automaton)
+    aut = _automaton(args)
     oracle = _load_oracle(args.oracle, args)
     disagreements = verify(aut, oracle, args.bound)
     if not disagreements:
@@ -108,28 +116,25 @@ def cmd_verify(args):
 
 
 def cmd_compose(args):
-    r = _two_tape(load_fsa(args.first), args.first)
-    s = _two_tape(load_fsa(args.second), args.second)
-    return _emit(compose(r, s), args)
+    return _emit(compose(_automaton(args, "first"),
+                         _automaton(args, "second")), args)
 
 
 def cmd_fix_tape(args):
-    r = _two_tape(load_fsa(args.automaton), args.automaton)
+    r = _automaton(args)
     fixed = r.left if args.side == "left" else r.right
     return _emit(fix_tape(r, _word(args.word, args, fixed), args.side), args)
 
 
 def cmd_cross(args):
-    l1 = _one_tape(load_fsa(args.first), args.first)
-    l2 = _one_tape(load_fsa(args.second), args.second)
-    return _emit(cross_product(l1, l2), args)
+    return _emit(cross_product(_language(args, "first"),
+                               _language(args, "second")), args)
 
 
 def cmd_intersect(args):
-    r = _two_tape(load_fsa(args.automaton), args.automaton)
-    l = _one_tape(load_fsa(args.left_lang), args.left_lang)
-    k = _one_tape(load_fsa(args.right_lang), args.right_lang)
-    return _emit(intersect_rectangle(r, l, k), args)
+    return _emit(intersect_rectangle(_automaton(args),
+                                     _language(args, "left_lang"),
+                                     _language(args, "right_lang")), args)
 
 
 def cmd_trim(args):
@@ -137,7 +142,7 @@ def cmd_trim(args):
 
 
 def cmd_pump(args):
-    aut = _two_tape(load_fsa(args.automaton), args.automaton)
+    aut = _automaton(args)
     pair = (_word(args.left, args, aut.left), _word(args.right, args, aut.right))
     dec = pump_decompose(aut, pair)
 
@@ -151,7 +156,7 @@ def cmd_pump(args):
 
 
 def cmd_pump_refute(args):
-    aut = _two_tape(load_fsa(args.automaton), args.automaton)
+    aut = _automaton(args)
     oracle = _load_oracle(args.oracle, args)
     report = pump_refute(aut, oracle, args.bound, i_max=args.imax)
     print(report)
@@ -159,7 +164,7 @@ def cmd_pump_refute(args):
 
 
 def cmd_check(args):
-    aut = _two_tape(load_fsa(args.automaton), args.automaton)
+    aut = _automaton(args)
     check = equivalence_check if args.property == "equiv" else congruence_check
     report = check(aut, args.bound, kind=args.kind)
     print(report)
@@ -167,7 +172,7 @@ def cmd_check(args):
 
 
 def cmd_cross_section(args):
-    aut = _two_tape(load_fsa(args.automaton), args.automaton)
+    aut = _automaton(args)
     d = cross_section(aut)
     if args.oracle:
         oracle = _load_oracle(args.oracle, args)
@@ -187,73 +192,88 @@ def cmd_dot(args):
 def _parse_pairs(text):
     pairs = []
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        if "=" not in chunk or ":" not in chunk:
-            raise InputError(
-                f"bad pair spec {chunk!r}; expected sym=element:symbol")
-        sym, rest = chunk.split("=", 1)
-        s_elem, t_sym = rest.split(":", 1)
+        sym, eq, rest = chunk.partition("=")
+        s_elem, colon, t_sym = rest.partition(":")
+        if not (eq and colon):
+            raise InputError(f"bad pair spec {chunk.strip()!r};"
+                             " expected sym=element:symbol")
         pairs.append((sym.strip(), s_elem.strip(), t_sym.strip()))
     return ProductGenerators(tuple(pairs))
 
 
+def _build_cayley(args):
+    table = load_tbl(args.table)
+    return cayley_wp_sync(table, _generators(args, table), kind=args.kind)
+
+
+def _build_free(args):
+    return free_wp(Alphabet(tuple(args.alphabet.split())), kind=args.kind)
+
+
+def _build_builtin(args):
+    value = builtin(args.name)
+    if not isinstance(value, TwoTapeAutomaton):
+        raise InputError(f"builtin {args.name!r} has no deciding automaton")
+    return value
+
+
+def _build_add_gen(args):
+    wp = _automaton(args)
+    return add_generator(wp, args.symbol, _word(args.rep, args, wp.left))
+
+
+def _build_product_finite(args):
+    wp = _automaton(args)
+    table = load_tbl(args.table)
+    return product_with_finite(table, wp, _parse_pairs(args.pairs))
+
+
+# kind -> (positional inputs, required flags, optional flags, build). A
+# build looks each construction up by its module-level name when it runs,
+# as main does for cmd_*, so a replaced module attribute takes effect.
+_CONSTRUCTIONS = {
+    "cayley": (("table",), (), ("--gens", "--kind"), _build_cayley),
+    "free": ((), ("--alphabet",), ("--kind",), _build_free),
+    "from-builtin": (("name",), (), (), _build_builtin),
+    "add-gen": (("automaton",), ("--symbol", "--rep"), (), _build_add_gen),
+    "remove-gen": (("automaton",), ("--symbol",), (),
+                   lambda args: remove_generator(_automaton(args),
+                                                 args.symbol)),
+    "adjoin-one": (("automaton",), ("--symbol",), (),
+                   lambda args: adjoin_identity(_automaton(args),
+                                                args.symbol)),
+    "adjoin-zero": (("automaton",), ("--symbol",), (),
+                    lambda args: adjoin_zero(_automaton(args), args.symbol)),
+    "ideal-ext": (("automaton", "ideal"), (), (),
+                  lambda args: ideal_extension(_automaton(args),
+                                               load_ideal(args.ideal))),
+    "product-finite": (("automaton", "table"), ("--pairs",), (),
+                       _build_product_finite),
+    "free-product": (("first", "second"), (), (),
+                     lambda args: free_product(_automaton(args, "first"),
+                                               _automaton(args, "second"))),
+    "zero-union": (("first", "second"), ("--symbol",), (),
+                   lambda args: zero_union(_automaton(args, "first"),
+                                           _automaton(args, "second"),
+                                           args.symbol)),
+}
+
+_CONSTRUCT_FLAGS = {
+    "--gens": {},
+    "--kind": {"choices": ("semigroup", "monoid"), "default": "semigroup"},
+    "--alphabet": {},
+    "--symbol": {},
+    "--rep": {},
+    "--pairs": {"help": "sym=element:symbol,..."},
+}
+
+
 def cmd_construct(args):
-    what = args.what
-    if what == "cayley":
-        table = load_tbl(args.inputs[0])
-        gens = args.gens.split(",") if args.gens else list(table.elements)
-        return _emit(cayley_wp_sync(table, gens, kind=args.kind), args)
-    if what == "free":
-        if not args.alphabet:
-            raise InputError("construct free needs --alphabet")
-        return _emit(free_wp(Alphabet(tuple(args.alphabet.split())),
-                             kind=args.kind), args)
-    if what == "from-builtin":
-        value = builtin(args.inputs[0])
-        if not isinstance(value, TwoTapeAutomaton):
-            raise InputError(
-                f"builtin {args.inputs[0]!r} has no deciding automaton")
-        return _emit(value, args)
-    wp = _two_tape(load_fsa(args.inputs[0]), args.inputs[0])
-    if what == "add-gen":
-        if not args.symbol or not args.rep:
-            raise InputError("construct add-gen needs --symbol and --rep")
-        return _emit(add_generator(wp, args.symbol,
-                                   _word(args.rep, args, wp.left)), args)
-    if what == "remove-gen":
-        if not args.symbol:
-            raise InputError("construct remove-gen needs --symbol")
-        return _emit(remove_generator(wp, args.symbol), args)
-    if what == "adjoin-one":
-        if not args.symbol:
-            raise InputError("construct adjoin-one needs --symbol")
-        return _emit(adjoin_identity(wp, args.symbol), args)
-    if what == "adjoin-zero":
-        if not args.symbol:
-            raise InputError("construct adjoin-zero needs --symbol")
-        return _emit(adjoin_zero(wp, args.symbol), args)
-    if what == "ideal-ext":
-        return _emit(ideal_extension(wp, load_ideal(args.inputs[1])), args)
-    if what == "product-finite":
-        if not args.pairs:
-            raise InputError("construct product-finite needs --pairs")
-        table = load_tbl(args.inputs[1])
-        return _emit(product_with_finite(table, wp, _parse_pairs(args.pairs)),
-                     args)
-    if what == "free-product":
-        other = _two_tape(load_fsa(args.inputs[1]), args.inputs[1])
-        return _emit(free_product(wp, other), args)
-    if what == "zero-union":
-        if not args.symbol:
-            raise InputError("construct zero-union needs --symbol (the zero)")
-        other = _two_tape(load_fsa(args.inputs[1]), args.inputs[1])
-        return _emit(zero_union(wp, other, args.symbol), args)
-    raise InputError(f"unknown construction {what!r}")
+    return _emit(args.build(args), args)
 
 
 def _add_oracle_flags(p):
     p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--schema-bound", type=int, default=None)
     p.add_argument("--kind", choices=("semigroup", "monoid"),
                    default="semigroup")
     p.add_argument("--gens", default=None,
@@ -302,20 +322,17 @@ def build_parser():
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("construct", help="build a word-problem automaton")
-    p.add_argument("what", choices=(
-        "cayley", "free", "add-gen", "remove-gen", "adjoin-one",
-        "adjoin-zero", "ideal-ext", "product-finite", "free-product",
-        "zero-union", "from-builtin"))
-    p.add_argument("inputs", nargs="*")
-    p.add_argument("--kind", choices=("semigroup", "monoid"),
-                   default="semigroup")
-    p.add_argument("--gens", default=None)
-    p.add_argument("--alphabet", default=None)
-    p.add_argument("--symbol", default=None)
-    p.add_argument("--rep", default=None)
-    p.add_argument("--pairs", default=None,
-                   help="sym=element:symbol,... for product-finite")
-    p.add_argument("-o", "--output")
+    kinds = p.add_subparsers(dest="what", required=True)
+    for what, (inputs, required, optional, build) in _CONSTRUCTIONS.items():
+        k = kinds.add_parser(what)
+        for name in inputs:
+            k.add_argument(name)
+        for flag in required:
+            k.add_argument(flag, required=True, **_CONSTRUCT_FLAGS[flag])
+        for flag in optional:
+            k.add_argument(flag, **_CONSTRUCT_FLAGS[flag])
+        k.add_argument("-o", "--output")
+        k.set_defaults(build=build)
 
     p = sub.add_parser("trim", help="keep useful states only")
     p.add_argument("automaton")

@@ -303,18 +303,10 @@ def free_product(wp_s, wp_t):
     if set(wp_s.left) & set(wp_t.left):
         raise InputError("free product factors must have disjoint alphabets")
     alphabet = Alphabet(wp_s.left.symbols + wp_t.left.symbols)
-    both = union(_widen_two_tape(wp_s, alphabet),
-                 _widen_two_tape(wp_t, alphabet))
+    both = union(replace(wp_s, left=alphabet, right=alphabet),
+                 replace(wp_t, left=alphabet, right=alphabet))
     back = tuple(Transition(f, EPSILON, EPSILON, 0) for f in both.finals)
     return replace(both, transitions=both.transitions + back)
-
-
-def _widen_two_tape(aut, alphabet):
-    return replace(aut, left=alphabet, right=alphabet)
-
-
-def _widen_one_tape(aut, alphabet):
-    return replace(aut, alphabet=alphabet)
 
 
 def zero_union(wp_s, wp_t, zero):
@@ -336,8 +328,8 @@ def zero_union(wp_s, wp_t, zero):
         wp_s.left.symbols
         + tuple(s for s in wp_t.left.symbols if s != zero)
     )
-    z_s = _widen_one_tape(fix_tape(wp_s, (zero,), side="right"), alphabet)
-    z_t = _widen_one_tape(fix_tape(wp_t, (zero,), side="right"), alphabet)
+    z_s = replace(fix_tape(wp_s, (zero,), side="right"), alphabet=alphabet)
+    z_t = replace(fix_tape(wp_t, (zero,), side="right"), alphabet=alphabet)
     # words containing letters from both factors; encoded flags (seen S, seen T)
     mixed_trans = []
     for fa in (0, 1):
@@ -354,7 +346,8 @@ def zero_union(wp_s, wp_t, zero):
     mixed = OneTapeAutomaton(4, alphabet, 0, frozenset({3}), tuple(mixed_trans))
     z = union(union(z_s, z_t), mixed)
     return union(
-        union(_widen_two_tape(wp_s, alphabet), _widen_two_tape(wp_t, alphabet)),
+        union(replace(wp_s, left=alphabet, right=alphabet),
+              replace(wp_t, left=alphabet, right=alphabet)),
         cross_product(z, z),
     )
 
@@ -441,14 +434,14 @@ def builtin(name):
     raise InputError(f"unknown builtin {name!r}; known: {', '.join(_BUILTIN_NAMES)}")
 
 
-def builtin_presentation(name, schema_bound=10):
+def builtin_presentation(name):
     if name == "fig1":
         return Presentation("semigroup", Alphabet(("a", "b")))
     if name == "fig2":
         schema = RelationSchema(
             lhs=(("a", 1), ("b", "n"), ("a", 1)),
             rhs=(("a", 1), ("b", 1), ("a", 1)),
-            var="n", lo=2, hi=schema_bound,
+            var="n", lo=2, hi=10,
         )
         return Presentation("semigroup", Alphabet(("a", "b")), schemas=(schema,))
     if name == "fig3":

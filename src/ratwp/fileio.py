@@ -32,12 +32,44 @@ def _strip_comment(line):
     return line if pos < 0 else line[:pos]
 
 
-def _directive(line):
-    """Split 'name: rest' into (name, rest); None for non-directive lines."""
-    if ":" not in line:
-        return None
-    name, rest = line.split(":", 1)
-    return name.strip(), rest.strip()
+def _content_lines(lines):
+    """The lines with '#'-comments and surrounding blanks stripped, empty
+    ones dropped."""
+    return [line for line in (_strip_comment(raw).strip() for raw in lines)
+            if line]
+
+
+def _directives(lines, repeated=()):
+    """Read 'name: value' lines: a dict of the single directives, which
+    may each appear once, and a dict of the value lists of the repeated
+    ones."""
+    single, lists = {}, {name: [] for name in repeated}
+    for line in lines:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise InputError(f"not a directive: {line!r}")
+        name, value = name.strip(), value.strip()
+        if name in lists:
+            lists[name].append(value)
+        elif name in single:
+            raise InputError(f"duplicate directive {name!r}")
+        else:
+            single[name] = value
+    return single, lists
+
+
+def _take(single, name):
+    """Remove and return the value of a required single directive."""
+    if name not in single:
+        raise InputError(f"missing directive {name!r}")
+    return single.pop(name)
+
+
+def _no_other(single):
+    """Raise on a single directive left over after the known ones were
+    taken."""
+    if single:
+        raise InputError(f"unknown directive {sorted(single)[0]!r}")
 
 
 def _label_table(alphabet, allow_pad):
@@ -72,48 +104,31 @@ def _parse_state(token, n_states):
 
 def loads_fsa(text):
     """Parse .fsa text into a TwoTapeAutomaton or OneTapeAutomaton."""
-    single = {}
-    trans_lines = []
+    # a trans line keeps its '#' tokens (pads); the header loses comments
+    header, trans_lines = [], []
     for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("trans:"):
-            trans_lines.append(line[6:].strip())
-            continue
-        head = _directive(line)
-        if head is None:
-            raise InputError(f"not a directive: {raw!r}")
-        name, rest = head
-        if name == "trans":
-            trans_lines.append(rest)
-            continue
-        rest = _strip_comment(rest).strip()
-        if name in single:
-            raise InputError(f"duplicate directive {name!r}")
-        single[name] = rest
-
-    def take(name):
-        if name not in single:
-            raise InputError(f"missing directive {name!r}")
-        return single.pop(name)
-
-    kind = take("type")
+        name, colon, rest = raw.partition(":")
+        if colon and name.strip() == "trans":
+            trans_lines.append(rest.strip())
+        else:
+            header.append(raw)
+    single, _ = _directives(_content_lines(header))
+    kind = _take(single, "type")
     if kind not in ("async", "sync", "nfa"):
         raise InputError(f"unknown automaton type {kind!r}")
     if kind == "nfa":
-        tapes = (Alphabet(tuple(take("alphabet").split())),)
+        tapes = (Alphabet(tuple(_take(single, "alphabet").split())),)
     else:
-        tapes = (Alphabet(tuple(take("left").split())),
-                 Alphabet(tuple(take("right").split())))
+        tapes = (Alphabet(tuple(_take(single, "left").split())),
+                 Alphabet(tuple(_take(single, "right").split())))
     try:
-        n_states = int(take("states"))
+        n_states = int(_take(single, "states"))
     except ValueError:
         raise InputError("states directive must be an integer") from None
-    initial = _parse_state(take("initial"), n_states)
-    finals = frozenset(_parse_state(t, n_states) for t in take("final").split())
-    if single:
-        raise InputError(f"unknown directive {sorted(single)[0]!r}")
+    initial = _parse_state(_take(single, "initial"), n_states)
+    finals = frozenset(_parse_state(t, n_states)
+                       for t in _take(single, "final").split())
+    _no_other(single)
 
     labels = [_label_table(tape, kind == "sync") for tape in tapes]
     # Canonical lines are read with one dict lookup per field; any other
@@ -242,40 +257,19 @@ def _parse_schema(rest):
 
 def loads_sgp(text):
     """Parse .sgp text into a Presentation."""
-    kind = None
-    gens = None
+    single, lists = _directives(_content_lines(text.splitlines()),
+                                ("rel", "schema"))
+    kind = _take(single, "kind")
+    gens = Alphabet(tuple(_take(single, "gens").split()))
+    _no_other(single)
     relations = []
-    schemas = []
-    for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        head = _directive(line)
-        if head is None:
-            raise InputError(f"not a directive: {raw!r}")
-        name, rest = head
-        if name == "kind":
-            if kind is not None:
-                raise InputError("duplicate directive 'kind'")
-            kind = rest
-        elif name == "gens":
-            if gens is not None:
-                raise InputError("duplicate directive 'gens'")
-            gens = Alphabet(tuple(rest.split()))
-        elif name == "rel":
-            if "=" not in rest:
-                raise InputError(f"relation needs '=': {rest!r}")
-            lhs, rhs = rest.split("=", 1)
-            relations.append((tuple(lhs.split()), tuple(rhs.split())))
-        elif name == "schema":
-            schemas.append(_parse_schema(rest))
-        else:
-            raise InputError(f"unknown directive {name!r}")
-    if kind is None:
-        raise InputError("missing directive 'kind'")
-    if gens is None:
-        raise InputError("missing directive 'gens'")
-    return Presentation(kind, gens, tuple(relations), tuple(schemas))
+    for rest in lists["rel"]:
+        if "=" not in rest:
+            raise InputError(f"relation needs '=': {rest!r}")
+        lhs, rhs = rest.split("=", 1)
+        relations.append((tuple(lhs.split()), tuple(rhs.split())))
+    schemas = tuple(_parse_schema(rest) for rest in lists["schema"])
+    return Presentation(kind, gens, tuple(relations), schemas)
 
 
 def load_sgp(path):
@@ -284,37 +278,18 @@ def load_sgp(path):
 
 
 def _split_sections(text):
-    main, ideal = [], []
-    target = main
-    for raw in text.splitlines():
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if line == "[ideal]":
-            target = ideal
-            continue
-        target.append(line)
-    return main, ideal
+    lines = _content_lines(text.splitlines())
+    if "[ideal]" not in lines:
+        return lines, []
+    at = lines.index("[ideal]")
+    return lines[:at], [line for line in lines[at:] if line != "[ideal]"]
 
 
 def _table_from_lines(lines):
-    elements = None
-    rows = []
-    for line in lines:
-        head = _directive(line)
-        if head is None:
-            raise InputError(f"not a directive: {line!r}")
-        name, rest = head
-        if name == "elements":
-            if elements is not None:
-                raise InputError("duplicate directive 'elements'")
-            elements = tuple(rest.split())
-        elif name == "row":
-            rows.append(tuple(rest.split()))
-        else:
-            raise InputError(f"unknown table directive {name!r}")
-    if elements is None:
-        raise InputError("missing directive 'elements'")
+    single, lists = _directives(lines, ("row",))
+    elements = tuple(_take(single, "elements").split())
+    _no_other(single)
+    rows = [tuple(rest.split()) for rest in lists["row"]]
     if len(rows) != len(elements):
         raise InputError(
             f"expected {len(elements)} rows, found {len(rows)}"
@@ -332,31 +307,21 @@ def _table_from_lines(lines):
 
 
 def _ideal_from_lines(lines):
-    elements = None
-    base = None
-    left_rows, right_rows, prod_rows = {}, {}, {}
-    for line in lines:
-        head = _directive(line)
-        if head is None:
-            raise InputError(f"not a directive: {line!r}")
-        name, rest = head
-        tokens = rest.split()
-        if name == "elements":
-            elements = tuple(tokens)
-        elif name == "base":
-            base = tuple(tokens)
-        elif name in ("left", "right", "prod"):
+    single, lists = _directives(lines, ("left", "right", "prod"))
+    elements = tuple(_take(single, "elements").split())
+    base = tuple(_take(single, "base").split())
+    _no_other(single)
+    keyed = {}  # directive -> first token -> the other tokens
+    for name, values in lists.items():
+        keyed[name] = {}
+        for rest in values:
+            tokens = rest.split()
             if not tokens:
                 raise InputError(f"empty {name!r} line")
-            target = {"left": left_rows, "right": right_rows,
-                      "prod": prod_rows}[name]
-            if tokens[0] in target:
-                raise InputError(f"duplicate {name!r} line for {tokens[0]!r}")
-            target[tokens[0]] = tuple(tokens[1:])
-        else:
-            raise InputError(f"unknown ideal directive {name!r}")
-    if elements is None or base is None:
-        raise InputError("ideal section needs 'elements' and 'base' lines")
+            if tokens[0] in keyed[name]:
+                raise InputError(
+                    f"duplicate {name!r} line for {tokens[0]!r}")
+            keyed[name][tokens[0]] = tuple(tokens[1:])
     k = len(elements)
 
     def images(rows, keys, what):
@@ -370,9 +335,9 @@ def _ideal_from_lines(lines):
             out[key] = row
         return out
 
-    left = images(left_rows, base, "left")
-    right = images(right_rows, base, "right")
-    prod = images(prod_rows, elements, "prod")
+    left = images(keyed["left"], base, "left")
+    right = images(keyed["right"], base, "right")
+    prod = images(keyed["prod"], elements, "prod")
     return IdealData(
         elements=elements,
         base_symbols=base,

@@ -114,8 +114,7 @@ def _closure_partition(words, relations, max_len):
     return [uf.find(i) for i in range(len(words))]
 
 
-def build_oracle(presentation, bound, slack=None, schema_bound=None,
-                 word_cap=DEFAULT_WORD_CAP):
+def build_oracle(presentation, bound, slack=None, word_cap=DEFAULT_WORD_CAP):
     """Congruence-closure oracle for a presentation.
 
     With slack=None the slack is grown until two consecutive values give
@@ -130,7 +129,7 @@ def build_oracle(presentation, bound, slack=None, schema_bound=None,
         raise InputError("bound must be >= 1")
     alphabet = presentation.generators
     relations = []
-    for lhs, rhs in presentation.expanded_relations(schema_bound):
+    for lhs, rhs in presentation.expanded_relations():
         relations.append((tuple(lhs), tuple(rhs)))
         if rhs != lhs:
             relations.append((tuple(rhs), tuple(lhs)))
@@ -205,9 +204,7 @@ def verify(aut, oracle, bound):
     """
     if bound > oracle.bound + oracle.slack:
         raise InputError("verification bound exceeds the oracle bound")
-    if (tuple(aut.left.symbols) != tuple(oracle.alphabet.symbols)
-            or tuple(aut.right.symbols) != tuple(oracle.alphabet.symbols)):
-        raise InputError("automaton and oracle alphabets differ")
+    _check_alphabets(oracle, aut.left, aut.right)
     accepted, decode = _accepted_codes(aut, bound)
     lim = _code_limit(len(oracle.alphabet), bound)
     class_by_code = oracle.class_by_code
@@ -227,6 +224,12 @@ def verify(aut, oracle, bound):
     # pair codes sort like (word_key(v), word_key(w))
     disagreements.sort()
     return [decode(p) for p in disagreements]
+
+
+def _check_alphabets(oracle, *alphabets):
+    """Raise unless each alphabet is the oracle's, in the same order."""
+    if any(alphabet != oracle.alphabet for alphabet in alphabets):
+        raise InputError("automaton and oracle alphabets differ")
 
 
 def _missing_pairs(class_ids, first, lim, related, n_related):

@@ -111,7 +111,8 @@ def accepted_pairs(aut, bound):
     length <= bound: a search over (state, left word, right word) that
     follows silent transitions as they are, without eliminating them. A
     pad reads nothing, as epsilon does: for a sync automaton that keeps
-    the padding discipline, every run reads pad(v, w) for its pair."""
+    the padding discipline, every run reads its pair with the shorter
+    word padded."""
     start = (aut.initial, (), ())
     seen = {start}
     todo = [start]

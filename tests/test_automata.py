@@ -243,6 +243,15 @@ class TestSync:
                 2, AB, AB, 0, frozenset({1}),
                 ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync"))
 
+    def test_accepts_refuses_sync_that_breaks_padding(self):
+        # accepts() reads a sync automaton through its async view, so a
+        # symbol after a pad is refused as validate_sync refuses it
+        aut = TwoTapeAutomaton(
+            2, AB, AB, 0, frozenset({1}),
+            ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync")
+        with pytest.raises(InputError, match="after padding"):
+            aut.accepts(("a",), ("a", "a"))
+
     def test_sync_to_async_preserves_pairs(self):
         # accepts (v, w) with w a nonempty prefix of v: equal symbols in
         # state 1, right-tape padding in state 2

@@ -190,6 +190,29 @@ class TestTbl:
         assert data.left_action[("a", "u")] == "u"
         assert data.internal[("v", "u")] == "v"
 
+    IDEAL = ("[ideal]\nelements: u v\nbase: a\nleft: a u v\nright: a u v\n"
+             "prod: u u u\nprod: v v v\n")
+
+    def test_duplicate_ideal_elements(self, tmp_path):
+        # a second elements: line is an error, not the one that counts
+        path = tmp_path / "ideal.tbl"
+        path.write_text(self.IDEAL.replace("base:", "elements: u\nbase:"))
+        with pytest.raises(InputError,
+                           match="duplicate directive 'elements'"):
+            load_ideal(path)
+
+    def test_missing_ideal_base(self, tmp_path):
+        path = tmp_path / "ideal.tbl"
+        path.write_text(self.IDEAL.replace("base: a\n", ""))
+        with pytest.raises(InputError, match="missing directive 'base'"):
+            load_ideal(path)
+
+    def test_unknown_table_directive(self, tmp_path):
+        path = tmp_path / "bad.tbl"
+        path.write_text(self.C2 + "colour: blue\n")
+        with pytest.raises(InputError, match="unknown directive 'colour'"):
+            load_tbl(path)
+
     def test_missing_ideal_section(self, tmp_path):
         path = tmp_path / "c2.tbl"
         path.write_text(self.C2)

@@ -35,3 +35,40 @@ def test_unused_imports_are_found():
     p.name for p in SOURCE.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SOURCE / path).read_text(encoding="utf-8")) == []
+
+
+def _names_in(node, skip):
+    """The names and attribute names read under node, apart from skip."""
+    for sub in ast.walk(node):
+        name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+        if name is not None and name != skip:
+            yield name
+
+
+def unused_private_names(sources):
+    """The module-level private functions and classes of the given module
+    sources that none of them names, as a name or an attribute, outside
+    the definition itself."""
+    defined, named = set(), set()
+    for source in sources:
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            if (isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                    and own.startswith("_") and not own.startswith("__")):
+                defined.add(own)
+            named.update(_names_in(top, own))
+    return sorted(defined - named)
+
+
+def test_unused_private_names_are_found():
+    sources = ["def _used():\n    return 1\n"
+               "def _recursive(n):\n    return _recursive(n - 1)\n"
+               "class _Unused:\n    pass\n"
+               "def public():\n    return _used()\n",
+               "import m\nx = m._Attr\nclass _Attr:\n    pass\n"]
+    assert unused_private_names(sources) == ["_Unused", "_recursive"]
+
+
+def test_no_unused_private_names():
+    sources = [p.read_text(encoding="utf-8") for p in SOURCE.glob("*.py")]
+    assert unused_private_names(sources) == []
