@@ -79,16 +79,24 @@ def _language(args, name):
     return aut
 
 
+_ORACLE_BOUND = 5  # the default --bound with an oracle
+
+
 def _generators(args, table):
     return args.gens.split(",") if args.gens else list(table.elements)
 
 
-def _load_oracle(path, args):
+def _load_oracle(args, bound):
+    """The oracle of args.oracle: --kind and --gens apply to a .tbl table
+    only, a .sgp presentation names its own."""
+    path = args.oracle
     if path.endswith(".tbl"):
         table = load_tbl(path)
-        return table_oracle(table, _generators(args, table), bound=args.bound,
-                            kind=args.kind)
-    return build_oracle(load_sgp(path), args.bound)
+        return table_oracle(table, _generators(args, table), bound=bound,
+                            kind=args.kind or "semigroup")
+    if args.kind is not None or args.gens is not None:
+        raise InputError("--kind and --gens apply to .tbl oracles only")
+    return build_oracle(load_sgp(path), bound)
 
 
 def cmd_accept(args):
@@ -104,7 +112,7 @@ def cmd_accept(args):
 
 def cmd_verify(args):
     aut = _automaton(args)
-    oracle = _load_oracle(args.oracle, args)
+    oracle = _load_oracle(args, args.bound)
     disagreements = verify(aut, oracle, args.bound)
     if not disagreements:
         print("OK (0 disagreements)")
@@ -157,7 +165,7 @@ def cmd_pump(args):
 
 def cmd_pump_refute(args):
     aut = _automaton(args)
-    oracle = _load_oracle(args.oracle, args)
+    oracle = _load_oracle(args, args.bound)
     report = pump_refute(aut, oracle, args.bound, i_max=args.imax)
     print(report)
     return 1 if report.verdict == "refuted" else 0
@@ -172,16 +180,17 @@ def cmd_check(args):
 
 
 def cmd_cross_section(args):
-    aut = _automaton(args)
-    d = cross_section(aut)
-    if args.oracle:
-        oracle = _load_oracle(args.oracle, args)
-        report = validate_cross_section(d, oracle, args.bound)
-        print(report)
-        if args.output:
-            save_fsa(d, args.output)
-        return 0 if report.verdict == "pass" else 1
-    return _emit(d, args)
+    d = cross_section(_automaton(args))
+    if not args.oracle:
+        if (args.bound, args.kind, args.gens) != (None, None, None):
+            raise InputError("--bound, --kind and --gens need --oracle")
+        return _emit(d, args)
+    bound = _ORACLE_BOUND if args.bound is None else args.bound
+    report = validate_cross_section(d, _load_oracle(args, bound), bound)
+    print(report)
+    if args.output:
+        save_fsa(d, args.output)
+    return 0 if report.verdict == "pass" else 1
 
 
 def cmd_dot(args):
@@ -272,10 +281,10 @@ def cmd_construct(args):
     return _emit(args.build(args), args)
 
 
-def _add_oracle_flags(p):
-    p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--kind", choices=("semigroup", "monoid"),
-                   default="semigroup")
+def _add_oracle_flags(p, bound=_ORACLE_BOUND):
+    p.add_argument("--bound", type=int, default=bound)
+    p.add_argument("--kind", choices=("semigroup", "monoid"), default=None,
+                   help="for .tbl oracles (default: semigroup)")
     p.add_argument("--gens", default=None,
                    help="comma-separated generators for .tbl oracles")
 
@@ -363,7 +372,7 @@ def build_parser():
     p.add_argument("automaton")
     p.add_argument("--oracle", default=None,
                    help="validate against this .sgp/.tbl oracle")
-    _add_oracle_flags(p)
+    _add_oracle_flags(p, bound=None)  # a given --bound needs --oracle
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("dot", help="graph description to stdout")

@@ -278,11 +278,16 @@ def load_sgp(path):
 
 
 def _split_sections(text):
-    lines = _content_lines(text.splitlines())
-    if "[ideal]" not in lines:
-        return lines, []
-    at = lines.index("[ideal]")
-    return lines[:at], [line for line in lines[at:] if line != "[ideal]"]
+    """The content lines of the main and the [ideal] section."""
+    lines = text.splitlines()
+    marks = [i for i, line in enumerate(lines)
+             if _strip_comment(line).strip() == "[ideal]"]
+    if len(marks) > 1:
+        raise InputError(f"second [ideal] section at line {marks[1] + 1}")
+    if not marks:
+        return _content_lines(lines), []
+    at = marks[0]
+    return _content_lines(lines[:at]), _content_lines(lines[at + 1:])
 
 
 def _table_from_lines(lines):

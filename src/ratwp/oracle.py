@@ -1,8 +1,9 @@
 """Ground-truth word equality at bounded length.
 
-For presentations this is a congruence closure over all words up to
-bound + slack: two words are merged whenever one rewrites to the other by a
-single application of a defining relation without leaving the bounded set.
+For presentations this is a congruence closure over the codes of all words
+up to bound + slack: two words are merged whenever one rewrites to the
+other by a single application of a defining relation within that set,
+each found by code arithmetic, not by scanning words.
 Merges only ever apply defining relations, so equality claims are sound;
 completeness is handled by growing the slack until the partition restricted
 to the queried lengths stops changing.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .automata import Alphabet, InputError, _accepted_codes, _code_limit
 
@@ -91,34 +92,47 @@ class Oracle:
         return out
 
 
-def _closure_partition(words, relations, max_len):
-    """The union-find root of each word's class, listed by word position."""
-    index = {w: i for i, w in enumerate(words)}
-    uf = _UnionFind(len(words))
-    # A single pass suffices: the word set is fixed, so every one-step
-    # rewrite within it is discovered here and union-find supplies
-    # transitivity.
-    for w in words:
-        wi = index[w]
-        n = len(w)
-        for lhs, rhs in relations:
-            k = len(lhs)
-            if n - k + len(rhs) > max_len:
-                continue
-            for start in range(n - k + 1):
-                if w[start:start + k] == lhs:
-                    other = w[:start] + rhs + w[start + k:]
-                    oi = index.get(other)
-                    if oi is not None:
-                        uf.union(wi, oi)
-    return [uf.find(i) for i in range(len(words))]
+def _relation_pairs(presentation):
+    """(max(|l|, |r|), |l|, code(l), |r|, code(r)) of each relation pair
+    {l, r}, l != r, once; a pair with a non-generator rewrites nothing."""
+    digit = {s: i + 1 for i, s in enumerate(presentation.generators)}
+
+    def code(word):
+        return reduce(lambda c, s: c * len(digit) + digit[s], word, 0)
+
+    return [(max(len(l), len(r)), len(l), code(l), len(r), code(r))
+            for l, r in {tuple(sorted(rel))
+                         for rel in presentation.expanded_relations()
+                         if rel[0] != rel[1]
+                         and set(rel[0] + rel[1]) <= digit.keys()}]
+
+
+def _add_length(uf, pairs, k, n, first):
+    """Union x l y with x r y for each pair {l, r} and |x| + |y| + max(|l|,
+    |r|) = n, by code(x l y) = (code(x) k^|l| + code(l)) k^|y| + code(y),
+    leaving out an edge from a code below `first`, not a word."""
+    union = uf.union
+    for m, len_l, code_l, len_r, code_r in pairs:
+        t = n - m  # |x| + |y|
+        if t < 0 or (t == 0 and min(code_l, code_r) < first):
+            continue
+        for i in range(t + 1):  # |x| = i, |y| = j
+            j = t - i
+            ys = range(_code_limit(k, j - 1), _code_limit(k, j))
+            for x in range(_code_limit(k, i - 1), _code_limit(k, i)):
+                a = (x * k ** len_l + code_l) * k ** j
+                b = (x * k ** len_r + code_r) * k ** j
+                for y in ys:
+                    union(a + y, b + y)
 
 
 def build_oracle(presentation, bound, slack=None, word_cap=DEFAULT_WORD_CAP):
     """Congruence-closure oracle for a presentation.
 
     With slack=None the slack is grown until two consecutive values give
-    the same partition on words up to the bound.
+    the same partition on words up to the bound. One union-find is grown a
+    length at a time (_add_length), so the search costs as much as its
+    final slack.
 
     Classes are numbered in order of first appearance over the words in
     shortlex order, so a class's id is the shortlex rank of its least
@@ -128,43 +142,42 @@ def build_oracle(presentation, bound, slack=None, word_cap=DEFAULT_WORD_CAP):
     if bound < 1:
         raise InputError("bound must be >= 1")
     alphabet = presentation.generators
-    relations = []
-    for lhs, rhs in presentation.expanded_relations():
-        relations.append((tuple(lhs), tuple(rhs)))
-        if rhs != lhs:
-            relations.append((tuple(rhs), tuple(lhs)))
-    min_len = 0 if presentation.kind == "monoid" else 1
+    pairs = _relation_pairs(presentation)
+    first = 0 if presentation.kind == "monoid" else 1  # the least word code
     k = len(alphabet)
-    n_bound = _code_limit(k, bound) - min_len  # the words up to the bound
+    uf = _UnionFind(1)  # the empty word's code, 0
+    max_len = 0
 
-    def class_ids(s):
-        max_len = bound + s
-        n_words = _code_limit(k, max_len) - min_len
+    def class_ids(s, end=None):
+        """The class ids at slack s of the codes below end (default: all)."""
+        nonlocal max_len
+        n_words = _code_limit(k, bound + s) - first
         if n_words > word_cap:
             raise InputError(
                 f"word count {n_words} at slack {s} exceeds the cap {word_cap}"
             )
-        words = list(alphabet.words(max_len, min_len=min_len))
-        ids = {}
-        return words, [ids.setdefault(root, len(ids)) for root in
-                       _closure_partition(words, relations, max_len)]
+        while max_len < bound + s:
+            max_len += 1
+            uf.parent.extend(range(len(uf.parent), _code_limit(k, max_len)))
+            _add_length(uf, pairs, k, max_len, first)
+        find, ids = uf.find, {}
+        return [ids.setdefault(find(c), len(ids))
+                for c in range(first, end or len(uf.parent))]
 
-    if slack is not None:
-        words, ids = class_ids(slack)
-        chosen = slack
-    else:
+    if slack is None:
         prev = None
-        for chosen in range(DEFAULT_SLACK_SEARCH + 1):
-            words, ids = class_ids(chosen)
-            if ids[:n_bound] == prev:
+        for slack in range(DEFAULT_SLACK_SEARCH + 1):
+            ids = class_ids(slack, _code_limit(k, bound))
+            if ids == prev:
                 break
-            prev = ids[:n_bound]
+            prev = ids
     return Oracle(
         alphabet=alphabet,
         kind=presentation.kind,
         bound=bound,
-        slack=chosen,
-        class_of=dict(zip(words, ids)),
+        slack=slack,
+        class_of=dict(zip(alphabet.words(bound + slack, min_len=first),
+                          class_ids(slack))),
     )
 
 

@@ -8,7 +8,9 @@ from ratwp import (
     EPSILON,
     PAD,
     Alphabet,
+    InputError,
     OneTapeAutomaton,
+    Oracle,
     Presentation,
     Report,
     TwoTapeAutomaton,
@@ -16,6 +18,7 @@ from ratwp import (
     pump_decompose,
     pumping_constant,
 )
+from ratwp.oracle import DEFAULT_SLACK_SEARCH, DEFAULT_WORD_CAP
 
 AB = Alphabet(("a", "b"))
 LABELS = st.sampled_from(("a", "b", EPSILON))
@@ -267,3 +270,57 @@ def validate_cross_section_by_words(d, oracle, bound):
                 witnesses.append(("growing", members[0], prev_hits, hits))
     verdict = "pass" if not witnesses else "fail"
     return Report("validate_cross_section", verdict, tuple(witnesses))
+
+
+def closure_oracle_by_words(presentation, bound, slack=None,
+                            word_cap=DEFAULT_WORD_CAP):
+    """Reference for build_oracle, on words: at slack s, every word up to
+    bound + s is scanned for each side of each relation, and each single
+    rewrite to a word up to bound + s joins two classes. With slack=None,
+    s grows from 0 until the classes of the words up to the bound stop
+    changing, up to DEFAULT_SLACK_SEARCH. Classes are numbered in order of
+    first appearance over the words in shortlex order."""
+    if bound < 1:
+        raise InputError("bound must be >= 1")
+    alphabet = presentation.generators
+    min_len = 0 if presentation.kind == "monoid" else 1
+    rules = [rule for lhs, rhs in presentation.expanded_relations()
+             for rule in ((lhs, rhs), (rhs, lhs))]
+
+    def class_of(s):
+        n_words = sum(len(alphabet) ** n
+                      for n in range(min_len, bound + s + 1))
+        if n_words > word_cap:
+            raise InputError(
+                f"word count {n_words} at slack {s} exceeds the cap {word_cap}"
+            )
+        words = list(alphabet.words(bound + s, min_len=min_len))
+        root = {w: w for w in words}
+
+        def find(w):
+            while root[w] != w:
+                w = root[w]
+            return w
+
+        for w in words:
+            for lhs, rhs in rules:
+                for start in range(len(w) - len(lhs) + 1):
+                    if w[start:start + len(lhs)] == lhs:
+                        other = w[:start] + rhs + w[start + len(lhs):]
+                        if other in root:
+                            root[find(other)] = find(w)
+        ids = {}
+        return {w: ids.setdefault(find(w), len(ids)) for w in words}
+
+    if slack is None:
+        prev = None
+        for slack in range(DEFAULT_SLACK_SEARCH + 1):
+            classes = class_of(slack)
+            head = [classes[w]
+                    for w in alphabet.words(bound, min_len=min_len)]
+            if head == prev:
+                break
+            prev = head
+    else:
+        classes = class_of(slack)
+    return Oracle(alphabet, presentation.kind, bound, slack, classes)

@@ -336,3 +336,50 @@ def test_cross_section_alphabet_mismatch(workdir, capsys):
                          capsys)
     assert (code, out) == (2, "")
     assert err == "error: automaton and oracle alphabets differ\n"
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("verify", ["--kind", "monoid"]),
+    ("verify", ["--gens", "a"]),
+    ("pump-refute", ["--kind", "semigroup"]),
+    ("pump-refute", ["--gens", "a,b"]),
+    ("cross-section", ["--kind", "monoid"]),
+    ("cross-section", ["--gens", "a"]),
+])
+def test_sgp_oracle_rejects_kind_and_gens(command, flags, workdir, capsys):
+    # a .sgp presentation names its own kind and generators
+    oracle = [workdir / "fig3.sgp"]
+    if command == "cross-section":
+        oracle.insert(0, "--oracle")
+    args = [command, workdir / "fig3.fsa"] + oracle
+    code, out, err = run(args + ["--bound", "4"] + flags, capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --kind and --gens apply to .tbl oracles only\n"
+
+
+def test_table_oracle_kind_flag(workdir, capsys):
+    code, _, _ = run(["construct", "cayley", workdir / "c2.tbl", "--gens",
+                      "g", "--kind", "monoid", "-o", workdir / "c2m.fsa"],
+                     capsys)
+    assert code == 0
+    code, out, _ = run(["verify", workdir / "c2m.fsa", workdir / "c2.tbl",
+                        "--gens", "g", "--kind", "monoid", "--bound", "4"],
+                       capsys)
+    assert (code, out) == (0, "OK (0 disagreements)\n")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--bound", "3"], ["--kind", "monoid"], ["--gens", "zz"],
+    ["--bound", "3", "--kind", "monoid", "--gens", "zz"],
+])
+def test_cross_section_oracle_flags_need_oracle(flags, workdir, capsys):
+    code, out, err = run(["cross-section", workdir / "fig3.fsa"] + flags,
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: --bound, --kind and --gens need --oracle\n"
+
+
+def test_cross_section_without_oracle(workdir, capsys):
+    code, out, _ = run(["cross-section", workdir / "fig3.fsa"], capsys)
+    assert code == 0
+    assert out.startswith("type: nfa\n")

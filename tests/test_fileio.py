@@ -201,6 +201,17 @@ class TestTbl:
                            match="duplicate directive 'elements'"):
             load_ideal(path)
 
+    def test_second_ideal_section(self, tmp_path):
+        # the lines of two [ideal] sections are not merged into one
+        path = tmp_path / "ideal.tbl"
+        first, second = self.IDEAL.split("left:", 1)
+        path.write_text(self.C2 + first + "# more\n[ideal]\nleft:" + second)
+        with pytest.raises(InputError,
+                           match=r"second \[ideal\] section at line 8"):
+            load_ideal(path)
+        with pytest.raises(InputError, match="second"):
+            load_tbl(path)
+
     def test_missing_ideal_base(self, tmp_path):
         path = tmp_path / "ideal.tbl"
         path.write_text(self.IDEAL.replace("base: a\n", ""))

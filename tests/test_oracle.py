@@ -14,12 +14,14 @@ from ratwp import (
     builtin,
     builtin_presentation,
     free_wp,
+    loads_sgp,
     table_oracle,
     union,
     verify,
 )
 
 from random_automata import (
+    closure_oracle_by_words,
     presentations,
     sync_automata,
     two_tape_automata,
@@ -29,6 +31,7 @@ from random_automata import (
 AB = Alphabet(("a", "b"))
 A = Alphabet(("a",))
 XYZ = Alphabet(("x", "y", "z"))
+ABC = Alphabet(("a", "b", "c"))
 
 
 def all_pairs_plus(alphabet):
@@ -302,3 +305,49 @@ def test_class_ids_are_shortlex_ranks_of_least_members(presentation, bound,
         assert members == sorted(members, key=key)
     least = sorted((members[0] for members in classes.values()), key=key)
     assert [oracle.class_of[w] for w in least] == list(range(len(least)))
+
+
+def built_or_error(build, presentation, bound, slack, word_cap):
+    """(slack, class_of, class_by_code) of the oracle, or the message of
+    the InputError raised instead."""
+    try:
+        oracle = build(presentation, bound, slack=slack, word_cap=word_cap)
+    except InputError as exc:
+        return str(exc)
+    return oracle.slack, oracle.class_of, oracle.class_by_code
+
+
+def assert_closure_agrees(presentation, bound, slack=None,
+                          word_cap=2_000_000):
+    assert (built_or_error(build_oracle, presentation, bound, slack, word_cap)
+            == built_or_error(closure_oracle_by_words, presentation, bound,
+                              slack, word_cap))
+
+
+@settings(max_examples=200, deadline=None)
+@given(presentations(), st.integers(1, 4), st.sampled_from((None, 0, 2)),
+       st.sampled_from((2_000_000, 100)))
+def test_build_oracle_agrees_with_word_closure(presentation, bound, slack,
+                                               word_cap):
+    assert_closure_agrees(presentation, bound, slack, word_cap)
+
+
+@pytest.mark.parametrize("presentation", [
+    # a = bbb = c: the slack search settles on different slacks by bound
+    Presentation("semigroup", ABC, ((("a",), ("b",) * 3),
+                                    (("c",), ("b",) * 3))),
+    # multi-character tokens
+    Presentation("monoid", Alphabet(("x1", "y22", "z")),
+                 ((("x1", "y22"), ("y22", "x1")), (("z", "z"), ()),
+                  (("x1", "x1", "x1"), ("z",)))),
+    # a schema side with a non-generator rewrites nothing, and a schema
+    # may give a semigroup relation an empty side: the empty word, not a
+    # word of a semigroup, must not join ab and ba
+    loads_sgp("kind: semigroup\ngens: a b\nschema: q a^n = b ; n = 1..2\n"
+              "schema: a^n = b a ; n = 0..1\nschema: b^n = a b ; n = 0..0\n"),
+], ids=["a=bbb=c", "tokens", "schemas"])
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+@pytest.mark.parametrize("slack", [None, 0, 2])
+def test_build_oracle_fixed_cases_agree_with_word_closure(presentation,
+                                                          bound, slack):
+    assert_closure_agrees(presentation, bound, slack)
