@@ -17,10 +17,9 @@ from .automata import (
     _as_async,
     _code_limit,
     _first_runs,
-    enumerate_language,
     trim,
 )
-from .oracle import _UnionFind, _check_alphabets, _missing_pairs
+from .oracle import _UnionFind, _check_alphabets, _class_members, _missing_pairs
 
 
 @dataclass(frozen=True)
@@ -115,6 +114,8 @@ def _cut(v, w, x, z):
 
 def pump_check(aut, decomposition, i_max=5):
     """Assert acceptance of every pumped pair for i = 0..i_max."""
+    if i_max < 0:
+        raise InputError("i_max must be >= 0")
     for i in range(i_max + 1):
         pv, pw = decomposition.pumped(i)
         if not aut.accepts(pv, pw):
@@ -133,13 +134,15 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
     word's code is built from them step by step over i and looked up in
     the oracle's class_by_code. Only a witness is built as words.
     """
+    if i_max < 0:
+        raise InputError("i_max must be >= 0")
     _check_alphabets(oracle, aut.left, aut.right)
     form = _pump_form(aut)
     n = form.n_states
     k = len(oracle.alphabet)
-    max_len = oracle.bound + oracle.slack
     skip_empty = not oracle.includes_empty
-    class_by_code = oracle.class_by_code
+    table = oracle.class_by_code
+    n_codes = len(table)
     first, parent, decode = _first_runs(form, bound)
     lim = _code_limit(k, bound)
     # the codes of the words of length m + 1 start at starts[m]
@@ -186,15 +189,14 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
         head_w, uw, luw, zw, lzw = tape_w
         shift_v, shift_w = power[lv - lzv], power[lw - lzw]
         yv, yw = v - zv * shift_v, w - zw * shift_w
-        len_v, len_w = lv - luv, lw - luw
         for i in range(i_max + 1):
-            # the lengths and emptiness that Oracle.equal checks; lengths
-            # do not fall as i grows
-            if len_v > max_len or len_w > max_len:
+            pv, pw = head_v * shift_v + yv, head_w * shift_w + yw
+            # the checks of Oracle.equal: both words in the class table
+            # (codes do not fall as i grows), and no empty word in a
+            # semigroup
+            if pv >= n_codes or pw >= n_codes:
                 break
-            if ((len_v and len_w or not skip_empty)
-                    and class_by_code[head_v * shift_v + yv]
-                    != class_by_code[head_w * shift_w + yw]):
+            if (pv and pw or not skip_empty) and table[pv] != table[pw]:
                 pair = decode(code)
                 dec = _cut(*pair, decode(start_node // n),
                            decode(stop_node // n))
@@ -202,7 +204,6 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
                 break
             head_v = head_v * power[luv] + uv
             head_w = head_w * power[luw] + uw
-            len_v, len_w = len_v + luv, len_w + luw
         if len(witnesses) >= max_witnesses:
             break
     verdict = "refuted" if witnesses else "not-refuted"
@@ -384,21 +385,29 @@ def validate_cross_section(d, oracle, bound):
     and that per-class membership counts are stable from bound-1 to bound
     (the desk-scale finiteness proxy).
 
-    D is enumerated once, at the bound: its part up to bound - 1 is its
-    words shorter than the bound, and a class has a part up to bound - 1
-    iff its least member is shorter than the bound."""
-    lang = enumerate_language(d, bound)
+    Works on word codes: D is enumerated once, at the bound, through its
+    relation view, whose right code limit is 1, so a pair code is a word
+    code. Classes come from the oracle's table in class id order, and only
+    a witness is decoded."""
+    lang, decode = _accepted_codes(d.relation_view, bound)
     _check_alphabets(oracle, d.alphabet)
+    if bound > oracle.bound + oracle.slack:
+        raise InputError("query beyond the oracle's bound")
+    k = len(oracle.alphabet)
+    short = _code_limit(k, bound - 1)  # the words shorter than the bound
+    classes = _class_members(oracle.class_by_code,
+                             0 if oracle.includes_empty else 1,
+                             _code_limit(k, bound))
     witnesses = []
-    for _, members in sorted(oracle.classes(bound).items()):
-        hits = [w for w in members if w in lang]
+    for _, members in sorted(classes.items()):
+        hits = [c for c in members if c in lang]
         if not hits:
-            witnesses.append(("missing", members[0]))
-        elif len(members[0]) < bound:
-            prev_hits = sum(1 for w in hits if len(w) < bound)
+            witnesses.append(("missing", decode(members[0])[0]))
+        elif members[0] < short:
+            prev_hits = sum(1 for c in hits if c < short)
             if prev_hits != len(hits):
-                witnesses.append(
-                    ("growing", members[0], prev_hits, len(hits)))
+                witnesses.append(("growing", decode(members[0])[0],
+                                  prev_hits, len(hits)))
     verdict = "pass" if not witnesses else "fail"
     return Report("validate_cross_section", verdict, tuple(witnesses))
 

@@ -153,12 +153,12 @@ def cmd_pump(args):
     aut = _automaton(args)
     pair = (_word(args.left, args, aut.left), _word(args.right, args, aut.right))
     dec = pump_decompose(aut, pair)
+    report = pump_check(aut, dec, args.imax)
 
     def fmt(p):
         return f"({''.join(p[0]) or '-'}, {''.join(p[1]) or '-'})"
 
     print(f"prefix {fmt(dec.prefix)} loop {fmt(dec.loop)} suffix {fmt(dec.suffix)}")
-    report = pump_check(aut, dec, args.imax)
     print(report)
     return 0 if report.verdict == "pass" else 1
 

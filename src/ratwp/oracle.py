@@ -14,8 +14,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from types import MappingProxyType
 
-from .automata import Alphabet, InputError, _accepted_codes, _code_limit
+from .automata import Alphabet, InputError, _accepted_codes, _code_limit, as_word
 
 DEFAULT_WORD_CAP = 2_000_000
 DEFAULT_SLACK_SEARCH = 4
@@ -48,23 +49,20 @@ class Oracle:
     kind: str
     bound: int
     slack: int
-    class_of: dict  # word -> class id, words of length <= bound + slack
+    # class id by bijective shortlex word code (automata._pair_coding), for
+    # the words up to bound + slack; None at 0, the empty word, if excluded
+    class_by_code: tuple
 
     @property
     def includes_empty(self):
         return self.kind == "monoid"
 
     @cached_property
-    def class_by_code(self):
-        """The class id of every word of length <= bound + slack, as a list
-        indexed by the word's bijective shortlex code (see
-        automata._pair_coding). Entry 0 is the empty word's, None for a
-        semigroup oracle. Built once per oracle; callers must not mutate
-        it."""
-        class_of = self.class_of
-        empty = class_of[()] if self.includes_empty else None
-        return [empty] + [class_of[w] for w in self.alphabet.words(
-            self.bound + self.slack, min_len=1)]
+    def class_of(self):
+        """Read-only word -> class id view of class_by_code."""
+        first = 0 if self.includes_empty else 1
+        return MappingProxyType(dict(zip(self.words(self.bound + self.slack),
+                                         self.class_by_code[first:])))
 
     def words(self, max_len=None):
         max_len = self.bound if max_len is None else max_len
@@ -74,37 +72,42 @@ class Oracle:
         return list(self.alphabet.words(max_len, min_len=min_len))
 
     def equal(self, v, w):
-        v, w = tuple(v), tuple(w)
-        for word in (v, w):
+        ids = []
+        for word in (tuple(v), tuple(w)):
             if len(word) > self.bound + self.slack:
                 raise InputError(f"word of length {len(word)} exceeds oracle bound")
             if not word and not self.includes_empty:
                 raise InputError("semigroup oracle does not accept the empty word")
-        return self.class_of[v] == self.class_of[w]
+            ids.append(self.class_by_code[_code(word, self.alphabet)])
+        return ids[0] == ids[1]
 
     def classes(self, max_len=None):
         """Class id -> members of length <= max_len (default: bound), in
         shortlex order."""
-        max_len = self.bound if max_len is None else max_len
+        first = 0 if self.includes_empty else 1
         out = {}
-        for w in self.words(max_len):
-            out.setdefault(self.class_of[w], []).append(w)
+        for w, c in zip(self.words(max_len), self.class_by_code[first:]):
+            out.setdefault(c, []).append(w)
         return out
+
+
+def _code(word, alphabet):
+    """A word's bijective base-k code (see automata._pair_coding)."""
+    k = len(alphabet)
+    return reduce(lambda c, s: c * k + alphabet.index(s) + 1,
+                  as_word(word, alphabet), 0)
 
 
 def _relation_pairs(presentation):
     """(max(|l|, |r|), |l|, code(l), |r|, code(r)) of each relation pair
     {l, r}, l != r, once; a pair with a non-generator rewrites nothing."""
-    digit = {s: i + 1 for i, s in enumerate(presentation.generators)}
-
-    def code(word):
-        return reduce(lambda c, s: c * len(digit) + digit[s], word, 0)
-
-    return [(max(len(l), len(r)), len(l), code(l), len(r), code(r))
+    alphabet = presentation.generators
+    return [(max(len(l), len(r)), len(l), _code(l, alphabet), len(r),
+             _code(r, alphabet))
             for l, r in {tuple(sorted(rel))
                          for rel in presentation.expanded_relations()
                          if rel[0] != rel[1]
-                         and set(rel[0] + rel[1]) <= digit.keys()}]
+                         and set(rel[0] + rel[1]) <= set(alphabet)}]
 
 
 def _add_length(uf, pairs, k, n, first):
@@ -171,32 +174,26 @@ def build_oracle(presentation, bound, slack=None, word_cap=DEFAULT_WORD_CAP):
             if ids == prev:
                 break
             prev = ids
-    return Oracle(
-        alphabet=alphabet,
-        kind=presentation.kind,
-        bound=bound,
-        slack=slack,
-        class_of=dict(zip(alphabet.words(bound + slack, min_len=first),
-                          class_ids(slack))),
-    )
+    return Oracle(alphabet, presentation.kind, bound, slack,
+                  (None,) * first + tuple(class_ids(slack)))
 
 
 def table_oracle(table, gens, bound=8, kind="semigroup"):
-    """Oracle for an explicit finite semigroup: word value by folding the
-    multiplication table."""
+    """Oracle for an explicit finite semigroup: a word's class is its value
+    in the table, one product per word code, by code(u s) = code(u) k +
+    index(s) + 1."""
+    if bound < 1:
+        raise InputError("bound must be >= 1")
     gens = tuple(gens)
     gen_map = table.generator_indices(gens, kind)
-    alphabet = Alphabet(gens)
-    class_of = {}
-    for w in alphabet.words(bound, min_len=0 if kind == "monoid" else 1):
-        class_of[w] = table.fold(w, gen_map) if w else table.identity_index()
-    return Oracle(
-        alphabet=alphabet,
-        kind=kind,
-        bound=bound,
-        slack=0,
-        class_of=class_of,
-    )
+    values = [gen_map[g] for g in gens]
+    product = table.product
+    k = len(gens)
+    ids = [table.identity_index() if kind == "monoid" else None]
+    for code in range(1, _code_limit(k, bound)):
+        prefix, d = divmod(code - 1, k)
+        ids.append(product[ids[prefix]][values[d]] if prefix else values[d])
+    return Oracle(Alphabet(gens), kind, bound, 0, tuple(ids))
 
 
 def verify(aut, oracle, bound):
@@ -254,12 +251,18 @@ def _missing_pairs(class_ids, first, lim, related, n_related):
     sizes = Counter(class_ids[first:lim]).values()
     if n_related == sum(size * size for size in sizes):
         return
-    classes = {}
-    for code in range(first, lim):
-        classes.setdefault(class_ids[code], []).append(code)
-    for members in classes.values():
+    for members in _class_members(class_ids, first, lim).values():
         for v in members:
             row = v * lim
             for w in members:
                 if row + w not in related:
                     yield row + w
+
+
+
+def _class_members(class_ids, first, lim):
+    """Class id -> its codes in [first, lim), ascending."""
+    classes = {}
+    for code in range(first, lim):
+        classes.setdefault(class_ids[code], []).append(code)
+    return classes

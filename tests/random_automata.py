@@ -323,4 +323,16 @@ def closure_oracle_by_words(presentation, bound, slack=None,
             prev = head
     else:
         classes = class_of(slack)
-    return Oracle(alphabet, presentation.kind, bound, slack, classes)
+    return oracle_from_words(alphabet, presentation.kind, bound, slack,
+                             classes)
+
+
+def oracle_from_words(alphabet, kind, bound, slack, class_of):
+    """The Oracle of class_of, a dict from each word up to bound + slack
+    (the empty word too for kind "monoid") to its class id: its class
+    table lists the ids in shortlex order of the words, after None for the
+    empty word of a semigroup."""
+    min_len = 0 if kind == "monoid" else 1
+    words = alphabet.words(bound + slack, min_len=min_len)
+    return Oracle(alphabet, kind, bound, slack,
+                  (None,) * min_len + tuple(class_of[w] for w in words))

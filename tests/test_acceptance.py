@@ -10,7 +10,6 @@ from ratwp import (
     Alphabet,
     IdealData,
     MultiplicationTable,
-    Oracle,
     Presentation,
     ProductGenerators,
     Transition,
@@ -54,6 +53,7 @@ from ratwp.automata import (
     OneTapeAutomaton,
     accepts_one_tape,
 )
+from random_automata import oracle_from_words
 
 A = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
@@ -170,8 +170,7 @@ def _product_parts(c2_table):
             t_oracle.class_of[tuple(pi_t[s] for s in w)])
         for w in alphabet.words(5)
     }
-    oracle = Oracle(alphabet=alphabet, kind="semigroup", bound=5, slack=0,
-                    class_of=class_of)
+    oracle = oracle_from_words(alphabet, "semigroup", 5, 0, class_of)
     return wp, oracle
 
 

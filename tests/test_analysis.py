@@ -108,6 +108,13 @@ class TestPumpCheck:
         assert report.verdict == "fail"
         assert report.witnesses
 
+    def test_negative_i_max(self):
+        # i in range(0) would check nothing and pass
+        aut = builtin("fig3")
+        dec = pump_decompose(aut, (("b",) + ("a",) * 5, ("b",)))
+        with pytest.raises(InputError, match="i_max must be >= 0"):
+            pump_check(aut, dec, -1)
+
 
 class TestPumpRefute:
     def test_correct_automata_not_refuted(self):
@@ -133,6 +140,12 @@ class TestPumpRefute:
             ((0, "b", None, 0), (0, "c", None, 1), (1, "c", None, 1)))
         oracle = build_oracle(builtin_presentation("bicyclic"), 8)
         assert pump_refute(candidate, oracle, 6).verdict == "refuted"
+
+    def test_negative_i_max(self):
+        mutant = with_extra_transition(builtin("fig3"), (1, "b", None, 1))
+        oracle = build_oracle(builtin_presentation("fig3"), 8)
+        with pytest.raises(InputError, match="i_max must be >= 0"):
+            pump_refute(mutant, oracle, 6, i_max=-2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -121,6 +121,30 @@ class TestAnalysisVerbs:
         assert "loop (a, -)" in out
         assert "pump_check: pass" in out
 
+    @pytest.mark.parametrize("args", (
+        ["pump", "fig3.fsa", "abbb", "abbba", "--imax", "-1"],
+        ["pump-refute", "fig3.fsa", "fig3.sgp", "--imax", "-2"]))
+    def test_negative_imax(self, workdir, capsys, args):
+        # a negative --imax used to check nothing and exit 0
+        args = [workdir / a if a.endswith((".fsa", ".sgp")) else a
+                for a in args]
+        assert run(args, capsys) == (2, "", "error: i_max must be >= 0\n")
+
+    @pytest.mark.parametrize("args", (
+        ["verify", "c2wp.fsa", "c2.tbl", "--gens", "g"],
+        ["pump-refute", "c2wp.fsa", "c2.tbl", "--gens", "g"],
+        ["cross-section", "c2wp.fsa", "--oracle", "c2.tbl", "--gens", "g"]))
+    def test_table_oracle_bound_zero(self, workdir, capsys, args):
+        # a .tbl oracle rejects bound 0 as a .sgp oracle does, instead of
+        # passing after checking nothing
+        code, _, _ = run(["construct", "cayley", workdir / "c2.tbl",
+                          "--gens", "g", "-o", workdir / "c2wp.fsa"], capsys)
+        assert code == 0
+        args = [workdir / a if a.endswith((".fsa", ".tbl")) else a
+                for a in args]
+        assert (run(args + ["--bound", "0"], capsys)
+                == (2, "", "error: bound must be >= 1\n"))
+
     def test_pump_too_short(self, workdir, capsys):
         code, _, err = run(["pump", workdir / "fig3.fsa", "a", "a"], capsys)
         assert code == 2
@@ -222,7 +246,8 @@ class TestAnalysisVerbs:
 
     def test_cross_section_negative_bound(self, workdir, capsys,
                                           time_limit):
-        # the enumeration of D must reject the bound, not run forever
+        # the bound is rejected, not run forever; the table oracle, built
+        # before D is enumerated, rejects it first
         code, _, _ = run(["construct", "cayley", workdir / "c2.tbl",
                           "--gens", "g", "-o", workdir / "c2wp.fsa"], capsys)
         assert code == 0
@@ -230,7 +255,7 @@ class TestAnalysisVerbs:
                               "--oracle", workdir / "c2.tbl",
                               "--bound", "-1"], capsys)
         assert (code, out) == (2, "")
-        assert err == "error: bound must be >= 0\n"
+        assert err == "error: bound must be >= 1\n"
 
     def test_dot(self, workdir, capsys):
         code, out, _ = run(["dot", workdir / "fig3.fsa"], capsys)

@@ -5,7 +5,6 @@ from ratwp import (
     IdealData,
     InputError,
     MultiplicationTable,
-    Oracle,
     Presentation,
     ProductGenerators,
     TwoTapeAutomaton,
@@ -32,7 +31,7 @@ from ratwp import (
     zero_union,
 )
 from ratwp.automata import NfaTransition, OneTapeAutomaton
-from random_automata import all_reachable
+from random_automata import all_reachable, oracle_from_words
 
 A = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
@@ -256,8 +255,7 @@ def componentwise_oracle(table, gens, bound):
     for w in alphabet.words(bound):
         t_word = tuple(pi_t[s] for s in w)
         class_of[w] = (table.fold(w, s_map), t_oracle.class_of[t_word])
-    return Oracle(alphabet=alphabet, kind="semigroup", bound=bound,
-                  slack=0, class_of=class_of)
+    return oracle_from_words(alphabet, "semigroup", bound, 0, class_of)
 
 
 class TestMonoidSemigroupChange:

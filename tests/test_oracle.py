@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,6 @@ from ratwp import (
     EPSILON,
     Alphabet,
     InputError,
-    Oracle,
     Presentation,
     Transition,
     TwoTapeAutomaton,
@@ -114,6 +115,23 @@ class TestOracleQueries:
         with pytest.raises(InputError):
             oracle.equal(("a",) * 9, ("a",))
 
+    def test_unknown_symbol(self, c2_table):
+        for oracle in (build_oracle(builtin_presentation("fig3"), 3),
+                       table_oracle(c2_table, ("g",), bound=3)):
+            with pytest.raises(InputError, match="symbol 'z' not in"):
+                oracle.equal(("z",), (oracle.alphabet.symbols[0],))
+
+    def test_one_stored_partition(self):
+        # the class table is the only partition stored; class_of is a
+        # read-only view derived from it
+        oracle = build_oracle(builtin_presentation("fig3"), 2, slack=0)
+        assert [f.name for f in fields(oracle)] == [
+            "alphabet", "kind", "bound", "slack", "class_by_code"]
+        assert oracle.class_by_code == (None, 0, 1, 0, 2, 1, 3)
+        assert oracle.class_of[("b", "a")] == 1
+        with pytest.raises(TypeError):
+            oracle.class_of[("b", "a")] = 0
+
 
 class TestTableOracle:
     def test_c2_folding(self, c2_table):
@@ -128,6 +146,13 @@ class TestTableOracle:
     def test_unknown_kind(self, c2_table):
         with pytest.raises(InputError, match="unknown kind 'group'"):
             table_oracle(c2_table, ("g",), kind="group")
+
+    @pytest.mark.parametrize("kind", ("semigroup", "monoid"))
+    @pytest.mark.parametrize("bound", (0, -1))
+    def test_bad_bound(self, c2_table, kind, bound):
+        # as build_oracle: a bound below 1 would check nothing
+        with pytest.raises(InputError, match="bound must be >= 1"):
+            table_oracle(c2_table, ("g",), bound=bound, kind=kind)
 
     def test_agrees_with_presentation_oracle(self, c2_table):
         # C2 as a table and as <g | g^3 = g> (semigroup of g, g^2=1)
@@ -259,17 +284,27 @@ def code_of(word, alphabet):
     return code
 
 
-def assert_class_by_code_agrees(oracle):
-    """class_by_code holds class_of at every word's code, and None at the
-    empty word's for a semigroup oracle."""
+def assert_class_by_code_agrees(oracle, class_of):
+    """class_by_code holds class_of(word) at every word's code, and None
+    at the empty word's for a semigroup oracle; the class_of view,
+    classes() and equal answer as class_of does."""
     words = list(oracle.alphabet.words(oracle.bound + oracle.slack,
                                        min_len=0))
     table = oracle.class_by_code
     assert len(table) == len(words)
     for word in words:
-        expected = (oracle.class_of[word] if word or oracle.includes_empty
+        expected = (class_of(word) if word or oracle.includes_empty
                     else None)
         assert table[code_of(word, oracle.alphabet)] == expected
+    words = [w for w in words if w or oracle.includes_empty]
+    assert oracle.class_of == {w: class_of(w) for w in words}
+    classes = {}
+    for w in words[:len(oracle.words())]:
+        classes.setdefault(class_of(w), []).append(w)
+    assert oracle.classes() == classes
+    for v in words[:20]:
+        for w in words[:20]:
+            assert oracle.equal(v, w) == (class_of(v) == class_of(w))
 
 
 @settings(max_examples=100, deadline=None)
@@ -280,18 +315,16 @@ def assert_class_by_code_agrees(oracle):
 def test_class_by_code_agrees_with_class_of(c2_table, left_zero_table,
                                            presentation, bound, slack,
                                            table_case):
-    closure = build_oracle(presentation, bound, slack=slack)
-    assert_class_by_code_agrees(closure)
+    reference = closure_oracle_by_words(presentation, bound, slack=slack)
+    assert_class_by_code_agrees(build_oracle(presentation, bound, slack=slack),
+                                reference.class_of.__getitem__)
+    # a table oracle's classes are the words' values, folded one by one
     name, gens, kind = table_case
     table = c2_table if name == "c2" else left_zero_table
-    assert_class_by_code_agrees(table_oracle(table, gens, bound, kind=kind))
-    # class_of in reverse shortlex order: the table follows the codes, not
-    # the order the dict was built in
-    reverse = Oracle(closure.alphabet, closure.kind, closure.bound,
-                     closure.slack,
-                     dict(reversed(list(closure.class_of.items()))))
-    assert_class_by_code_agrees(reverse)
-    assert reverse.class_by_code == closure.class_by_code
+    gen_map = {g: table.index(g) for g in gens}
+    assert_class_by_code_agrees(
+        table_oracle(table, gens, bound, kind=kind),
+        lambda w: table.fold(w, gen_map) if w else table.identity_index())
 
 
 @settings(max_examples=100, deadline=None)
