@@ -215,9 +215,12 @@ def _checked_codes(aut, bound, kind):
     over, as pair codes (see automata._pair_coding): all of them for kind
     "monoid", those of two nonempty words for kind "semigroup". Returns
     (codes, decode, first, lim): first is the least word code checked,
-    lim the code limit of both tapes."""
+    lim the code limit of both tapes. A semigroup has no word up to bound
+    0 to check, so that bound is an error, as it is for an oracle."""
     if kind not in ("semigroup", "monoid"):
         raise InputError(f"kind must be 'semigroup' or 'monoid', not {kind!r}")
+    if kind == "semigroup" and bound < 1:
+        raise InputError("bound must be >= 1")
     accepted, decode = _accepted_codes(aut, bound)
     lim = _code_limit(len(aut.left), bound)
     if kind == "semigroup":

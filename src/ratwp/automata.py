@@ -161,19 +161,40 @@ class TwoTapeAutomaton:
 
     @cached_property
     def _code_steps(self):
-        """The per-state step table of _pair_coding, for an async automaton
-        without silent steps: it does not depend on the bound."""
+        """The per-state step table of _pair_coding, for a sync automaton
+        or an async one without silent steps: it does not depend on the
+        bound. Epsilon and a pad read nothing: multiplier 1, digit 0."""
         k_left, k_right = len(self.left), len(self.right)
-        index_left = {s: i + 1 for i, s in enumerate(self.left)}
-        index_right = {s: i + 1 for i, s in enumerate(self.right)}
+        digit_left = {s: i + 1 for i, s in enumerate(self.left)}
+        digit_right = {s: i + 1 for i, s in enumerate(self.right)}
         steps = [[] for _ in range(self.n_states)]
         for t in self.transitions:
-            ml, dl = ((1, 0) if t.left is EPSILON
-                      else (k_left, index_left[t.left]))
-            mr, dr = ((1, 0) if t.right is EPSILON
-                      else (k_right, index_right[t.right]))
-            steps[t.src].append((ml, dl, mr, dr, t.dst))
+            dl = digit_left.get(t.left, 0)
+            dr = digit_right.get(t.right, 0)
+            steps[t.src].append((k_left if dl else 1, dl,
+                                 k_right if dr else 1, dr, t.dst))
         return steps
+
+    @cached_property
+    def _reads_to_final(self):
+        """Per state, the fewest left reads, the fewest right reads and the
+        fewest reads in all on a path to a final state, as three lists
+        (None where no final state is reachable), read off _code_steps:
+        for a form that _pair_coding walks, where every step reads on one
+        tape or on both. It does not depend on the bound."""
+        # the sources of the steps into each state, by the tapes they read
+        left_only, right_only, both = into = [
+            [[] for _ in range(self.n_states)] for _ in range(3)]
+        for src, out in enumerate(self._code_steps):
+            for _, dl, _, dr, dst in out:
+                into[2 if dl and dr else 0 if dl else 1][dst].append(src)
+        return (
+            _fewest_reads(self.finals,
+                          ((1, left_only), (0, right_only), (1, both))),
+            _fewest_reads(self.finals,
+                          ((0, left_only), (1, right_only), (1, both))),
+            _fewest_reads(self.finals,
+                          ((1, left_only), (1, right_only), (2, both))))
 
     @property
     def silent_free(self):
@@ -496,16 +517,24 @@ def _accepted_codes(aut, len_bound):
 
     A layered search: the (state, v, w) that runs reach are grouped by
     (state, |v|, |w|), each group a set of pair codes. Every step of the
-    silent-free form reads a symbol, so a group only grows from groups of
-    smaller |v| + |w|; the groups are expanded in order of |v| + |w|, each
-    complete when it is expanded and dropped after. A step is applied to a
-    whole group at once, its length bound checked once: with p = code(v) R
-    + code(w), reading with multipliers ml, mr and digits dl, dr maps p to
-    ml p + (mr - ml) (p mod R) + dl R + dr.
+    form _pair_coding reads a symbol, so a group only grows from groups
+    of smaller |v| + |w|; the groups are expanded in order of |v| + |w|,
+    each complete when it is expanded and dropped after. A step is applied
+    to a whole group at once: with p = code(v) R + code(w), reading with
+    multipliers ml, mr and digits dl, dr maps p to ml p + (mr - ml) (p mod
+    R) + dl R + dr. A group is made only if it can still reach a final
+    state within the bound: each move carries its target's limits on |v|,
+    |w| and |v| + |w|, the bound (twice the bound for the sum) less the
+    fewest reads from the target to a final state (_reads_to_final), and
+    a move into a state that reaches no final state is dropped.
     """
-    aut, _, lim_right, steps, decode = _pair_coding(aut, len_bound)
-    moves = [[(dl > 0, dr > 0, ml, mr - ml, dl * lim_right + dr, dst)
-              for ml, dl, mr, dr, dst in out] for out in steps]
+    aut, lim_right, steps, decode = _pair_coding(aut, len_bound)
+    to_left, to_right, to_total = aut._reads_to_final
+    moves = [[(dl > 0, dr > 0, ml, mr - ml, dl * lim_right + dr, dst,
+               len_bound - to_left[dst], len_bound - to_right[dst],
+               2 * len_bound - to_total[dst])
+              for ml, dl, mr, dr, dst in out if to_total[dst] is not None]
+             for out in steps]
     finals = aut.finals
     layers = [{} for _ in range(2 * len_bound + 1)]
     layers[0][aut.initial, 0, 0] = {0}
@@ -517,9 +546,10 @@ def _accepted_codes(aut, len_bound):
             (q, i, j), codes = layer.popitem()
             if q in finals:
                 accepted |= codes
-            for reads_left, reads_right, a, b, c, dst in moves[q]:
+            for (reads_left, reads_right, a, b, c, dst,
+                 max_i, max_j, max_total) in moves[q]:
                 ni, nj = i + reads_left, j + reads_right
-                if ni > len_bound or nj > len_bound:
+                if ni > max_i or nj > max_j or ni + nj > max_total:
                     continue
                 if b:
                     new = {a * p + b * (p % lim_right) + c for p in codes}
@@ -540,14 +570,33 @@ def _first_runs(aut, len_bound):
     the first accepting node the search reaches with it, parent maps each
     node to the node it was reached from (None for the start), and decode
     is as in _pair_coding. A node is the int (code(v) R + code(w)) n + q
-    for the n states q of the silent-free form. The search is first-in
-    first-out and takes each state's transitions in by_src order, and
-    every node on a run of (v, w) reads prefixes of v and w, so for a
-    silent-free aut the parent chain of first[code] is the run
-    _accepting_run(aut, v, w) finds.
+    for the n states q of the form. The search is first-in first-out and
+    takes each state's transitions in by_src order, and every node on a
+    run of (v, w) reads prefixes of v and w, so for a silent-free aut the
+    parent chain of first[code] is the run _accepting_run(aut, v, w)
+    finds.
+
+    A node is made only if it can still reach a final state within the
+    bound: each step carries its target's code limits per tape,
+    _code_limit(k, len_bound - d) for the fewest reads d from the target
+    to a final state on that tape (_reads_to_final), which is 0 when d
+    exceeds the bound. The fewest reads from a step's source are at most
+    its own reads plus the fewest from its target, so a node that cannot
+    reach a final state within the bound has no successor that can: the
+    nodes kept are found in the same order, with the same parents, as
+    without the limits.
     """
-    aut, lim_left, lim_right, steps, decode = _pair_coding(aut, len_bound)
+    aut, lim_right, steps, decode = _pair_coding(aut, len_bound)
     n = aut.n_states
+    to_left, to_right, _ = aut._reads_to_final
+    limit_left, limit_right = (
+        {d: _code_limit(k, len_bound - d) for d in set(to_final) - {None}}
+        for k, to_final in ((len(aut.left), to_left),
+                            (len(aut.right), to_right)))
+    steps = [[(ml, dl, mr, dr, dst, limit_left[to_left[dst]],
+               limit_right[to_right[dst]])
+              for ml, dl, mr, dr, dst in out if to_left[dst] is not None]
+             for out in steps]
     final = [q in aut.finals for q in range(n)]
     start = aut.initial
     parent = {start: None}
@@ -558,12 +607,12 @@ def _first_runs(aut, len_bound):
         if final[q] and pair not in first:
             first[pair] = node
         v, w = divmod(pair, lim_right)
-        for ml, dl, mr, dr, dst in steps[q]:
+        for ml, dl, mr, dr, dst, max_v, max_w in steps[q]:
             nv = v * ml + dl
-            if nv >= lim_left:
+            if nv >= max_v:
                 continue
             nw = w * mr + dr
-            if nw >= lim_right:
+            if nw >= max_w:
                 continue
             nxt = (nv * lim_right + nw) * n + dst
             if nxt not in parent:
@@ -583,17 +632,19 @@ def _pair_coding(aut, len_bound):
     code(w), R being that number for the right tape, so pair codes sort
     like (word_key(v), word_key(w)).
 
-    Returns (form, lim_left, lim_right, steps, decode): form is the
-    silent-free form of aut (kept on it, see silent_free), lim_* the code
-    limits per tape, steps[q] the transitions out of q as (multiplier,
-    digit) per tape and the target (reading s multiplies by k and adds
-    index(s) + 1, epsilon multiplies by 1 and adds 0; only the digit tells
-    whether a step reads, since k may be 1), in by_src order and kept on
-    the form, and decode(code) the pair of a pair code.
+    Returns (form, lim_right, steps, decode): form is the automaton the
+    searches walk, in which every step reads a symbol: a sync automaton
+    itself, once its padding is checked (validate_sync), and otherwise the
+    silent-free form of aut (kept on it, see silent_free). lim_right is
+    the code limit of the right tape, steps[q] the transitions out of q as
+    (multiplier, digit) per tape and the target (reading s multiplies by k
+    and adds index(s) + 1; epsilon and a pad multiply by 1 and add 0; only
+    the digit tells whether a step reads, since k may be 1), in by_src
+    order and kept on the form, and decode(code) the pair of a pair code.
     """
     if len_bound < 0:
         raise InputError("bound must be >= 0")
-    aut = _as_async(aut).silent_free
+    aut = validate_sync(aut) if aut.mode == "sync" else aut.silent_free
     lim_right = _code_limit(len(aut.right), len_bound)
     decode_left = _word_decoder(aut.left)
     decode_right = _word_decoder(aut.right)
@@ -602,8 +653,28 @@ def _pair_coding(aut, len_bound):
         v, w = divmod(code, lim_right)
         return decode_left(v), decode_right(w)
 
-    return (aut, _code_limit(len(aut.left), len_bound), lim_right,
-            aut._code_steps, decode)
+    return aut, lim_right, aut._code_steps, decode
+
+
+def _fewest_reads(finals, into):
+    """Per state, the fewest symbols read on a path to a final state, or
+    None where there is none: Dial's algorithm, a bucket per distance,
+    run backwards from the finals. into is a sequence of (reads, sources),
+    sources[q] listing the sources of steps into q that read that many
+    symbols."""
+    dist = [None] * len(into[0][1])
+    buckets = [list(finals)]
+    for d, bucket in enumerate(buckets):  # both lists grow while walked
+        for q in bucket:
+            if dist[q] is not None:
+                continue
+            dist[q] = d
+            for reads, sources in into:
+                if sources[q]:
+                    while len(buckets) <= d + reads:
+                        buckets.append([])
+                    buckets[d + reads] += sources[q]
+    return dist
 
 
 def _code_limit(k, len_bound):

@@ -94,6 +94,40 @@ def sync_automata(draw, max_states=4, max_transitions=8):
                             tuple(trans), mode="sync")
 
 
+@st.composite
+def behind_chains(draw, automata):
+    """Automata from the given strategy whose final states lie behind a
+    chain of 1-4 reading transitions: each final state of the drawn
+    automaton becomes non-final and starts a chain of fresh states, the
+    last one final, so a pair is accepted only after the chain's reads
+    and the enumerations' distance prune fires at small bounds. A sync
+    chain reads a pad on each tape its start state was entered by reading
+    one, so the padding discipline still holds (in sync_automata a pad
+    is read only on entering a padded state)."""
+    aut = draw(automata)
+    silent = (EPSILON,) * 2
+    if aut.mode == "sync":
+        left, right = aut.left.symbols, aut.right.symbols
+    else:
+        left = aut.left.symbols + (EPSILON,)
+        right = aut.right.symbols + (EPSILON,)
+    labels = st.tuples(st.sampled_from(left), st.sampled_from(right)).filter(
+        lambda pair: pair != silent)
+    length = draw(st.integers(1, 4))
+    n, trans, finals = aut.n_states, list(aut.transitions), set()
+    for f in sorted(aut.finals):
+        pads = [any(t.dst == f and t[tape] == PAD for t in aut.transitions)
+                for tape in (1, 2)]
+        q = f
+        for _ in range(length):
+            x, y = draw(labels)
+            trans.append((q, PAD if pads[0] else x, PAD if pads[1] else y, n))
+            q, n = n, n + 1
+        finals.add(q)
+    return TwoTapeAutomaton(n, aut.left, aut.right, aut.initial,
+                            frozenset(finals), tuple(trans), mode=aut.mode)
+
+
 def all_reachable(aut):
     """Is every state reachable from the initial state?"""
     succ = {}

@@ -34,6 +34,7 @@ from ratwp import (
 )
 from ratwp.automata import NfaTransition, OneTapeAutomaton
 from random_automata import (
+    behind_chains,
     congruence_check_all_contexts,
     equivalence_check_by_words,
     one_tape_automata,
@@ -148,7 +149,7 @@ class TestPumpRefute:
             pump_refute(mutant, oracle, 6, i_max=-2)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 # one-symbol and three-symbol alphabets, k = 1 and k = 3 in the coding:
 # (a^i, a^j) for i, j >= 1 pumped against a a = a (never refuted), and the
 # equal pairs over {x, y, z} with extra z on the left, against z z = z
@@ -164,9 +165,12 @@ class TestPumpRefute:
 @example(with_extra_transition(free_wp(XYZ), (1, "y", None, 1)),
          Presentation("semigroup", XYZ, ((("z", "z"), ("z",)),)),
          3, 4, 2, 1)
-@given(st.one_of(two_tape_automata(), sync_automata()), presentations(),
-       st.integers(1, 4), st.integers(0, 5), st.integers(0, 5),
-       st.integers(1, 5))
+@given(st.one_of(two_tape_automata(), sync_automata(),
+                 # final states behind a chain: the distance prune fires
+                 behind_chains(two_tape_automata()),
+                 behind_chains(sync_automata())),
+       presentations(), st.integers(1, 4), st.integers(0, 5),
+       st.integers(0, 5), st.integers(1, 5))
 def test_pump_refute_agrees_with_per_pair_reference(
         aut, presentation, oracle_bound, bound, i_max, max_witnesses):
     oracle = build_oracle(presentation, oracle_bound)
@@ -217,6 +221,19 @@ class TestEquivalenceCheck:
         with pytest.raises(InputError):
             equivalence_check(builtin("fig1"), 3, kind="group")
 
+    def test_semigroup_bound_0_is_an_error(self):
+        # a semigroup has no word up to bound 0, so the checks would pass
+        # having looked at nothing; a monoid still checks (eps, eps)
+        aut = free_wp(AB, kind="monoid")
+        for check in (equivalence_check, congruence_check):
+            for bound in (0, -1):
+                with pytest.raises(InputError, match="bound must be >= 1"):
+                    check(aut, bound)
+            assert check(aut, 0, kind="monoid").verdict == "pass"
+        no_empty = replace(aut, finals=frozenset({1}))
+        assert equivalence_check(no_empty, 0, kind="monoid").witnesses == (
+            ("reflexivity", ()),)
+
     def test_symmetry_witness_is_the_first_in_shortlex_order(self):
         # (ab, a) and every longer (a b^i, a) are accepted, not their mirrors
         aut = with_extra_transition(builtin("fig1"), (1, "b", None, 1))
@@ -259,6 +276,11 @@ class TestCongruenceCheck:
            two_tape_automata().map(lambda aut: union(aut, builtin("fig1")))),
        st.sampled_from(("semigroup", "monoid")), st.integers(0, 4))
 def test_congruence_check_agrees_with_all_contexts(aut, kind, bound):
+    if kind == "semigroup" and bound == 0:
+        # no nonempty word to check: an error, not a vacuous pass
+        with pytest.raises(InputError, match="bound must be >= 1"):
+            congruence_check(aut, bound, kind=kind)
+        return
     assert (congruence_check(aut, bound, kind=kind).verdict
             == congruence_check_all_contexts(aut, bound, kind=kind).verdict)
 
@@ -273,6 +295,11 @@ def test_congruence_check_agrees_with_all_contexts(aut, kind, bound):
 def test_equivalence_check_matches_word_reference(aut, kind, bound):
     # the union with fig1 makes most relations reflexive, the union with
     # the swapped relation also symmetric, so every part of the check runs
+    if kind == "semigroup" and bound == 0:
+        # no nonempty word to check: an error, not a vacuous pass
+        with pytest.raises(InputError, match="bound must be >= 1"):
+            equivalence_check(aut, bound, kind=kind)
+        return
     assert (equivalence_check(aut, bound, kind=kind)
             == equivalence_check_by_words(aut, bound, kind=kind))
 

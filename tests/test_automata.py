@@ -36,6 +36,7 @@ from ratwp.fileio import dumps_fsa, load_fsa
 from random_automata import (
     accepted_pairs,
     all_reachable,
+    behind_chains,
     one_tape_automata,
     sync_automata,
     two_tape_automata,
@@ -332,8 +333,12 @@ PADS_RIGHT = TwoTapeAutomaton(
     mode="sync")
 
 
-@settings(max_examples=150, deadline=None)
-@given(two_tape_automata_any_alphabets(), st.integers(0, 4))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(two_tape_automata_any_alphabets(),
+                 # final states behind a chain: the distance prune fires
+                 behind_chains(two_tape_automata_any_alphabets()),
+                 behind_chains(sync_automata())),
+       st.integers(0, 4))
 @example(ONE_SYMBOL, 4)
 @example(swap_tapes(ONE_SYMBOL), 3)
 @example(UNEQUAL_TAPES, 4)
@@ -362,18 +367,22 @@ def test_accepts_same_before_and_after_caching(aut):
     assert cold == first == again
 
 
-def test_async_view_computed_once(monkeypatch):
-    # enumerate_accepted views a sync automaton as async; the view is
-    # kept, so the padding discipline is checked on the first call only
+def test_sync_enumeration_checks_padding_once(monkeypatch):
+    # enumerate_accepted walks a sync automaton itself, a pad reading
+    # nothing: its padding is checked on the first call only, and no async
+    # view is built and no silent steps are eliminated
+    padding, eliminated = [], []
+    check = ratwp.automata._check_padding
+    eliminate = ratwp.automata.eliminate_silent_steps
+    monkeypatch.setattr(ratwp.automata, "_check_padding",
+                        lambda a: padding.append(a) or check(a))
+    monkeypatch.setattr(ratwp.automata, "eliminate_silent_steps",
+                        lambda a: eliminated.append(a) or eliminate(a))
     aut = TestSync().sync_equality()
-    calls = []
-    validate = ratwp.automata.validate_sync
-    monkeypatch.setattr(ratwp.automata, "validate_sync",
-                        lambda a: calls.append(a) or validate(a))
     first = enumerate_accepted(aut, 3)
-    assert len(calls) == 1
-    assert enumerate_accepted(aut, 3) == first
-    assert len(calls) == 1
+    assert enumerate_accepted(aut, 3) == first == accepted_pairs(aut, 3)
+    assert len(padding) == 1 and eliminated == []
+    assert "async_view" not in vars(aut)
 
 
 def test_async_view_is_for_sync_automata_only():
@@ -403,15 +412,15 @@ def test_enumeration_leaves_no_reference_cycle():
 
 
 def test_silent_free_form_computed_once(monkeypatch):
-    # enumerate_accepted reads the silent-free form kept on the automaton
-    # (on a sync automaton's async view), so a second call on the same
-    # automaton eliminates no silent steps
+    # enumerate_accepted reads the silent-free form kept on an async
+    # automaton, so a second call on the same automaton eliminates no
+    # silent steps
     calls = []
     eliminate = ratwp.automata.eliminate_silent_steps
     monkeypatch.setattr(ratwp.automata, "eliminate_silent_steps",
                         lambda a: calls.append(a) or eliminate(a))
     fig3 = builtin("fig3")
-    for aut in (union(fig3, fig3), fig3, TestSync().sync_equality()):
+    for aut in (union(fig3, fig3), fig3):
         calls.clear()
         first = enumerate_accepted(aut, 3)
         assert len(calls) == 1
@@ -420,21 +429,38 @@ def test_silent_free_form_computed_once(monkeypatch):
 
 
 def test_step_table_computed_once():
-    # only the code limits of _pair_coding depend on the bound; its step
-    # table is kept on the silent-free form, so later calls reuse it
+    # only the code limit of _pair_coding depends on the bound; its step
+    # table is kept on the form it walks, so later calls reuse it
     fig3 = builtin("fig3")
     for aut in (union(fig3, fig3), fig3, TestSync().sync_equality()):
-        form, _, _, steps, _ = _pair_coding(aut, 3)
+        form, _, steps, _ = _pair_coding(aut, 3)
         assert "_code_steps" in vars(form)
         for bound in (3, 0, 5):
-            again, _, _, same_steps, _ = _pair_coding(aut, bound)
+            again, _, same_steps, _ = _pair_coding(aut, bound)
             assert again is form and same_steps is steps
         assert enumerate_accepted(aut, 3) == accepted_pairs(aut, 3)
 
 
+def test_reads_to_final():
+    # fig2: states 1, 2 and 4 are final; 0 and 3 reach state 1 by (a, a)
+    assert builtin("fig2")._reads_to_final == (
+        [1, 0, 0, 1, 0], [1, 0, 0, 1, 0], [2, 0, 0, 2, 0])
+    # state 0 reaches the final state 1 by (a, eps) or by (eps, b)(eps, b),
+    # each measure on its own best path; state 2 reaches no final state
+    aut = TwoTapeAutomaton(4, AB, AB, 0, frozenset({1}), (
+        (0, "a", EPSILON, 1), (0, EPSILON, "b", 3), (3, EPSILON, "b", 1),
+        (0, "a", "a", 2), (2, "b", "b", 2)))
+    assert aut._reads_to_final == (
+        [0, 0, None, 0], [0, 0, None, 1], [1, 0, None, 1])
+    # a pad reads nothing
+    sync = TwoTapeAutomaton(3, AB, AB, 0, frozenset({2}), (
+        (0, "a", "b", 1), (1, "a", PAD, 2)), mode="sync")
+    assert sync._reads_to_final == ([2, 1, 0], [1, 0, 0], [3, 1, 0])
+
+
 def test_padding_checked_once(monkeypatch, tmp_path):
-    # load_fsa checks a sync automaton's padding; its async view, built by
-    # enumerate_accepted, does not check it again
+    # load_fsa checks a sync automaton's padding; enumerate_accepted, which
+    # walks the automaton itself, does not check it again
     calls = []
     check = ratwp.automata._check_padding
     monkeypatch.setattr(ratwp.automata, "_check_padding",
@@ -455,8 +481,10 @@ def test_padding_checked_once(monkeypatch, tmp_path):
     assert len(calls) == 3
 
 
-@settings(max_examples=100, deadline=None)
-@given(two_tape_automata_any_alphabets(), st.integers(0, 4))
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(two_tape_automata_any_alphabets(),
+                 behind_chains(two_tape_automata_any_alphabets())),
+       st.integers(0, 4))
 def test_first_runs_are_the_runs_accepting_run_finds(aut, bound):
     form = aut.silent_free
     n = form.n_states

@@ -217,6 +217,21 @@ class TestAnalysisVerbs:
         assert out == ("equivalence_check: fail\n"
                        "  ('transitivity', ('b',), ('a', 'a'))\n")
 
+    @pytest.mark.parametrize("prop", ["equiv", "congruence"])
+    def test_check_semigroup_bound_0(self, workdir, capsys, prop):
+        # a semigroup has no word up to bound 0: an error, not a pass
+        code, out, err = run(["check", prop, workdir / "fig3.fsa",
+                              "--bound", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert "bound must be >= 1" in err
+        # a monoid still checks (eps, eps), which fig3 does not accept
+        code, out, _ = run(["check", prop, workdir / "fig3.fsa",
+                            "--bound", "0", "--kind", "monoid"], capsys)
+        assert (code, out) == ((1, "equivalence_check: fail\n"
+                                   "  ('reflexivity', ())\n")
+                               if prop == "equiv" else
+                               (0, "congruence_check: pass\n"))
+
     def test_check_congruence_failure_output(self, workdir, capsys):
         # equality plus the class {a, b}, then equality: (a, b) is
         # accepted, (aa, ab) is not

@@ -22,6 +22,7 @@ from ratwp import (
 )
 
 from random_automata import (
+    behind_chains,
     closure_oracle_by_words,
     presentations,
     sync_automata,
@@ -253,7 +254,7 @@ class TestVerify:
             verify(builtin("fig1"), oracle, 5)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 # one-symbol and three-symbol alphabets, k = 1 and k = 3 in the coding
 @example(all_pairs_plus(A),
          Presentation("semigroup", A, ((("a", "a", "a"), ("a",)),)), 4)
@@ -267,6 +268,9 @@ class TestVerify:
 @given(st.one_of(
            two_tape_automata(),
            sync_automata(),
+           # final states behind a chain: the distance prune fires
+           behind_chains(two_tape_automata()),
+           behind_chains(sync_automata()),
            # accepts every equal pair of the free monoid, and more
            two_tape_automata().map(
                lambda aut: union(free_wp(AB, kind="monoid"), aut))),
