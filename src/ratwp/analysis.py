@@ -17,6 +17,7 @@ from .automata import (
     _as_async,
     _code_limit,
     _first_runs,
+    _search_form,
     trim,
 )
 from .oracle import _UnionFind, _check_alphabets, _class_members, _missing_pairs
@@ -54,7 +55,7 @@ class PumpDecomposition:
 
 
 def _pump_form(aut):
-    return trim(_as_async(aut).silent_free)
+    return trim(_search_form(aut))
 
 
 def pumping_constant(aut):
@@ -82,13 +83,9 @@ def pump_decompose(aut, pair):
     run = _accepting_run(form, v, w)
     if run is None:
         raise InputError("pair is not accepted")
-
-    def read(steps):
-        return (tuple(t.left for t in steps if t.left is not EPSILON),
-                tuple(t.right for t in steps if t.right is not EPSILON))
-
-    i, j = _first_repeat([form.initial] + [t.dst for t in run])
-    return _cut(v, w, read(run[:i]), read(run[:j]))
+    start, stop = _first_repeat([q for q, _, _ in run])
+    (_, i, j), (_, k, m) = run[start], run[stop]
+    return _cut(v, w, (v[:i], w[:j]), (v[:k], w[:m]))
 
 
 def _first_repeat(states):
@@ -366,8 +363,9 @@ def _strongly_connected(n, adj):
 
 def cross_section(aut):
     """Candidate regular cross-section: delete every transition on a cycle
-    with only-epsilon right labels, then project to the left tape."""
-    form = _pump_form(aut)
+    with only-epsilon right labels, then project to the left tape. A sync
+    automaton is read through its async view, pads becoming epsilon."""
+    form = _pump_form(_as_async(aut))
     removed = _eps_right_cycle_edges(form)
     trans = tuple(
         NfaTransition(t.src, t.left, t.dst)
@@ -391,7 +389,10 @@ def validate_cross_section(d, oracle, bound):
     Works on word codes: D is enumerated once, at the bound, through its
     relation view, whose right code limit is 1, so a pair code is a word
     code. Classes come from the oracle's table in class id order, and only
-    a witness is decoded."""
+    a witness is decoded. A semigroup oracle has no word up to bound 0, so
+    that bound is an error."""
+    if bound < 1 and not oracle.includes_empty:
+        raise InputError("bound must be >= 1")
     lang, decode = _accepted_codes(d.relation_view, bound)
     _check_alphabets(oracle, d.alphabet)
     if bound > oracle.bound + oracle.slack:

@@ -11,7 +11,6 @@ function of its inputs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
@@ -41,7 +40,7 @@ class Alphabet:
         for s in self.symbols:
             if not isinstance(s, str) or not s or any(c.isspace() for c in s):
                 raise InputError(f"bad symbol token {s!r}")
-            if s in (EPSILON_TOKEN, PAD):
+            if s == EPSILON_TOKEN or PAD in s:  # '#' starts a file comment
                 raise InputError(f"symbol token {s!r} is reserved")
             if s in seen:
                 raise InputError(f"duplicate symbol {s!r}")
@@ -58,6 +57,11 @@ class Alphabet:
 
     def index(self, sym):
         return self.symbols.index(sym)
+
+    @cached_property
+    def _digits(self):
+        """Symbol -> index + 1, its digit in _pair_coding's word codes."""
+        return {s: d for d, s in enumerate(self.symbols, 1)}
 
     def word_key(self, w):
         """Sort key: length first, then position in the alphabet."""
@@ -147,12 +151,6 @@ class TwoTapeAutomaton:
         return {q: tuple(ts) for q, ts in by_src.items()}
 
     @cached_property
-    def async_view(self):
-        """sync_to_async(self), for a sync automaton only: an async
-        automaton kept as its own view would be a reference cycle."""
-        return sync_to_async(self)
-
-    @cached_property
     def _padding_checked(self):
         """True once validate_sync has passed on a sync automaton; a
         failed check raises and is not kept."""
@@ -161,12 +159,11 @@ class TwoTapeAutomaton:
 
     @cached_property
     def _code_steps(self):
-        """The per-state step table of _pair_coding, for a sync automaton
-        or an async one without silent steps: it does not depend on the
-        bound. Epsilon and a pad read nothing: multiplier 1, digit 0."""
+        """The per-state step table of _pair_coding and _accepting_run, for
+        a form of _search_form: it does not depend on the bound. Epsilon
+        and a pad read nothing: multiplier 1, digit 0."""
         k_left, k_right = len(self.left), len(self.right)
-        digit_left = {s: i + 1 for i, s in enumerate(self.left)}
-        digit_right = {s: i + 1 for i, s in enumerate(self.right)}
+        digit_left, digit_right = self.left._digits, self.right._digits
         steps = [[] for _ in range(self.n_states)]
         for t in self.transitions:
             dl = digit_left.get(t.left, 0)
@@ -275,51 +272,57 @@ def _check_pair(aut, v, w):
 
 
 def accepts_two_tape(aut, left_word, right_word):
-    """Does an accepting computation project to the given pair? A sync
-    automaton is read through its async view."""
+    """Does an accepting computation project to the given pair?"""
     v, w = tuple(left_word), tuple(right_word)
     _check_pair(aut, v, w)
-    return _accepting_run(_as_async(aut).silent_free, v, w) is not None
+    return _accepting_run(_search_form(aut), v, w) is not None
 
 
-def _accepting_run(aut, v, w):
-    """A shortest accepting run of a silent-free async automaton on the
-    pair (v, w), as a list of transitions, or None if there is none.
+def _accepting_run(form, v, w):
+    """A shortest accepting run of a form of _search_form on the pair
+    (v, w), as its nodes (state, |v| read, |w| read), or None if there is
+    none.
 
-    Breadth-first over (state, left position, right position). Every
-    transition consumes at least one symbol, so the search is finite.
+    Breadth-first over the nodes, taking each state's steps of _code_steps
+    in order; a step reads the next symbol of a tape when its digit is that
+    symbol's, and nothing when its digit is 0. Every step reads a symbol,
+    so the search is finite.
     """
-    by_src = aut.by_src
+    steps = form._code_steps
+    # per tape, the word's digits and then None, which no step reads: past
+    # the end of the word, as at a symbol outside the alphabet
+    dv = [*map(form.left._digits.get, v), None]
+    dw = [*map(form.right._digits.get, w), None]
     nv, nw = len(v), len(w)
-    start = (aut.initial, 0, 0)
+    finals = form.finals
+    start = (form.initial, 0, 0)
     parent = {start: None}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
+    queue = [start]
+    for node in queue:  # the list grows while it is walked
         q, i, j = node
-        if i == nv and j == nw and q in aut.finals:
+        if i == nv and j == nw and q in finals:
             run = []
-            while parent[node] is not None:
-                node, t = parent[node]
-                run.append(t)
-            run.reverse()
-            return run
-        for t in by_src.get(q, ()):
-            if t.left is EPSILON:
-                ni = i
-            elif i < nv and v[i] == t.left:
+            while node is not None:
+                run.append(node)
+                node = parent[node]
+            return run[::-1]
+        a, b = dv[i], dw[j]
+        for _, dl, _, dr, dst in steps[q]:
+            if dl:
+                if dl != a:
+                    continue
                 ni = i + 1
             else:
-                continue
-            if t.right is EPSILON:
-                nj = j
-            elif j < nw and w[j] == t.right:
+                ni = i
+            if dr:
+                if dr != b:
+                    continue
                 nj = j + 1
             else:
-                continue
-            nxt = (t.dst, ni, nj)
+                nj = j
+            nxt = (dst, ni, nj)
             if nxt not in parent:
-                parent[nxt] = (node, t)
+                parent[nxt] = node
                 queue.append(nxt)
     return None
 
@@ -331,7 +334,7 @@ def accepts_one_tape(aut, word):
     for s in w:
         if s not in aut.alphabet:
             raise InputError(f"symbol {s!r} not in alphabet")
-    return _accepting_run(aut.relation_view.silent_free, w, ()) is not None
+    return _accepting_run(_search_form(aut.relation_view), w, ()) is not None
 
 
 def _is_silent(t):
@@ -368,8 +371,6 @@ def eliminate_silent_steps(aut):
     States with a silent path to a final state become final themselves;
     non-silent transitions are pulled back through silent closures.
     """
-    if aut.mode == "sync":
-        return aut
     if not any(_is_silent(t) for t in aut.transitions):
         return aut
     closure = _silent_closure(aut)
@@ -571,10 +572,10 @@ def _first_runs(aut, len_bound):
     node to the node it was reached from (None for the start), and decode
     is as in _pair_coding. A node is the int (code(v) R + code(w)) n + q
     for the n states q of the form. The search is first-in first-out and
-    takes each state's transitions in by_src order, and every node on a
-    run of (v, w) reads prefixes of v and w, so for a silent-free aut the
-    parent chain of first[code] is the run _accepting_run(aut, v, w)
-    finds.
+    takes each state's steps in order, as _accepting_run does, and every
+    node on a run of (v, w) reads prefixes of v and w, so for a form of
+    _search_form the parent chain of first[code], read as (state, |v|,
+    |w|) nodes, is the run _accepting_run(form, v, w) finds.
 
     A node is made only if it can still reach a final state within the
     bound: each step carries its target's code limits per tape,
@@ -632,19 +633,17 @@ def _pair_coding(aut, len_bound):
     code(w), R being that number for the right tape, so pair codes sort
     like (word_key(v), word_key(w)).
 
-    Returns (form, lim_right, steps, decode): form is the automaton the
-    searches walk, in which every step reads a symbol: a sync automaton
-    itself, once its padding is checked (validate_sync), and otherwise the
-    silent-free form of aut (kept on it, see silent_free). lim_right is
-    the code limit of the right tape, steps[q] the transitions out of q as
-    (multiplier, digit) per tape and the target (reading s multiplies by k
-    and adds index(s) + 1; epsilon and a pad multiply by 1 and add 0; only
-    the digit tells whether a step reads, since k may be 1), in by_src
-    order and kept on the form, and decode(code) the pair of a pair code.
+    Returns (form, lim_right, steps, decode): form is _search_form(aut),
+    lim_right the code limit of the right tape, steps[q] the transitions
+    out of q as (multiplier, digit) per tape and the target (reading s
+    multiplies by k and adds index(s) + 1; epsilon and a pad multiply by 1
+    and add 0; only the digit tells whether a step reads, since k may be
+    1), in transition order and kept on the form (_code_steps), and
+    decode(code) the pair of a pair code.
     """
     if len_bound < 0:
         raise InputError("bound must be >= 0")
-    aut = validate_sync(aut) if aut.mode == "sync" else aut.silent_free
+    aut = _search_form(aut)
     lim_right = _code_limit(len(aut.right), len_bound)
     decode_left = _word_decoder(aut.left)
     decode_right = _word_decoder(aut.right)
@@ -654,6 +653,13 @@ def _pair_coding(aut, len_bound):
         return decode_left(v), decode_right(w)
 
     return aut, lim_right, aut._code_steps, decode
+
+
+def _search_form(aut):
+    """The form the run and pair searches walk, every step reading a
+    symbol: a sync automaton itself, once its padding is checked
+    (validate_sync), else the silent-free form (see silent_free)."""
+    return validate_sync(aut) if aut.mode == "sync" else aut.silent_free
 
 
 def _fewest_reads(finals, into):
@@ -761,6 +767,6 @@ def sync_to_async(aut):
 
 
 def _as_async(aut):
-    """A sync automaton viewed as async (kept on it, see async_view); any
-    other automaton unchanged."""
-    return aut.async_view if getattr(aut, "mode", None) == "sync" else aut
+    """A sync automaton viewed as async, for the operations that build an
+    async automaton from it; any other automaton unchanged."""
+    return sync_to_async(aut) if getattr(aut, "mode", None) == "sync" else aut

@@ -210,8 +210,11 @@ def verify(aut, oracle, bound):
     class_by_code throughout: a pair code p is split into word codes by
     divmod(p, R), and only the reported pairs are decoded to words. Costs
     one pass over the accepted pairs plus, only when some equal pair is
-    not accepted, the sum of |class|^2 over the oracle's classes.
+    not accepted, the sum of |class|^2 over the oracle's classes. A
+    semigroup oracle has no word up to bound 0, so that bound is an error.
     """
+    if bound < 1 and not oracle.includes_empty:
+        raise InputError("bound must be >= 1")
     if bound > oracle.bound + oracle.slack:
         raise InputError("verification bound exceeds the oracle bound")
     _check_alphabets(oracle, aut.left, aut.right)

@@ -23,12 +23,9 @@ class RelationSchema:
     lo: int
     hi: int
 
-    def expand(self, hi=None):
-        hi = self.hi if hi is None else hi
-        out = []
-        for n in range(self.lo, hi + 1):
-            out.append((self._side(self.lhs, n), self._side(self.rhs, n)))
-        return out
+    def expand(self):
+        return [(self._side(self.lhs, n), self._side(self.rhs, n))
+                for n in range(self.lo, self.hi + 1)]
 
     def _side(self, atoms, n):
         word = []
@@ -63,11 +60,9 @@ class Presentation:
                     if sym not in self.generators:
                         raise InputError(f"relation symbol {sym!r} not a generator")
 
-    def expanded_relations(self, schema_bound=None):
-        rels = list(self.relations)
-        for schema in self.schemas:
-            rels.extend(schema.expand(schema_bound))
-        return rels
+    def expanded_relations(self):
+        return [*self.relations, *(rel for schema in self.schemas
+                                   for rel in schema.expand())]
 
 
 @dataclass(frozen=True)
@@ -119,13 +114,6 @@ class MultiplicationTable:
         for e in range(n):
             if all(self.product[e][i] == i == self.product[i][e] for i in range(n)):
                 return e
-        return None
-
-    def zero_index(self):
-        n = len(self.elements)
-        for z in range(n):
-            if all(self.product[z][i] == z == self.product[i][z] for i in range(n)):
-                return z
         return None
 
     def fold(self, word, gen_map):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from ratwp import (
     Alphabet,
     InputError,
+    PAD,
     Presentation,
     PumpDecomposition,
     Transition,
@@ -28,6 +29,7 @@ from ratwp import (
     pumping_constant,
     remove_generator,
     swap_tapes,
+    sync_to_async,
     trim,
     union,
     validate_cross_section,
@@ -78,6 +80,12 @@ class TestPumpDecompose:
         with pytest.raises(InputError):
             pump_decompose(builtin("fig1"), (("a",), ("a",)))
 
+    def test_symbol_outside_alphabet_is_not_accepted(self):
+        # the run search matches a step by its digit; a symbol outside the
+        # alphabet has none, so no step reads it
+        with pytest.raises(InputError, match="pair is not accepted"):
+            pump_decompose(builtin("fig1"), (("a",) * 5, ("a",) * 4 + ("c",)))
+
     def test_prefix_plus_loop_within_constant(self):
         aut = builtin("fig2")
         n0 = pumping_constant(aut)
@@ -86,6 +94,24 @@ class TestPumpDecompose:
         consumed = sum(len(p) for p in dec.prefix + dec.loop)
         assert 1 <= sum(len(p) for p in dec.loop)
         assert consumed <= n0
+
+
+@settings(max_examples=100, deadline=None)
+@given(sync_automata())
+# w a nonempty prefix of v, the right tape padded in state 2
+@example(TwoTapeAutomaton(
+    3, AB, AB, 0, frozenset({1, 2}),
+    tuple((q, x, x, 1) for q in (0, 1) for x in "ab")
+    + tuple((q, x, PAD, 2) for q in (1, 2) for x in "ab"), mode="sync"))
+def test_sync_pumping_matches_async_view(aut):
+    # a sync automaton read as it is, a pad reading nothing, has the
+    # pumping constant and the decompositions of its async view
+    view = sync_to_async(aut)
+    n0 = pumping_constant(aut)
+    assert pumping_constant(view) == n0
+    for pair in enumerate_accepted(aut, 5):
+        if len(pair[0]) + len(pair[1]) > n0:
+            assert pump_decompose(aut, pair) == pump_decompose(view, pair)
 
 
 class TestPumpCheck:
@@ -338,6 +364,18 @@ class TestValidateCrossSection:
         assert report.verdict == "fail"
         assert any(kind == "missing" for kind, *_ in report.witnesses)
 
+    def test_bound_0(self):
+        # a semigroup oracle has no word up to bound 0, so an empty D
+        # would pass there; a monoid oracle's class of the empty word is
+        # missing from it
+        empty = OneTapeAutomaton(1, AB, 0, frozenset(), ())
+        oracle = build_oracle(builtin_presentation("fig3"), 5)
+        with pytest.raises(InputError, match="bound must be >= 1"):
+            validate_cross_section(empty, oracle, 0)
+        monoid = build_oracle(Presentation("monoid", AB), 3)
+        assert validate_cross_section(empty, monoid, 0).witnesses == (
+            ("missing", ()),)
+
     def test_infinite_class_fails_finiteness_proxy(self):
         # D = A+ hits the infinite class of b (= b a*) at growing counts
         a_plus = OneTapeAutomaton(
@@ -355,6 +393,10 @@ class TestValidateCrossSection:
 def test_validate_cross_section_matches_word_reference(d, presentation,
                                                        bound):
     oracle = build_oracle(presentation, 3)
+    if bound == 0 and not oracle.includes_empty:
+        with pytest.raises(InputError, match="bound must be >= 1"):
+            validate_cross_section(d, oracle, bound)
+        return
     assert (validate_cross_section(d, oracle, bound)
             == validate_cross_section_by_words(d, oracle, bound))
 

@@ -17,11 +17,16 @@ from ratwp import (
     TwoTapeAutomaton,
     accepts_one_tape,
     as_word,
+    build_oracle,
     builtin,
+    builtin_presentation,
     determinize,
     eliminate_silent_steps,
     enumerate_accepted,
     enumerate_language,
+    pump_check,
+    pump_decompose,
+    pump_refute,
     swap_tapes,
     sync_to_async,
     trim,
@@ -30,7 +35,7 @@ from ratwp import (
 )
 import ratwp.automata
 from ratwp.automata import (
-    _accepting_run, _as_async, _first_runs, _pair_coding,
+    _accepting_run, _as_async, _first_runs, _pair_coding, _search_form,
 )
 from ratwp.fileio import dumps_fsa, load_fsa
 from random_automata import (
@@ -61,6 +66,9 @@ class TestAlphabet:
             Alphabet(("a", "-"))
         with pytest.raises(InputError):
             Alphabet((PAD,))
+        # the pad starts a comment in a file, inside a token too
+        with pytest.raises(InputError, match="'a#b' is reserved"):
+            Alphabet(("a#b", "c"))
 
     def test_rejects_duplicates_and_whitespace(self):
         with pytest.raises(InputError):
@@ -245,8 +253,8 @@ class TestSync:
                 ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync"))
 
     def test_accepts_refuses_sync_that_breaks_padding(self):
-        # accepts() reads a sync automaton through its async view, so a
-        # symbol after a pad is refused as validate_sync refuses it
+        # accepts() checks a sync automaton's padding before it reads it,
+        # so a symbol after a pad is refused as validate_sync refuses it
         aut = TwoTapeAutomaton(
             2, AB, AB, 0, frozenset({1}),
             ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync")
@@ -356,13 +364,15 @@ def test_enumerate_accepted_matches_reference(aut, bound):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(two_tape_automata(), sync_automata()))
 def test_accepts_same_before_and_after_caching(aut):
-    # accepts() keeps the silent-free form and the transition index on
-    # the automaton after its first call; a fresh copy has neither
-    assert "silent_free" not in vars(aut) and "by_src" not in vars(aut)
+    # accepts() keeps the step table of the form it walks after its first
+    # call: on a sync automaton itself, on an async one's silent-free form;
+    # a fresh copy has none
+    assert "_code_steps" not in vars(aut)
+    assert "_silent_free_form" not in vars(aut)
     pairs = all_pairs(AB, 2)
     cold = [replace(aut).accepts(v, u) for v, u in pairs]
     first = [aut.accepts(v, u) for v, u in pairs]
-    assert "silent_free" in vars(aut) or "by_src" in vars(aut)
+    assert "_code_steps" in vars(_search_form(aut))
     again = [aut.accepts(v, u) for v, u in pairs]
     assert cold == first == again
 
@@ -382,21 +392,41 @@ def test_sync_enumeration_checks_padding_once(monkeypatch):
     first = enumerate_accepted(aut, 3)
     assert enumerate_accepted(aut, 3) == first == accepted_pairs(aut, 3)
     assert len(padding) == 1 and eliminated == []
-    assert "async_view" not in vars(aut)
+
+
+def test_sync_queries_build_no_async_view(monkeypatch):
+    # accepts() and the pumping form read a sync automaton as it is, a pad
+    # reading nothing: no async view is built, and the padding is checked
+    # on the first query only
+    padding, converted = [], []
+    check = ratwp.automata._check_padding
+    convert = ratwp.automata.sync_to_async
+    monkeypatch.setattr(ratwp.automata, "_check_padding",
+                        lambda a: padding.append(a) or check(a))
+    monkeypatch.setattr(ratwp.automata, "sync_to_async",
+                        lambda a: converted.append(a) or convert(a))
+    aut = TestSync().sync_equality()
+    assert aut.accepts(w("ab"), w("ab")) and not aut.accepts(w("ab"), w("b"))
+    dec = pump_decompose(aut, (w("abbab"), w("abbab")))
+    assert dec.loop == (w("b"), w("b"))
+    assert pump_check(aut, dec).verdict == "pass"
+    assert enumerate_accepted(aut, 2) == accepted_pairs(aut, 2)
+    assert len(padding) == 1 and converted == []
+    # pump_refute walks the trimmed form, a sync automaton too
+    oracle = build_oracle(builtin_presentation("fig1"), 4)
+    assert pump_refute(aut, oracle, 4).verdict == "not-refuted"
+    assert converted == []
 
 
 def test_async_view_is_for_sync_automata_only():
-    # an async automaton is its own view; keeping it on itself would be a
-    # reference cycle, so _as_async returns it and async_view refuses it
+    # an async automaton is its own view
     aut = builtin("fig3")
     assert _as_async(aut) is aut
-    with pytest.raises(InputError, match="not a sync automaton"):
-        aut.async_view
 
 
 def test_enumeration_leaves_no_reference_cycle():
-    # an automaton kept on itself, as its own async view or silent-free
-    # form, would outlive its last user until the cyclic collector runs
+    # an automaton kept on itself, as its own silent-free form, would
+    # outlive its last user until the cyclic collector runs
     gc.disable()
     try:
         for make in (lambda: builtin("fig3"), TestSync().sync_equality):
@@ -483,10 +513,15 @@ def test_padding_checked_once(monkeypatch, tmp_path):
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(two_tape_automata_any_alphabets(),
-                 behind_chains(two_tape_automata_any_alphabets())),
+                 behind_chains(two_tape_automata_any_alphabets()),
+                 sync_automata()),
        st.integers(0, 4))
+@example(PADS_RIGHT, 4)
 def test_first_runs_are_the_runs_accepting_run_finds(aut, bound):
-    form = aut.silent_free
+    # both searches walk the same form, a sync automaton as it is; each
+    # node of a parent chain reads prefixes of the pair, and the chain read
+    # as (state, |v| read, |w| read) nodes is the run _accepting_run finds
+    form = _search_form(aut)
     n = form.n_states
     first, parent, decode = _first_runs(form, bound)
     assert {decode(code) for code in first} == enumerate_accepted(aut, bound)
@@ -494,17 +529,13 @@ def test_first_runs_are_the_runs_accepting_run_finds(aut, bound):
         chain = [node]
         while parent[chain[-1]] is not None:
             chain.append(parent[chain[-1]])
-        chain.reverse()
         v, w = decode(code)
-        run = _accepting_run(form, v, w)
-        assert [node % n for node in chain] == (
-            [form.initial] + [t.dst for t in run])
-        read = [((), ())]
-        for t in run:
-            x, y = read[-1]
-            read.append((x + (() if t.left is EPSILON else (t.left,)),
-                         y + (() if t.right is EPSILON else (t.right,))))
-        assert [decode(node // n) for node in chain] == read
+        run = []
+        for node in reversed(chain):
+            x, y = decode(node // n)
+            assert (x, y) == (v[:len(x)], w[:len(y)])
+            run.append((node % n, len(x), len(y)))
+        assert run == _accepting_run(form, v, w)
 
 
 @settings(max_examples=60, deadline=None)

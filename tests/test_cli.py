@@ -102,6 +102,15 @@ class TestAlgebraVerbs:
         assert code == 0
         assert loads_fsa(out).accepts(("a",), ("a",))
 
+    def test_construct_rejects_pad_inside_a_symbol(self, workdir, capsys):
+        # '#' starts a comment in a file, so a header line "left: a#b c"
+        # would read back as "left: a": refused when written, not when read
+        out = workdir / "x.fsa"
+        code, _, err = run(["construct", "free", "--alphabet", "a#b c",
+                            "-o", out], capsys)
+        assert code == 2
+        assert "'a#b'" in err and not out.exists()
+
     def test_construct_from_builtin(self, workdir, capsys):
         code, out, _ = run(["construct", "from-builtin", "fig2"], capsys)
         assert code == 0

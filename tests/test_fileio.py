@@ -136,7 +136,7 @@ class TestSgp:
         p = loads_sgp(
             "kind: semigroup\ngens: a b\n"
             "schema: a b^n a = a b a ; n = 2..10\n")
-        rels = p.expanded_relations(3)
+        rels = p.expanded_relations()
         assert (("a", "b", "b", "a"), ("a", "b", "a")) in rels
 
     def test_monoid_empty_side(self):

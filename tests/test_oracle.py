@@ -242,6 +242,17 @@ class TestVerify:
             (w, w) for w in (("a",), ("b",), ("a", "a"), ("a", "b"),
                              ("b", "a"), ("b", "b"))]
 
+    def test_bound_0(self):
+        # a semigroup oracle has no word up to bound 0, so an automaton
+        # accepting nothing would verify there; a monoid oracle compares
+        # (ε, ε)
+        nothing = TwoTapeAutomaton(1, AB, AB, 0, frozenset(), ())
+        oracle = build_oracle(builtin_presentation("fig3"), 5)
+        with pytest.raises(InputError, match="bound must be >= 1"):
+            verify(nothing, oracle, 0)
+        monoid = build_oracle(Presentation("monoid", AB), 3)
+        assert verify(nothing, monoid, 0) == [((), ())]
+
     def test_alphabet_mismatch(self):
         oracle = build_oracle(
             Presentation("semigroup", Alphabet(("a",))), 4)

@@ -24,11 +24,6 @@ class TestRelationSchema:
             (("a", "b", "b", "b", "a"), ("a", "b", "a")),
         ]
 
-    def test_expand_with_override(self):
-        schema = RelationSchema(
-            lhs=(("a", "n"),), rhs=(("a", 1),), var="n", lo=2, hi=10)
-        assert len(schema.expand(4)) == 3
-
 
 class TestPresentation:
     def test_semigroup_rejects_empty_side(self):
@@ -55,9 +50,10 @@ class TestMultiplicationTable:
     def test_identity_and_zero_detection(self):
         c2 = MultiplicationTable(("1", "g"), ((0, 1), (1, 0)))
         assert c2.identity_index() == 0
-        assert c2.zero_index() is None
         with_zero = MultiplicationTable(("a", "z"), ((0, 1), (1, 1)))
-        assert with_zero.zero_index() == 1
+        assert with_zero.identity_index() == 0
+        left_zero = MultiplicationTable(("l", "r"), ((0, 0), (1, 1)))
+        assert left_zero.identity_index() is None
 
     def test_rejects_non_associative(self):
         with pytest.raises(InputError):
