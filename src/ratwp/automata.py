@@ -219,9 +219,9 @@ class OneTapeAutomaton:
 
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(
-            self, "transitions", tuple(NfaTransition(*t) for t in self.transitions)
-        )
+        object.__setattr__(self, "transitions", tuple(
+            t if type(t) is NfaTransition else NfaTransition(*t)
+            for t in self.transitions))
         _check_state(self.initial, self.n_states, "initial state")
         for f in self.finals:
             _check_state(f, self.n_states, "final state")
@@ -344,12 +344,13 @@ def _is_silent(t):
 
 
 def _reachable(seeds, adj):
-    """The nodes reachable from the seeds (included) along adj, a dict
-    from node to successor nodes."""
+    """The nodes reachable from the seeds (included) along adj, which
+    gives the successors of every node it reaches: a list indexed by
+    state, or a dict."""
     reach = set(seeds)
     todo = list(reach)
     while todo:
-        for r in adj.get(todo.pop(), ()):
+        for r in adj[todo.pop()]:
             if r not in reach:
                 reach.add(r)
                 todo.append(r)
@@ -358,10 +359,10 @@ def _reachable(seeds, adj):
 
 def _silent_closure(aut):
     """Per state, the states reachable from it by silent transitions."""
-    eps = {}
+    eps = [set() for _ in range(aut.n_states)]
     for t in aut.transitions:
         if _is_silent(t):
-            eps.setdefault(t.src, set()).add(t.dst)
+            eps[t.src].add(t.dst)
     return [frozenset(_reachable((q,), eps)) for q in range(aut.n_states)]
 
 
@@ -394,33 +395,36 @@ def eliminate_silent_steps(aut):
 
 def trim(aut):
     """Keep exactly the states lying on some initial-to-final path, for
-    one- and two-tape automata alike.
+    one- and two-tape automata alike; an automaton that is already trim
+    is returned as it is.
 
     If the language is empty only the initial state survives, with no
     final states.
     """
-    succ, pred = {}, {}
+    n = aut.n_states
+    succ, pred = [[] for _ in range(n)], [[] for _ in range(n)]
     for t in aut.transitions:
-        succ.setdefault(t.src, set()).add(t.dst)
-        pred.setdefault(t.dst, set()).add(t.src)
+        src, dst = t.src, t.dst
+        succ[src].append(dst)
+        pred[dst].append(src)
     useful = _reachable((aut.initial,), succ) & _reachable(aut.finals, pred)
+    if len(useful) == n or (n == 1 and not aut.transitions):
+        return aut  # every state useful, or the empty language's one state
     if aut.initial not in useful:
         return replace(aut, n_states=1, initial=0, finals=frozenset(),
                        transitions=())
-    order = sorted(useful)
-    remap = {old: new for new, old in enumerate(order)}
-    trans = tuple(
-        t._replace(src=remap[t.src], dst=remap[t.dst])
-        for t in aut.transitions
-        if t.src in useful and t.dst in useful
-    )
-    return replace(
-        aut,
-        n_states=len(order),
-        initial=remap[aut.initial],
-        finals=frozenset(remap[f] for f in aut.finals if f in useful),
-        transitions=trans,
-    )
+    remap = {old: new for new, old in enumerate(sorted(useful))}
+    if isinstance(aut, OneTapeAutomaton):
+        trans = tuple(NfaTransition(remap[src], lab, remap[dst])
+                      for src, lab, dst in aut.transitions
+                      if src in remap and dst in remap)
+    else:
+        trans = tuple(Transition(remap[src], lab_l, lab_r, remap[dst])
+                      for src, lab_l, lab_r, dst in aut.transitions
+                      if src in remap and dst in remap)
+    return replace(aut, n_states=len(remap), initial=remap[aut.initial],
+                   finals=frozenset(remap[f] for f in aut.finals
+                                    if f in remap), transitions=trans)
 
 
 def _explore(start, successors, is_final):

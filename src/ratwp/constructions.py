@@ -61,11 +61,11 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
     ideal = [_reachable((s,), right_mul) for s in range(n)]  # s S^1
     # The useful neutral (s, t): a backward search over the neutral pairs
     # from those that are final or step into a useful padding state.
-    before = {}
+    before = {pair: [] for pair in iproduct(range(n), repeat=2)}
     seeds = []
     for s, t in iproduct(range(n), repeat=2):
         for x, y in pairs:
-            before.setdefault((times[s][x], times[t][y]), []).append((s, t))
+            before[times[s][x], times[t][y]].append((s, t))
         if (s == t or any(t in ideal[times[s][x]] for x in gens)
                 or any(s in ideal[times[t][y]] for y in gens)):
             seeds.append((s, t))

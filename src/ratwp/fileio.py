@@ -176,33 +176,26 @@ def _parse_trans(rest, tokens, kind, labels, n_states):
     return (src, *labs, dst)
 
 
-def _label_token(lab):
-    return EPSILON_TOKEN if lab is EPSILON else lab
-
-
 def dumps_fsa(aut):
     """Canonical .fsa text; loads_fsa(dumps_fsa(a)) reproduces a and
     dumps_fsa(loads_fsa(text)) is byte-identical for canonical text."""
-    lines = []
+    def tokens(tape):  # label -> token: the reader's table turned round
+        return {lab: tok for tok, lab in _label_table(tape, True).items()}
+
     if isinstance(aut, OneTapeAutomaton):
-        lines.append("type: nfa")
-        lines.append("alphabet: " + " ".join(aut.alphabet.symbols))
+        lines = ["type: nfa", "alphabet: " + " ".join(aut.alphabet.symbols)]
+        token = tokens(aut.alphabet)
+        trans = [f"trans: {src} {token[lab]} {dst}"
+                 for src, lab, dst in aut.transitions]
     else:
-        lines.append(f"type: {aut.mode}")
-        lines.append("left: " + " ".join(aut.left.symbols))
-        lines.append("right: " + " ".join(aut.right.symbols))
-    lines.append(f"states: {aut.n_states}")
-    lines.append(f"initial: {aut.initial}")
-    lines.append("final: " + " ".join(str(f) for f in sorted(aut.finals)))
-    for t in aut.transitions:
-        if isinstance(t, NfaTransition):
-            lines.append(f"trans: {t.src} {_label_token(t.label)} {t.dst}")
-        else:
-            lines.append(
-                f"trans: {t.src} {_label_token(t.left)}"
-                f" {_label_token(t.right)} {t.dst}"
-            )
-    return "\n".join(lines) + "\n"
+        lines = [f"type: {aut.mode}", "left: " + " ".join(aut.left.symbols),
+                 "right: " + " ".join(aut.right.symbols)]
+        token_l, token_r = tokens(aut.left), tokens(aut.right)
+        trans = [f"trans: {src} {token_l[lab_l]} {token_r[lab_r]} {dst}"
+                 for src, lab_l, lab_r, dst in aut.transitions]
+    lines += [f"states: {aut.n_states}", f"initial: {aut.initial}",
+              "final: " + " ".join(str(f) for f in sorted(aut.finals))]
+    return "\n".join(lines + trans) + "\n"
 
 
 def load_fsa(path):

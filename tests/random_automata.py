@@ -2,6 +2,8 @@
 told otherwise, and the reference implementations the differential tests
 compare ratwp with."""
 
+from dataclasses import replace
+
 from hypothesis import strategies as st
 
 from ratwp import (
@@ -9,6 +11,7 @@ from ratwp import (
     PAD,
     Alphabet,
     InputError,
+    NfaTransition,
     OneTapeAutomaton,
     Oracle,
     Presentation,
@@ -141,6 +144,71 @@ def all_reachable(aut):
                 seen.add(q)
                 todo.append(q)
     return len(seen) == aut.n_states
+
+
+def useful_states(aut):
+    """Reference for the states trim keeps: those reachable from the
+    initial state and reaching a final state, each set grown over the
+    transitions until it no longer changes."""
+    reach, coreach = {aut.initial}, set(aut.finals)
+    changed = True
+    while changed:
+        changed = False
+        for t in aut.transitions:
+            if t[0] in reach and t[-1] not in reach:
+                reach.add(t[-1])
+                changed = True
+            if t[-1] in coreach and t[0] not in coreach:
+                coreach.add(t[0])
+                changed = True
+    return reach & coreach
+
+
+def trim_by_fixpoint(aut):
+    """Reference for trim, without words: the useful states
+    (useful_states) renumbered in their old order, and the transitions
+    between them in their old order; the one-state automaton without
+    final states or transitions if the initial state is not useful."""
+    useful = sorted(useful_states(aut))
+    if aut.initial not in useful:
+        return replace(aut, n_states=1, initial=0, finals=frozenset(),
+                       transitions=())
+    new = {old: i for i, old in enumerate(useful)}
+    return replace(
+        aut, n_states=len(useful), initial=new[aut.initial],
+        finals=frozenset(new[f] for f in aut.finals if f in new),
+        transitions=tuple((new[t[0]], *t[1:-1], new[t[-1]])
+                          for t in aut.transitions
+                          if t[0] in new and t[-1] in new))
+
+
+def _label_token(lab):
+    return "-" if lab is EPSILON else lab
+
+
+def dumps_fsa_per_transition(aut):
+    """Reference for dumps_fsa: each transition's line written on its
+    own, a label through _label_token."""
+    lines = []
+    if isinstance(aut, OneTapeAutomaton):
+        lines.append("type: nfa")
+        lines.append("alphabet: " + " ".join(aut.alphabet.symbols))
+    else:
+        lines.append(f"type: {aut.mode}")
+        lines.append("left: " + " ".join(aut.left.symbols))
+        lines.append("right: " + " ".join(aut.right.symbols))
+    lines.append(f"states: {aut.n_states}")
+    lines.append(f"initial: {aut.initial}")
+    lines.append("final: " + " ".join(str(f) for f in sorted(aut.finals)))
+    for t in aut.transitions:
+        if isinstance(t, NfaTransition):
+            lines.append(f"trans: {t.src} {_label_token(t.label)} {t.dst}")
+        else:
+            lines.append(
+                f"trans: {t.src} {_label_token(t.left)}"
+                f" {_label_token(t.right)} {t.dst}"
+            )
+    return "\n".join(lines) + "\n"
 
 
 def accepted_pairs(aut, bound):

@@ -20,6 +20,7 @@ from ratwp import (
     build_oracle,
     builtin,
     builtin_presentation,
+    cayley_wp_sync,
     determinize,
     eliminate_silent_steps,
     enumerate_accepted,
@@ -29,6 +30,7 @@ from ratwp import (
     pump_refute,
     swap_tapes,
     sync_to_async,
+    table_oracle,
     trim,
     union,
     validate_sync,
@@ -44,8 +46,10 @@ from random_automata import (
     behind_chains,
     one_tape_automata,
     sync_automata,
+    trim_by_fixpoint,
     two_tape_automata,
     two_tape_automata_any_alphabets,
+    useful_states,
 )
 
 AB = Alphabet(("a", "b"))
@@ -128,6 +132,11 @@ class TestValidation:
         assert aut.transitions[0] is t
         assert aut.transitions[1] == Transition(0, "b", "b", 0)
         assert type(aut.transitions[1]) is Transition
+        t = NfaTransition(0, "a", 0)
+        nfa = OneTapeAutomaton(1, AB, 0, frozenset(), (t, (0, EPSILON, 0)))
+        assert nfa.transitions[0] is t
+        assert nfa.transitions[1] == NfaTransition(0, EPSILON, 0)
+        assert type(nfa.transitions[1]) is NfaTransition
 
 
 class TestAcceptance:
@@ -196,6 +205,8 @@ class TestTrim:
         out = trim(aut)
         assert out.n_states == 1
         assert not out.finals
+        # the empty language's one-state form is already trim
+        assert trim(out) is out
 
 
 class TestDeterminize:
@@ -394,7 +405,7 @@ def test_sync_enumeration_checks_padding_once(monkeypatch):
     assert len(padding) == 1 and eliminated == []
 
 
-def test_sync_queries_build_no_async_view(monkeypatch):
+def test_sync_queries_build_no_async_view(monkeypatch, c2_table):
     # accepts() and the pumping form read a sync automaton as it is, a pad
     # reading nothing: no async view is built, and the padding is checked
     # on the first query only
@@ -412,10 +423,19 @@ def test_sync_queries_build_no_async_view(monkeypatch):
     assert pump_check(aut, dec).verdict == "pass"
     assert enumerate_accepted(aut, 2) == accepted_pairs(aut, 2)
     assert len(padding) == 1 and converted == []
-    # pump_refute walks the trimmed form, a sync automaton too
+    # pump_refute walks the trimmed form, a sync automaton too; states 2
+    # and 3 lie on no initial-to-final path, so the trimmed form is a new
+    # automaton and its padding is checked once more
     oracle = build_oracle(builtin_presentation("fig1"), 4)
     assert pump_refute(aut, oracle, 4).verdict == "not-refuted"
-    assert converted == []
+    assert len(padding) == 2 and converted == []
+    # C2's Cayley automaton is built trim, so its pumping form is the
+    # automaton itself and its padding is checked once
+    padding.clear()
+    aut = cayley_wp_sync(c2_table, ("g",))
+    oracle = table_oracle(c2_table, ("g",), bound=6)
+    assert pump_refute(aut, oracle, 6).verdict == "not-refuted"
+    assert padding == [aut] and converted == []
 
 
 def test_async_view_is_for_sync_automata_only():
@@ -547,6 +567,23 @@ def test_trim_and_silent_elimination_keep_accepted_set(aut):
                    for t in silent_free.transitions)
     assert accepted_pairs(silent_free, 3) == expected
     assert accepted_pairs(trim(aut), 3) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(two_tape_automata(), sync_automata(),
+                 behind_chains(two_tape_automata()),
+                 behind_chains(sync_automata()), one_tape_automata()))
+@example(TwoTapeAutomaton(1, AB, AB, 0, frozenset(), ()))
+@example(OneTapeAutomaton(2, AB, 0, frozenset({1}), ((1, "a", 1),)))
+def test_trim_matches_reference(aut):
+    out = trim(aut)
+    assert out == trim_by_fixpoint(aut)
+    # the automaton itself when trim would change nothing: when every
+    # state is useful, or when it is the empty language's one-state form
+    every_useful = len(useful_states(aut)) == aut.n_states
+    empty_form = aut.n_states == 1 and not aut.transitions and not aut.finals
+    assert (out is aut) == (every_useful or empty_form)
+    assert trim(out) is out
 
 
 @settings(max_examples=60, deadline=None)

@@ -93,7 +93,7 @@ class TestCayley:
         table = request.getfixturevalue(name)
         for kind in kinds:
             wp = cayley_wp_sync(table, gens, kind=kind)
-            assert trim(wp) == wp
+            assert trim(wp) is wp
             oracle = table_oracle(table, gens, bound=4, kind=kind)
             assert verify(wp, oracle, 4) == []
 

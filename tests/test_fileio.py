@@ -18,6 +18,7 @@ from ratwp import (
     save_fsa,
 )
 from random_automata import (
+    dumps_fsa_per_transition,
     one_tape_automata,
     sync_automata,
     two_tape_automata,
@@ -70,7 +71,9 @@ class TestFsaRoundTrip:
 @given(st.one_of(two_tape_automata(), two_tape_automata_any_alphabets(),
                  sync_automata(), one_tape_automata()))
 def test_random_fsa_round_trip(aut):
-    assert loads_fsa(dumps_fsa(aut)) == aut
+    text = dumps_fsa(aut)
+    assert text == dumps_fsa_per_transition(aut)
+    assert loads_fsa(text) == aut
 
 
 class TestFsaParsing:
