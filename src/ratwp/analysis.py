@@ -17,8 +17,8 @@ from .automata import (
     _as_async,
     _code_limit,
     _first_runs,
+    _reachable,
     _search_form,
-    trim,
 )
 from .oracle import _UnionFind, _check_alphabets, _class_members, _missing_pairs
 
@@ -55,7 +55,8 @@ class PumpDecomposition:
 
 
 def _pump_form(aut):
-    return trim(_search_form(aut))
+    """The trimmed search form, kept on the search form (see trimmed)."""
+    return _search_form(aut).trimmed
 
 
 def pumping_constant(aut):
@@ -298,67 +299,15 @@ def congruence_check(aut, bound, kind="semigroup"):
 
 
 def _eps_right_cycle_edges(aut):
-    """Transitions lying on a cycle whose right labels are all epsilon."""
+    """Transitions lying on a cycle whose right labels are all epsilon: an
+    epsilon-right edge u -> v is on one iff u is reachable from v along
+    such edges."""
     eps_edges = [t for t in aut.transitions if t.right is EPSILON]
-    adj = {}
+    adj = [[] for _ in range(aut.n_states)]
     for t in eps_edges:
-        adj.setdefault(t.src, []).append(t.dst)
-    scc = _strongly_connected(aut.n_states, adj)
-    on_cycle = set()
-    for t in eps_edges:
-        if t.src == t.dst:
-            on_cycle.add(t)
-        elif scc[t.src] == scc[t.dst]:
-            on_cycle.add(t)
-    return on_cycle
-
-
-def _strongly_connected(n, adj):
-    """Iterative Tarjan; returns component id per node."""
-    index = [None] * n
-    low = [0] * n
-    comp = [None] * n
-    on_stack = [False] * n
-    stack = []
-    counter = [0]
-    n_comp = [0]
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, iter(adj.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if index[nxt] is None:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack[nxt] = True
-                    work.append((nxt, iter(adj.get(nxt, ()))))
-                    advanced = True
-                    break
-                elif on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                while True:
-                    q = stack.pop()
-                    on_stack[q] = False
-                    comp[q] = n_comp[0]
-                    if q == node:
-                        break
-                n_comp[0] += 1
-    return comp
+        adj[t.src].append(t.dst)
+    reach = {v: _reachable((v,), adj) for v in {t.dst for t in eps_edges}}
+    return {t for t in eps_edges if t.src in reach[t.dst]}
 
 
 def cross_section(aut):

@@ -206,6 +206,18 @@ class TwoTapeAutomaton:
         form = eliminate_silent_steps(self)
         return None if form is self else form
 
+    @property
+    def trimmed(self):
+        """trim(self), computed once."""
+        form = self._trimmed_form
+        return self if form is None else form
+
+    @cached_property
+    def _trimmed_form(self):
+        """trim(self), or None when that is the automaton itself."""
+        form = trim(self)
+        return None if form is self else form
+
 
 @dataclass(frozen=True)
 class OneTapeAutomaton:

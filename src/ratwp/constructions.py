@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .automata import (
     EPSILON,
@@ -37,74 +38,98 @@ def _require_square(wp, what):
 
 
 def cayley_wp_sync(table, gens, kind="semigroup"):
-    """Synchronous word-problem automaton of a finite semigroup.
+    """Minimal synchronous word-problem automaton of a finite semigroup.
 
-    States are an initial state plus three copies (left-padding, neutral,
-    right-padding) of pairs of semigroup elements; each copy tracks right
-    multiplication of both tapes' values, and the padding copies enforce
-    that a pad is only ever followed by pads on its tape.
+    It is built from an initial state plus three copies (neutral,
+    right-padding, left-padding) of the pairs (s, t) of semigroup
+    elements; each copy tracks right multiplication of both tapes' values,
+    and the padding copies enforce that a pad is only ever followed by
+    pads on its tape.
 
-    Only the useful states are built, those on a path from the initial
-    state to a final one, numbered in breadth-first discovery order. A
-    right-padding state (s, t) reaches a final state iff t is in s S^1, a
+    Only the useful states are kept, those from which a final state is
+    reached: a right-padding state (s, t) reaches one iff t is in s S^1, a
     left-padding one iff s is in t S^1, and a neutral one iff s = t or one
-    of its successors does.
+    of its successors does. Each useful state has one row of targets, one
+    per label in a fixed order (the k^2 pairs (x, y), then (x, #), then
+    (#, y)), a move into a useless state being absent. Moore's partition
+    refinement on these rows merges the states that accept the same pairs,
+    and the blocks reachable from the initial one, numbered in
+    breadth-first discovery order, are the states of the result: the
+    minimal deterministic automaton, whose text does not depend on the
+    order of the table's elements.
     """
     gens = tuple(gens)
     gen_idx = table.generator_indices(gens, kind)
     e = table.identity_index()
-    alphabet = Alphabet(gens)
-    n = len(table)
-    pairs = list(iproduct(gens, repeat=2))
-    times = [{g: table.mul(s, gen_idx[g]) for g in gens} for s in range(n)]
-    right_mul = {s: times[s].values() for s in range(n)}
-    ideal = [_reachable((s,), right_mul) for s in range(n)]  # s S^1
-    # The useful neutral (s, t): a backward search over the neutral pairs
+    n, k = len(table), len(gens)
+    nn, elems = n * n, range(n)
+    mul = [[table.mul(s, gen_idx[g]) for g in gens] for s in elems]
+    ideal = [_reachable((s,), mul) for s in elems]  # s S^1
+    # The pair (s, t) is p = s n + t: its neutral state is p, its
+    # right-padding state nn + p and its left-padding state 2 nn + p. The
+    # initial state is 3 nn, and 3 nn + 1 stands for a move that does not
+    # exist. A row lists a state's targets by label: the k^2 pairs (x, y),
+    # then the k moves (x, #), then the k moves (#, y).
+    start, none = 3 * nn, 3 * nn + 1
+    rows = [None] * start
+    useful = bytearray(none + 1)
+    for s, t in iproduct(elems, repeat=2):
+        p = s * n + t
+        pad_right = [nn + a * n + t for a in mul[s]]
+        pad_left = [2 * nn + s * n + b for b in mul[t]]
+        rows[p] = ([a * n + b for a in mul[s] for b in mul[t]]
+                   + pad_right + pad_left)
+        rows[nn + p] = [none] * k * k + pad_right + [none] * k
+        rows[2 * nn + p] = [none] * (k * k + k) + pad_left
+        useful[nn + p] = t in ideal[s]
+        useful[2 * nn + p] = s in ideal[t]
+    g = [gen_idx[x] for x in gens]
+    # a monoid's initial state moves as the neutral state of (e, e) does
+    rows.append(rows[e * n + e] if kind == "monoid" else
+                [a * n + b for a in g for b in g] + [none] * 2 * k)
+    # The useful neutral states: a backward search over the neutral pairs
     # from those that are final or step into a useful padding state.
-    before = {pair: [] for pair in iproduct(range(n), repeat=2)}
-    seeds = []
-    for s, t in iproduct(range(n), repeat=2):
-        for x, y in pairs:
-            before[times[s][x], times[t][y]].append((s, t))
-        if (s == t or any(t in ideal[times[s][x]] for x in gens)
-                or any(s in ideal[times[t][y]] for y in gens)):
-            seeds.append((s, t))
-    useful = {(s, t, "N") for s, t in _reachable(seeds, before)}
-    for s, t in iproduct(range(n), repeat=2):
-        if t in ideal[s]:
-            useful.add((s, t, "R"))
-        if s in ideal[t]:
-            useful.add((s, t, "L"))
+    before = [[] for _ in range(nn)]
+    for p in range(nn):
+        for r in rows[p][:k * k]:
+            before[r].append(p)
+    seeds = [p for p in range(nn) if p // n == p % n
+             or any(useful[r] for r in rows[p][k * k:])]
+    for p in _reachable(seeds, before):
+        useful[p] = 1
+    live = [start, *(q for q in range(start) if useful[q])]
 
-    def moves(state):
-        # the initial state is None
-        if state is None:
-            for x, y in pairs:
-                yield x, y, (gen_idx[x], gen_idx[y], "N")
-            if kind == "monoid":
-                for x in gens:
-                    yield x, PAD, (gen_idx[x], e, "R")
-                for y in gens:
-                    yield PAD, y, (e, gen_idx[y], "L")
-            return
-        s, t, copy = state
-        if copy == "N":
-            for x, y in pairs:
-                yield x, y, (times[s][x], times[t][y], "N")
-        if copy != "L":
-            for x in gens:
-                yield x, PAD, (times[s][x], t, "R")
-        if copy != "R":
-            for y in gens:
-                yield PAD, y, (s, times[t][y], "L")
+    def is_final(q):
+        return kind == "monoid" if q == start else q % nn // n == q % n
 
-    def successors(state):
-        return [move for move in moves(state) if move[-1] in useful]
+    # Moore: from final against non-final, a state's next block is its
+    # block and the blocks of its targets, every useless state staying in
+    # block -1, until no block splits
+    block = [-1] * (none + 1)
+    for q in live:
+        block[q] = int(is_final(q))
+    count = len({block[q] for q in live})
+    signatures = [itemgetter(q, *rows[q]) for q in live]
+    while True:
+        ids = {}
+        new = [ids.setdefault(sig(block), len(ids)) for sig in signatures]
+        for q, b in zip(live, new):
+            block[q] = b
+        if len(ids) == count:
+            break
+        count = len(ids)
+    member = {block[q]: q for q in live}
+    labels = [*iproduct(gens, repeat=2), *((x, PAD) for x in gens),
+              *((PAD, y) for y in gens)]
 
-    def is_final(state):
-        return kind == "monoid" if state is None else state[0] == state[1]
+    def successors(b):
+        for (x, y), dst in zip(labels, rows[member[b]]):
+            if useful[dst]:
+                yield x, y, block[dst]
 
-    n_states, finals, trans = _explore(None, successors, is_final)
+    alphabet = Alphabet(gens)
+    n_states, finals, trans = _explore(block[start], successors,
+                                       lambda b: is_final(member[b]))
     return TwoTapeAutomaton(n_states, alphabet, alphabet, 0, finals, trans,
                             mode="sync")
 

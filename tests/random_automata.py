@@ -3,6 +3,7 @@ told otherwise, and the reference implementations the differential tests
 compare ratwp with."""
 
 from dataclasses import replace
+from itertools import product as iproduct
 
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from ratwp import (
     PAD,
     Alphabet,
     InputError,
+    MultiplicationTable,
     NfaTransition,
     OneTapeAutomaton,
     Oracle,
@@ -21,6 +23,7 @@ from ratwp import (
     pump_decompose,
     pumping_constant,
 )
+from ratwp.automata import _explore, _reachable
 from ratwp.oracle import DEFAULT_SLACK_SEARCH, DEFAULT_WORD_CAP
 
 AB = Alphabet(("a", "b"))
@@ -129,6 +132,156 @@ def behind_chains(draw, automata):
         finals.add(q)
     return TwoTapeAutomaton(n, aut.left, aut.right, aut.initial,
                             frozenset(finals), tuple(trans), mode=aut.mode)
+
+
+@st.composite
+def transformation_tables(draw, max_points=4, max_elements=30):
+    """(table, gens): the transformation semigroup generated by 1-3
+    random maps on at most max_points points, its table worked out here,
+    without ratwp. A map is named by its images ("102" sends 0 to 1, 1 to
+    0 and 2 to 2), and x y applies x first. The maps join the generators
+    in turn, each only if the closure stays within max_elements: the first
+    always does, since one map on 4 points generates at most 4 elements."""
+    m = draw(st.integers(1, max_points))
+    point = st.integers(0, m - 1)
+    maps = draw(st.lists(st.tuples(*[point] * m), min_size=1, max_size=3,
+                         unique=True))
+
+    def then(x, y):
+        return tuple(y[p] for p in x)
+
+    gens, elements = [], set()
+    for f in maps:
+        closure = set(gens + [f])
+        todo = list(closure)
+        while todo and len(closure) <= max_elements:
+            x = todo.pop()
+            for z in (then(x, y) for y in [*gens, f]):
+                if z not in closure:
+                    closure.add(z)
+                    todo.append(z)
+        if len(closure) <= max_elements:
+            gens.append(f)
+            elements = closure
+    elements = sorted(elements)
+    index = {x: i for i, x in enumerate(elements)}
+    table = MultiplicationTable(
+        tuple("".join(map(str, x)) for x in elements),
+        tuple(tuple(index[then(x, y)] for y in elements) for x in elements))
+    return table, tuple("".join(map(str, f)) for f in gens)
+
+
+def permuted_table(table, order):
+    """The same semigroup with its elements listed in another order: the
+    i-th element of the result is element order[i] of the table."""
+    position = {old: new for new, old in enumerate(order)}
+    return MultiplicationTable(
+        tuple(table.elements[i] for i in order),
+        tuple(tuple(position[table.mul(i, j)] for j in order)
+              for i in order))
+
+
+def cayley_by_pairs(table, gens, kind="semigroup"):
+    """Reference for cayley_wp_sync: one state per useful pair of elements,
+    without merging. States are an initial state plus three copies
+    (left-padding, neutral, right-padding) of pairs of semigroup elements;
+    each copy tracks right multiplication of both tapes' values, and the
+    padding copies enforce that a pad is only ever followed by pads on its
+    tape. Only the states on a path from the initial state to a final one
+    are built, numbered in breadth-first discovery order: a right-padding
+    state (s, t) reaches a final state iff t is in s S^1, a left-padding
+    one iff s is in t S^1, and a neutral one iff s = t or one of its
+    successors does."""
+    gens = tuple(gens)
+    gen_idx = table.generator_indices(gens, kind)
+    e = table.identity_index()
+    alphabet = Alphabet(gens)
+    n = len(table)
+    pairs = list(iproduct(gens, repeat=2))
+    times = [{g: table.mul(s, gen_idx[g]) for g in gens} for s in range(n)]
+    right_mul = {s: times[s].values() for s in range(n)}
+    ideal = [_reachable((s,), right_mul) for s in range(n)]  # s S^1
+    before = {pair: [] for pair in iproduct(range(n), repeat=2)}
+    seeds = []
+    for s, t in iproduct(range(n), repeat=2):
+        for x, y in pairs:
+            before[times[s][x], times[t][y]].append((s, t))
+        if (s == t or any(t in ideal[times[s][x]] for x in gens)
+                or any(s in ideal[times[t][y]] for y in gens)):
+            seeds.append((s, t))
+    useful = {(s, t, "N") for s, t in _reachable(seeds, before)}
+    for s, t in iproduct(range(n), repeat=2):
+        if t in ideal[s]:
+            useful.add((s, t, "R"))
+        if s in ideal[t]:
+            useful.add((s, t, "L"))
+
+    def moves(state):
+        # the initial state is None
+        if state is None:
+            for x, y in pairs:
+                yield x, y, (gen_idx[x], gen_idx[y], "N")
+            if kind == "monoid":
+                for x in gens:
+                    yield x, PAD, (gen_idx[x], e, "R")
+                for y in gens:
+                    yield PAD, y, (e, gen_idx[y], "L")
+            return
+        s, t, copy = state
+        if copy == "N":
+            for x, y in pairs:
+                yield x, y, (times[s][x], times[t][y], "N")
+        if copy != "L":
+            for x in gens:
+                yield x, PAD, (times[s][x], t, "R")
+        if copy != "R":
+            for y in gens:
+                yield PAD, y, (s, times[t][y], "L")
+
+    def successors(state):
+        return [move for move in moves(state) if move[-1] in useful]
+
+    def is_final(state):
+        return kind == "monoid" if state is None else state[0] == state[1]
+
+    n_states, finals, trans = _explore(None, successors, is_final)
+    return TwoTapeAutomaton(n_states, alphabet, alphabet, 0, finals, trans,
+                            mode="sync")
+
+
+def moore_block_count(aut):
+    """The number of classes of states that accept the same pairs, in a
+    two-tape automaton with at most one transition per state and label
+    pair: blocks split, from final against non-final, by the blocks each
+    label pair leads to, until no block splits."""
+    block = {q: q in aut.finals for q in range(aut.n_states)}
+    count = len(set(block.values()))
+    while True:
+        out = {q: set() for q in range(aut.n_states)}
+        for t in aut.transitions:
+            out[t.src].add((t.left, t.right, block[t.dst]))
+        signature = {q: (block[q], frozenset(out[q])) for q in block}
+        ids = {}
+        block = {q: ids.setdefault(sig, len(ids))
+                 for q, sig in signature.items()}
+        if len(ids) == count:
+            return count
+        count = len(ids)
+
+
+def eps_right_cycle_edges_by_closure(aut):
+    """Reference for analysis._eps_right_cycle_edges: the transitions u ->
+    v reading nothing on the right with (v, u) in the reflexive and
+    transitive closure of such edges, the closure grown by joining two of
+    its pairs until it no longer changes."""
+    eps = [t for t in aut.transitions if t.right is EPSILON]
+    closure = {(q, q) for q in range(aut.n_states)}
+    closure |= {(t.src, t.dst) for t in eps}
+    while True:
+        joined = {(a, d) for a, b in closure for c, d in closure if b == c}
+        if joined <= closure:
+            return {t for t in eps if (t.dst, t.src) in closure}
+        closure |= joined
 
 
 def all_reachable(aut):

@@ -34,10 +34,12 @@ from ratwp import (
     union,
     validate_cross_section,
 )
+from ratwp.analysis import _eps_right_cycle_edges
 from ratwp.automata import NfaTransition, OneTapeAutomaton
 from random_automata import (
     behind_chains,
     congruence_check_all_contexts,
+    eps_right_cycle_edges_by_closure,
     equivalence_check_by_words,
     one_tape_automata,
     presentations,
@@ -354,6 +356,12 @@ class TestCrossSection:
         aut = builtin("fig3")
         domain = {v for v, _ in enumerate_accepted(aut, 6)}
         assert enumerate_language(cross_section(aut), 6) <= domain
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_tape_automata(max_states=6, max_transitions=12))
+def test_eps_right_cycle_edges_match_closure_reference(aut):
+    assert _eps_right_cycle_edges(aut) == eps_right_cycle_edges_by_closure(aut)
 
 
 class TestValidateCrossSection:

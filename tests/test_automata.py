@@ -1,6 +1,7 @@
 import gc
 import weakref
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,6 +29,7 @@ from ratwp import (
     pump_check,
     pump_decompose,
     pump_refute,
+    pumping_constant,
     swap_tapes,
     sync_to_async,
     table_oracle,
@@ -451,7 +453,8 @@ def test_enumeration_leaves_no_reference_cycle():
     try:
         for make in (lambda: builtin("fig3"), TestSync().sync_equality):
             for use in (lambda a: enumerate_accepted(a, 3),
-                        lambda a: a.accepts(("a", "b"), ("a", "b"))):
+                        lambda a: a.accepts(("a", "b"), ("a", "b")),
+                        pumping_constant):
                 aut = make()
                 alive = weakref.ref(aut)
                 use(aut)
@@ -476,6 +479,32 @@ def test_silent_free_form_computed_once(monkeypatch):
         assert len(calls) == 1
         assert enumerate_accepted(aut, 3) == first
         assert len(calls) == 1
+
+
+def test_pump_form_trimmed_once(monkeypatch):
+    # the pumping form is the trimmed silent-free form, kept on the
+    # silent-free form: union(fig3, fig3)'s has 5 states, 3 of them
+    # useful, so its trimmed form is a new automaton, and it and its step
+    # table are built on the first call only
+    trims, tables = [], []
+    trim_ = ratwp.automata.trim
+    monkeypatch.setattr(ratwp.automata, "trim",
+                        lambda a: trims.append(a) or trim_(a))
+    build = TwoTapeAutomaton._code_steps.func
+    counted = cached_property(lambda a: tables.append(a) or build(a))
+    counted.__set_name__(TwoTapeAutomaton, "_code_steps")
+    monkeypatch.setattr(TwoTapeAutomaton, "_code_steps", counted)
+    fig3 = builtin("fig3")
+    aut = union(fig3, fig3)
+    pair = (w("baaaaaa"), w("b"))
+    first = pump_decompose(aut, pair)
+    for _ in range(3):
+        assert pump_decompose(aut, pair) == first
+        assert pumping_constant(aut) == 6
+    assert len(trims) == 1 and len(tables) == 1
+    assert tables[0].n_states == 3 and tables[0] is aut.silent_free.trimmed
+    # a form that is already trim is its own trimmed form, kept as None
+    assert fig3.trimmed is fig3 and vars(fig3)["_trimmed_form"] is None
 
 
 def test_step_table_computed_once():

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratwp import (
     Alphabet,
@@ -15,6 +17,7 @@ from ratwp import (
     builtin,
     builtin_presentation,
     cayley_wp_sync,
+    dumps_fsa,
     enumerate_accepted,
     free_product,
     free_wp,
@@ -31,7 +34,14 @@ from ratwp import (
     zero_union,
 )
 from ratwp.automata import NfaTransition, OneTapeAutomaton
-from random_automata import all_reachable, oracle_from_words
+from random_automata import (
+    all_reachable,
+    cayley_by_pairs,
+    moore_block_count,
+    oracle_from_words,
+    permuted_table,
+    transformation_tables,
+)
 
 A = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
@@ -98,11 +108,41 @@ class TestCayley:
             assert verify(wp, oracle, 4) == []
 
     def test_t3_state_counts(self, t3_table):
-        # what trim keeps of the 1 + 3 * 27^2 states of every element pair:
-        # the initial state, the 729 neutral states and 333 of each
-        # padding kind
+        # the useful states of every element pair are the initial state,
+        # the 729 neutral states and 333 of each padding kind, 1,396 with
+        # 9,990 transitions; merging those that accept the same pairs
+        # leaves 229 (in the monoid the initial state also merges with the
+        # neutral state of the identity pair)
         wp = cayley_wp_sync(t3_table, T3_GENS)
-        assert (wp.n_states, len(wp.transitions)) == (1396, 9990)
+        assert (wp.n_states, len(wp.transitions)) == (229, 1587)
+        wp = cayley_wp_sync(t3_table, T3_GENS, kind="monoid")
+        assert (wp.n_states, len(wp.transitions)) == (228, 1578)
+
+
+@settings(max_examples=30, deadline=None)
+@given(transformation_tables(), st.data())
+def test_cayley_is_the_minimal_reference(table_gens, data):
+    # the automaton accepts the pairs of the one with a state per useful
+    # element pair, is deterministic and trim, has as many states as that
+    # one has classes of states accepting the same pairs, and does not
+    # depend on the order of the elements
+    table, gens = table_gens
+    order = data.draw(st.permutations(range(len(table))))
+    kinds = ["semigroup"]
+    if table.identity_index() is not None:
+        kinds.append("monoid")
+    for kind in kinds:
+        wp = cayley_wp_sync(table, gens, kind=kind)
+        reference = cayley_by_pairs(table, gens, kind=kind)
+        assert enumerate_accepted(wp, 4) == enumerate_accepted(reference, 4)
+        moves = {(t.src, t.left, t.right) for t in wp.transitions}
+        assert len(moves) == len(wp.transitions)
+        validate_sync(wp)
+        assert trim(wp) is wp
+        assert moore_block_count(reference) == wp.n_states
+        permuted = cayley_wp_sync(permuted_table(table, order), gens,
+                                  kind=kind)
+        assert dumps_fsa(permuted) == dumps_fsa(wp)
 
 
 class TestFreeWp:
