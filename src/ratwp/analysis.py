@@ -14,9 +14,9 @@ from .automata import (
     NfaTransition,
     _accepted_codes,
     _accepting_run,
-    _as_async,
     _code_limit,
-    _first_runs,
+    _pair_coding,
+    _pair_moves,
     _reachable,
     _search_form,
 )
@@ -126,86 +126,138 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
     any hit proves the automaton does not decide the oracle's word problem.
 
     Pairs are tried in shortlex order, each decomposed as pump_decompose
-    does, but all their runs come from one breadth-first search. A pair is
-    pumped on integer codes: the prefix, loop and suffix of each tape are
-    read off the pair codes at the two cut nodes of its run, each pumped
-    word's code is built from them step by step over i and looked up in
-    the oracle's class_by_code. Only a witness is built as words.
+    does, and the search stops after the row of |v| that fills the
+    witnesses (_cut_rows). A pair is pumped on integer codes, a group of
+    one cell (|v|, |w|) and one cut at a time: per tape, a pumped word's
+    code is the word's code plus a constant of the group and i, and its
+    length alone says whether it is empty or beyond the oracle's table.
+    Only a witness is built as words.
     """
     if i_max < 0:
         raise InputError("i_max must be >= 0")
+    if max_witnesses < 1:
+        raise InputError("max_witnesses must be >= 1")
     _check_alphabets(oracle, aut.left, aut.right)
     form = _pump_form(aut)
-    n = form.n_states
     k = len(oracle.alphabet)
     skip_empty = not oracle.includes_empty
     table = oracle.class_by_code
-    n_codes = len(table)
-    first, parent, decode = _first_runs(form, bound)
-    lim = _code_limit(k, bound)
+    max_len = oracle.bound + oracle.slack
+    _, lim, _, decode = _pair_coding(form, bound)
     # the codes of the words of length m + 1 start at starts[m]
     starts = [_code_limit(k, m) for m in range(bound + 1)]
-    power = [k ** m for m in range(bound + 1)]
 
-    def cut(start_node, stop_node):
-        """The nodes where a run's loop starts and stops and, per tape,
-        (x, u, |u|, z, |z|): the codes of the prefix x, of the loop u and of
-        z = x u, read off the pair codes of those nodes. In bijective base
-        k, code(a b) = code(a) k^|b| + code(b)."""
-        tapes = []
-        for x, z in zip(divmod(start_node // n, lim),
-                        divmod(stop_node // n, lim)):
-            lx, lz = bisect_right(starts, x), bisect_right(starts, z)
-            tapes.append((x, z - x * power[lz - lx], lz - lx, z, lz))
-        return start_node, stop_node, tapes
+    def tape(x, z, length):
+        """For one tape's prefix x, z = x u and word z y of that length:
+        e = (code(z) - code(x)) k^|y|, k^|u| and |u|. code(x u^i y) is
+        code(z y) + c_i, c_0 = -e, c_(i+1) = (c_i + e) k^|u| (_cut_rows)."""
+        lx, lz = bisect_right(starts, x), bisect_right(starts, z)
+        return (z - x) * k ** (length - lz), k ** (lz - lx), lz - lx
 
     witnesses = []
-    cut_at = {}  # node -> the cut of the run ending there, once it repeats
-    for code in sorted(first):
-        v, w = divmod(code, lim)
-        lv, lw = bisect_right(starts, v), bisect_right(starts, w)
-        if lv + lw <= 2 * n or skip_empty and not (lv and lw):
-            continue
-        # walk the run back to a node whose cut is known, or to its start
-        node, up = first[code], []
-        while node is not None and node not in cut_at:
-            up.append(node)
-            node = parent[node]
-        if node is None:
-            chain = up[::-1]
-            start, stop = _first_repeat([q % n for q in chain])
-            run_cut = cut(chain[start], chain[stop])
-            del up[len(up) - stop:]  # nodes before the repeat have no cut
-        else:
-            run_cut = cut_at[node]
-        for node in up:
-            cut_at[node] = run_cut
-        start_node, stop_node, (tape_v, tape_w) = run_cut
-        # per tape, x u^i y is coded as code(x u^i) k^|y| + code(y), and
-        # code(x u^(i+1)) = code(x u^i) k^|u| + code(u)
-        head_v, uv, luv, zv, lzv = tape_v
-        head_w, uw, luw, zw, lzw = tape_w
-        shift_v, shift_w = power[lv - lzv], power[lw - lzw]
-        yv, yw = v - zv * shift_v, w - zw * shift_w
-        for i in range(i_max + 1):
-            pv, pw = head_v * shift_v + yv, head_w * shift_w + yw
-            # the checks of Oracle.equal: both words in the class table
-            # (codes do not fall as i grows), and no empty word in a
-            # semigroup
-            if pv >= n_codes or pw >= n_codes:
-                break
-            if (pv and pw or not skip_empty) and table[pv] != table[pw]:
-                pair = decode(code)
-                dec = _cut(*pair, decode(start_node // n),
-                           decode(stop_node // n))
-                witnesses.append((pair, i, dec.pumped(i)))
-                break
-            head_v = head_v * power[luv] + uv
-            head_w = head_w * power[luw] + uw
+    for lv, row in _cut_rows(form, bound):
+        found = []
+        for lw, (x, z), todo in row:
+            if skip_empty and not (lv and lw):
+                continue
+            (ev, mv, luv), (ew, mw, luw) = (
+                tape(*ends) for ends in zip(divmod(x, lim), divmod(z, lim),
+                                            (lv, lw)))
+            cv, cw = -ev, -ew
+            for i in range(i_max + 1):
+                # Oracle.equal's checks on |x u^i y| = |v| + (i - 1) |u|: both
+                # words in the table (lengths grow with i), none empty in a
+                # semigroup
+                len_v, len_w = lv + (i - 1) * luv, lw + (i - 1) * luw
+                if len_v > max_len or len_w > max_len:
+                    break
+                if len_v and len_w or not skip_empty:
+                    bad = {p for p in todo
+                           if table[p // lim + cv] != table[p % lim + cw]}
+                    if bad:
+                        found += [(p, i, x, z) for p in bad]
+                        todo = todo - bad
+                        if not todo:
+                            break
+                cv, cw = (cv + ev) * mv, (cw + ew) * mw
+        found.sort()
+        for p, i, x, z in found[:max_witnesses - len(witnesses)]:
+            pair = decode(p)
+            pumped = _cut(*pair, decode(x), decode(z)).pumped(i)
+            witnesses.append((pair, i, pumped))
         if len(witnesses) >= max_witnesses:
             break
     verdict = "refuted" if witnesses else "not-refuted"
     return Report("pump_refute", verdict, tuple(witnesses))
+
+
+def _cut_rows(form, bound):
+    """The long accepted pairs of a pumping form up to the bound, |v| + |w|
+    above twice its n states, with the cuts pump_decompose makes. Yields
+    (|v|, row) for |v| = 0 to the bound, row listing (|w|, (x, z), codes):
+    a set of pair codes (_pair_coding), and the pair codes of the run's
+    prefixes where its loop starts and stops.
+
+    pump_decompose cuts the run that a first-in first-out search over the
+    nodes (state, v, w) reaches first at its first repeated state, which
+    a long pair's run has within n steps. That search reaches the nodes
+    of one depth in the order of their runs' step indices, an order that
+    cutting runs after their first repeat keeps. So a node's key (depth,
+    run up to its first repeat, cut once there is one) is the least of
+    the keys one step on of the nodes it is reached from, and a pair's is
+    the least of its accepting nodes'. Every step reads a symbol, so keys
+    are filled in cell by cell over (|v|, |w|), in row order, on groups
+    of codes as in _accepted_codes; a key without a cut is one node's.
+    """
+    form, lim, moves, _ = _pair_moves(form, bound)
+    n = form.n_states
+    if bound <= n:
+        return  # |v| + |w| <= 2n for every pair
+    cells = [[{} for _ in range(bound + 1)] for _ in range(bound + 1)]
+    # a run is a tuple of nodes (step index, state, pair code)
+    cells[0][0][form.initial] = {(0, ((0, form.initial, 0),), None): {0}}
+    for i, row in enumerate(cells):
+        out = []
+        for j, cell in enumerate(row):
+            row[j] = None
+            accepted = {}
+            for q, keyed in cell.items():
+                seen = set()
+                for key in sorted(keyed):  # each code keeps its least key
+                    codes = keyed[key] = keyed[key] - seen
+                    seen |= codes
+                if q in form.finals and i + j > 2 * n:
+                    for key, codes in keyed.items():
+                        accepted.setdefault(key, set()).update(codes)
+                for step, (rl, rr, a, b, c, dst, max_i, max_j,
+                           max_total) in enumerate(moves[q]):
+                    ni, nj = i + rl, j + rr
+                    if ni > max_i or nj > max_j or ni + nj > max_total:
+                        continue
+                    target = cells[ni][nj].setdefault(dst, {})
+                    for (depth, run, cut), codes in keyed.items():
+                        if not codes:
+                            continue
+                        if b:
+                            new = {a * p + b * (p % lim) + c for p in codes}
+                        else:
+                            new = {a * p + c for p in codes}
+                        if cut is None:
+                            (p,) = new
+                            states = [s for _, s, _ in run]
+                            run += ((step, dst, p),)
+                            if dst in states:
+                                cut = (run[states.index(dst)][2], p)
+                        group = target.setdefault((depth + 1, run, cut), new)
+                        if group is not new:
+                            group |= new
+            by_cut, seen = {}, set()
+            for key in sorted(accepted):
+                codes = accepted[key] - seen
+                seen |= codes
+                by_cut.setdefault(key[2], set()).update(codes)
+            out += [(j, cut, codes) for cut, codes in by_cut.items() if codes]
+        yield i, out
 
 
 def _checked_codes(aut, bound, kind):
@@ -299,10 +351,10 @@ def congruence_check(aut, bound, kind="semigroup"):
 
 
 def _eps_right_cycle_edges(aut):
-    """Transitions lying on a cycle whose right labels are all epsilon: an
-    epsilon-right edge u -> v is on one iff u is reachable from v along
-    such edges."""
-    eps_edges = [t for t in aut.transitions if t.right is EPSILON]
+    """Transitions lying on a cycle whose right labels all read nothing,
+    epsilon or a pad: such an edge u -> v is on one iff u is reachable
+    from v along such edges."""
+    eps_edges = [t for t in aut.transitions if t.right in (EPSILON, PAD)]
     adj = [[] for _ in range(aut.n_states)]
     for t in eps_edges:
         adj[t.src].append(t.dst)
@@ -313,11 +365,11 @@ def _eps_right_cycle_edges(aut):
 def cross_section(aut):
     """Candidate regular cross-section: delete every transition on a cycle
     with only-epsilon right labels, then project to the left tape. A sync
-    automaton is read through its async view, pads becoming epsilon."""
-    form = _pump_form(_as_async(aut))
+    automaton is read as it is, a pad reading nothing as epsilon does."""
+    form = _pump_form(aut)
     removed = _eps_right_cycle_edges(form)
     trans = tuple(
-        NfaTransition(t.src, t.left, t.dst)
+        NfaTransition(t.src, EPSILON if t.left == PAD else t.left, t.dst)
         for t in form.transitions
         if t not in removed
     )

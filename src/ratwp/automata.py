@@ -537,21 +537,10 @@ def _accepted_codes(aut, len_bound):
     form _pair_coding reads a symbol, so a group only grows from groups
     of smaller |v| + |w|; the groups are expanded in order of |v| + |w|,
     each complete when it is expanded and dropped after. A step is applied
-    to a whole group at once: with p = code(v) R + code(w), reading with
-    multipliers ml, mr and digits dl, dr maps p to ml p + (mr - ml) (p mod
-    R) + dl R + dr. A group is made only if it can still reach a final
-    state within the bound: each move carries its target's limits on |v|,
-    |w| and |v| + |w|, the bound (twice the bound for the sum) less the
-    fewest reads from the target to a final state (_reads_to_final), and
-    a move into a state that reaches no final state is dropped.
+    to a whole group at once, and only where it can still reach a final
+    state within the bound (_pair_moves).
     """
-    aut, lim_right, steps, decode = _pair_coding(aut, len_bound)
-    to_left, to_right, to_total = aut._reads_to_final
-    moves = [[(dl > 0, dr > 0, ml, mr - ml, dl * lim_right + dr, dst,
-               len_bound - to_left[dst], len_bound - to_right[dst],
-               2 * len_bound - to_total[dst])
-              for ml, dl, mr, dr, dst in out if to_total[dst] is not None]
-             for out in steps]
+    aut, lim_right, moves, decode = _pair_moves(aut, len_bound)
     finals = aut.finals
     layers = [{} for _ in range(2 * len_bound + 1)]
     layers[0][aut.initial, 0, 0] = {0}
@@ -578,69 +567,28 @@ def _accepted_codes(aut, len_bound):
     return accepted, decode
 
 
-def _first_runs(aut, len_bound):
-    """A shortest accepting run of every accepted pair with both words of
-    length <= len_bound, all read off one breadth-first search over the
-    nodes of _pair_coding.
-
-    Returns (first, parent, decode): first maps each accepted pair code to
-    the first accepting node the search reaches with it, parent maps each
-    node to the node it was reached from (None for the start), and decode
-    is as in _pair_coding. A node is the int (code(v) R + code(w)) n + q
-    for the n states q of the form. The search is first-in first-out and
-    takes each state's steps in order, as _accepting_run does, and every
-    node on a run of (v, w) reads prefixes of v and w, so for a form of
-    _search_form the parent chain of first[code], read as (state, |v|,
-    |w|) nodes, is the run _accepting_run(form, v, w) finds.
-
-    A node is made only if it can still reach a final state within the
-    bound: each step carries its target's code limits per tape,
-    _code_limit(k, len_bound - d) for the fewest reads d from the target
-    to a final state on that tape (_reads_to_final), which is 0 when d
-    exceeds the bound. The fewest reads from a step's source are at most
-    its own reads plus the fewest from its target, so a node that cannot
-    reach a final state within the bound has no successor that can: the
-    nodes kept are found in the same order, with the same parents, as
-    without the limits.
+def _pair_moves(aut, len_bound):
+    """_pair_coding with its steps as moves of whole groups of pair codes:
+    moves[q] = [(reads left, reads right, a, b, c, dst, max |v|, max |w|,
+    max |v| + |w|)]. A step maps p = code(v) R + code(w) to a p + b (p mod
+    R) + c, its limits are the bound (twice it for the sum) less the
+    fewest reads from dst to a final state (_reads_to_final), and steps
+    into a state that reaches none are dropped: a node over a limit, and
+    every node it leads to, cannot reach a final state within the bound.
     """
     aut, lim_right, steps, decode = _pair_coding(aut, len_bound)
-    n = aut.n_states
-    to_left, to_right, _ = aut._reads_to_final
-    limit_left, limit_right = (
-        {d: _code_limit(k, len_bound - d) for d in set(to_final) - {None}}
-        for k, to_final in ((len(aut.left), to_left),
-                            (len(aut.right), to_right)))
-    steps = [[(ml, dl, mr, dr, dst, limit_left[to_left[dst]],
-               limit_right[to_right[dst]])
-              for ml, dl, mr, dr, dst in out if to_left[dst] is not None]
+    to_left, to_right, to_total = aut._reads_to_final
+    moves = [[(dl > 0, dr > 0, ml, mr - ml, dl * lim_right + dr, dst,
+               len_bound - to_left[dst], len_bound - to_right[dst],
+               2 * len_bound - to_total[dst])
+              for ml, dl, mr, dr, dst in out if to_total[dst] is not None]
              for out in steps]
-    final = [q in aut.finals for q in range(n)]
-    start = aut.initial
-    parent = {start: None}
-    queue = [start]
-    first = {}
-    for node in queue:  # the list grows while it is walked
-        pair, q = divmod(node, n)
-        if final[q] and pair not in first:
-            first[pair] = node
-        v, w = divmod(pair, lim_right)
-        for ml, dl, mr, dr, dst, max_v, max_w in steps[q]:
-            nv = v * ml + dl
-            if nv >= max_v:
-                continue
-            nw = w * mr + dr
-            if nw >= max_w:
-                continue
-            nxt = (nv * lim_right + nw) * n + dst
-            if nxt not in parent:
-                parent[nxt] = node
-                queue.append(nxt)
-    return first, parent, decode
+    return aut, lim_right, moves, decode
 
 
 def _pair_coding(aut, len_bound):
     """The integer coding of the pair searches, _accepted_codes and
-    _first_runs.
+    analysis._cut_rows.
 
     A word over k symbols is coded in bijective base k: the empty word is
     0 and code(w s) = code(w) k + index(s) + 1, so codes count the words

@@ -34,8 +34,10 @@ from ratwp import (
     union,
     validate_cross_section,
 )
-from ratwp.analysis import _eps_right_cycle_edges
-from ratwp.automata import NfaTransition, OneTapeAutomaton
+from ratwp.analysis import (
+    _cut, _cut_rows, _eps_right_cycle_edges, _pump_form,
+)
+from ratwp.automata import NfaTransition, OneTapeAutomaton, _pair_coding
 from random_automata import (
     behind_chains,
     congruence_check_all_contexts,
@@ -46,6 +48,7 @@ from random_automata import (
     pump_refute_per_pair,
     sync_automata,
     two_tape_automata,
+    two_tape_automata_any_alphabets,
     validate_cross_section_by_words,
 )
 
@@ -176,6 +179,18 @@ class TestPumpRefute:
         with pytest.raises(InputError, match="i_max must be >= 0"):
             pump_refute(mutant, oracle, 6, i_max=-2)
 
+    def test_max_witnesses_below_1(self):
+        # no witness asked for is not an answer: the mutant is refuted
+        # with one witness, and 0 or fewer is an error
+        mutant = with_extra_transition(builtin("fig3"), (1, "b", None, 1))
+        oracle = build_oracle(builtin_presentation("fig3"), 7)
+        assert pump_refute(mutant, oracle, 7, max_witnesses=1).verdict == (
+            "refuted")
+        for max_witnesses in (0, -1):
+            with pytest.raises(InputError,
+                               match="max_witnesses must be >= 1"):
+                pump_refute(mutant, oracle, 7, max_witnesses=max_witnesses)
+
 
 @settings(max_examples=400, deadline=None)
 # one-symbol and three-symbol alphabets, k = 1 and k = 3 in the coding:
@@ -193,6 +208,15 @@ class TestPumpRefute:
 @example(with_extra_transition(free_wp(XYZ), (1, "y", None, 1)),
          Presentation("semigroup", XYZ, ((("z", "z"), ("z",)),)),
          3, 4, 2, 1)
+# the benchmark's mutant: every witness has |v| = 2, and with one or two
+# witnesses the search stops inside that row; at bound 2 its two states
+# leave no long pair (|v| + |w| <= 2n)
+@example(with_extra_transition(builtin("fig3"), (1, "b", None, 1)),
+         builtin_presentation("fig3"), 7, 7, 5, 1)
+@example(with_extra_transition(builtin("fig3"), (1, "b", None, 1)),
+         builtin_presentation("fig3"), 7, 7, 5, 2)
+@example(with_extra_transition(builtin("fig3"), (1, "b", None, 1)),
+         builtin_presentation("fig3"), 4, 2, 5, 5)
 @given(st.one_of(two_tape_automata(), sync_automata(),
                  # final states behind a chain: the distance prune fires
                  behind_chains(two_tape_automata()),
@@ -207,6 +231,38 @@ def test_pump_refute_agrees_with_per_pair_reference(
                                           max_witnesses)
     for pair, i, pumped in report.witnesses:
         assert pump_decompose(aut, pair).pumped(i) == pumped
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(two_tape_automata_any_alphabets(),
+                 behind_chains(two_tape_automata_any_alphabets()),
+                 sync_automata(), behind_chains(sync_automata())),
+       st.integers(0, 5))
+# fig3's two states: runs of up to 12 steps, 10 of them past depth n
+@example(builtin("fig3"), 6)
+# (aa, aa) is read first by two (a, a) steps, and a deeper run starts with
+# the earlier (a, eps) step: the depth, not the step order, picks the cut
+@example(TwoTapeAutomaton(1, AB, AB, 0, frozenset({0}), (
+             (0, "a", None, 0), (0, None, "a", 0), (0, "a", "a", 0))), 2)
+@example(with_extra_transition(builtin("fig3"), (1, "b", None, 1)), 5)
+def test_cut_rows_are_the_cuts_pump_decompose_makes(aut, bound):
+    # every long accepted pair comes once, in its row and cell, with the
+    # cut pump_decompose makes in the run _accepting_run finds
+    form = _pump_form(aut)
+    decode = _pair_coding(form, bound)[3]
+    long_pairs = set()
+    for lv, row in _cut_rows(form, bound):
+        for lw, (x, z), codes in row:
+            for code in codes:
+                v, w = pair = decode(code)
+                assert (len(v), len(w)) == (lv, lw)
+                assert pair not in long_pairs
+                long_pairs.add(pair)
+                assert pump_decompose(aut, pair) == _cut(v, w, decode(x),
+                                                         decode(z))
+    n0 = pumping_constant(aut)
+    assert long_pairs == {(v, w) for v, w in enumerate_accepted(aut, bound)
+                          if len(v) + len(w) > n0}
 
 
 class TestEquivalenceCheck:
@@ -362,6 +418,19 @@ class TestCrossSection:
 @given(two_tape_automata(max_states=6, max_transitions=12))
 def test_eps_right_cycle_edges_match_closure_reference(aut):
     assert _eps_right_cycle_edges(aut) == eps_right_cycle_edges_by_closure(aut)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sync_automata())
+# the right tape padded in a loop: that loop is cut, and its left labels
+# stay
+@example(TwoTapeAutomaton(
+    2, AB, AB, 0, frozenset({1}),
+    ((0, "a", "a", 1), (1, "a", PAD, 1), (1, "b", PAD, 1)), mode="sync"))
+def test_sync_cross_section_matches_async_view(aut):
+    # a sync automaton is read as it is, a pad reading nothing as epsilon
+    # does, both where loops are cut and in the projected labels
+    assert cross_section(aut) == cross_section(sync_to_async(aut))
 
 
 class TestValidateCrossSection:

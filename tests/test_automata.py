@@ -39,7 +39,7 @@ from ratwp import (
 )
 import ratwp.automata
 from ratwp.automata import (
-    _accepting_run, _as_async, _first_runs, _pair_coding, _search_form,
+    _as_async, _pair_coding, _search_form,
 )
 from ratwp.fileio import dumps_fsa, load_fsa
 from random_automata import (
@@ -558,33 +558,6 @@ def test_padding_checked_once(monkeypatch, tmp_path):
         with pytest.raises(InputError):
             validate_sync(bad)
     assert len(calls) == 3
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(two_tape_automata_any_alphabets(),
-                 behind_chains(two_tape_automata_any_alphabets()),
-                 sync_automata()),
-       st.integers(0, 4))
-@example(PADS_RIGHT, 4)
-def test_first_runs_are_the_runs_accepting_run_finds(aut, bound):
-    # both searches walk the same form, a sync automaton as it is; each
-    # node of a parent chain reads prefixes of the pair, and the chain read
-    # as (state, |v| read, |w| read) nodes is the run _accepting_run finds
-    form = _search_form(aut)
-    n = form.n_states
-    first, parent, decode = _first_runs(form, bound)
-    assert {decode(code) for code in first} == enumerate_accepted(aut, bound)
-    for code, node in first.items():
-        chain = [node]
-        while parent[chain[-1]] is not None:
-            chain.append(parent[chain[-1]])
-        v, w = decode(code)
-        run = []
-        for node in reversed(chain):
-            x, y = decode(node // n)
-            assert (x, y) == (v[:len(x)], w[:len(y)])
-            run.append((node % n, len(x), len(y)))
-        assert run == _accepting_run(form, v, w)
 
 
 @settings(max_examples=60, deadline=None)
