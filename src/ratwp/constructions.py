@@ -37,6 +37,22 @@ def _require_square(wp, what):
         raise InputError(f"{what} needs equal tape alphabets")
 
 
+def _refine(block, rows, states):
+    """Moore's partition refinement, in place: each round every q of states
+    moves to a block per (block[q], the blocks of the targets rows[q]),
+    until no block splits. Every other state keeps its block."""
+    signatures = [itemgetter(q, *rows[q]) for q in states]
+    count = len({block[q] for q in states})
+    while True:
+        ids = {}
+        new = [ids.setdefault(sig(block), len(ids)) for sig in signatures]
+        for q, b in zip(states, new):
+            block[q] = b
+        if len(ids) == count:
+            return
+        count = len(ids)
+
+
 def cayley_wp_sync(table, gens, kind="semigroup"):
     """Minimal synchronous word-problem automaton of a finite semigroup.
 
@@ -102,22 +118,11 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
     def is_final(q):
         return kind == "monoid" if q == start else q % nn // n == q % n
 
-    # Moore: from final against non-final, a state's next block is its
-    # block and the blocks of its targets, every useless state staying in
-    # block -1, until no block splits
+    # from final against non-final, every useless state staying in block -1
     block = [-1] * (none + 1)
     for q in live:
         block[q] = int(is_final(q))
-    count = len({block[q] for q in live})
-    signatures = [itemgetter(q, *rows[q]) for q in live]
-    while True:
-        ids = {}
-        new = [ids.setdefault(sig(block), len(ids)) for sig in signatures]
-        for q, b in zip(live, new):
-            block[q] = b
-        if len(ids) == count:
-            break
-        count = len(ids)
+    _refine(block, rows, live)
     member = {block[q]: q for q in live}
     labels = [*iproduct(gens, repeat=2), *((x, PAD) for x in gens),
               *((PAD, y) for y in gens)]
@@ -274,48 +279,50 @@ def product_with_finite(table, wp_t, gens):
     """Word problem of S x T for finite S, given T's word-problem automaton
     and a named generating set of pairs.
 
-    Lifts every T-transition to the product alphabet while two extra state
-    components fold the S-projections of both tapes in S with an adjoined
-    identity; acceptance requires equal S-values in S proper.
+    A state is a T-state and a block of the pairs (s, t) of S^1 that fold
+    the S-projections of the two tapes' words; each T-transition is lifted
+    to the product alphabet. The blocks are the coarsest, by Moore's
+    refinement, that the steps (s x, t) and (s, t x) respect and that part
+    the final pairs (s = t in S proper) from the rest; a state accepts
+    when its pair and its T-state do.
     """
     wp_t = _as_async(wp_t)
     _require_square(wp_t, "product_with_finite")
-    pi_s, pi_t = gens.pi_s(), gens.pi_t()
-    for c in pi_s.values():
-        table.index(c)
+    xs = [table.index(e) for e in gens.pi_s().values()]
+    pi_t = gens.pi_t()
     for c in pi_t.values():
         if c not in wp_t.left:
             raise InputError(f"projection {c!r} not in the T automaton's alphabet")
     alphabet = gens.alphabet()
-    one = len(table)  # adjoined identity of S^1
-
-    def mul1(i, j):
-        if i == one:
-            return j
-        if j == one:
-            return i
-        return table.mul(i, j)
-
-    s_of = {c: table.index(pi_s[c]) for c in alphabet}
-    lifts = {EPSILON: [EPSILON]}  # T label -> product labels projecting to it
-    for c in alphabet:
-        lifts.setdefault(pi_t[c], []).append(c)
+    n, k = len(table), len(xs)  # n is the adjoined identity of S^1
+    m = n + 1
+    # the pair (s, t) is p = s m + t; its row is k left, then k right steps
+    mul = [*table.product, range(n)]
+    rows = [[mul[s][x] * m + t for x in xs] + [s * m + mul[t][x] for x in xs]
+            for s in range(m) for t in range(m)]
+    block = [int(s == t != n) for s in range(m) for t in range(m)]
+    _refine(block, rows, range(m * m))
+    first = {}
+    rep = [first.setdefault(b, p) for p, b in enumerate(block)]
+    lifts = {EPSILON: [(EPSILON, None)]}  # T label -> (product label, column)
+    for i, c in enumerate(alphabet):
+        lifts.setdefault(pi_t[c], []).append((c, i))
     by_src = wp_t.by_src
 
     def successors(state):
-        s, t, q = state
+        p, q = state  # p is the first pair of its block
         for g in by_src.get(q, ()):
-            for c in lifts.get(g.left, ()):
-                ns = s if c is EPSILON else mul1(s, s_of[c])
-                for d in lifts.get(g.right, ()):
-                    nt = t if d is EPSILON else mul1(t, s_of[d])
-                    yield c, d, (ns, nt, g.dst)
+            for c, i in lifts.get(g.left, ()):
+                pc = p if i is None else rows[p][i]
+                for d, j in lifts.get(g.right, ()):
+                    yield c, d, (rep[pc if j is None else rows[pc][k + j]],
+                                 g.dst)
 
-    n, finals, trans = _explore(
-        (one, one, wp_t.initial), successors,
-        lambda state: (state[0] == state[1] != one
-                       and state[2] in wp_t.finals))
-    return TwoTapeAutomaton(n, alphabet, alphabet, 0, finals, trans)
+    n_states, finals, trans = _explore(
+        (rep[n * m + n], wp_t.initial), successors,
+        lambda state: (state[0] // m == state[0] % m != n
+                       and state[1] in wp_t.finals))
+    return TwoTapeAutomaton(n_states, alphabet, alphabet, 0, finals, trans)
 
 
 def free_product(wp_s, wp_t):

@@ -86,16 +86,17 @@ class MultiplicationTable:
             for k in row:
                 if not 0 <= k < n:
                     raise InputError("product entry out of range")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if (self.product[self.product[i][j]][k]
-                            != self.product[i][self.product[j][k]]):
-                        raise InputError(
-                            "product is not associative at "
-                            f"({self.elements[i]}, {self.elements[j]}, "
-                            f"{self.elements[k]})"
-                        )
+        prod = self.product  # (i j) k = i (j k), one row (i, j) at a time
+        for i, row_i in enumerate(prod):
+            for j, ij in enumerate(row_i):
+                left, right = prod[ij], tuple(row_i[jk] for jk in prod[j])
+                if left != right:
+                    k = next(k for k in range(n) if left[k] != right[k])
+                    raise InputError(
+                        "product is not associative at "
+                        f"({self.elements[i]}, {self.elements[j]}, "
+                        f"{self.elements[k]})"
+                    )
 
     def __len__(self):
         return len(self.elements)

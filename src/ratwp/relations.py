@@ -48,6 +48,9 @@ def compose(r, s):
     n, finals, trans = _explore(
         (r.initial, s.initial), successors,
         lambda state: state[0] in r.finals and state[1] in s.finals)
+    # a silent step from a state to itself does nothing
+    trans = tuple(t for t in trans
+                  if t[0] != t[-1] or t[1:3] != (EPSILON, EPSILON))
     return TwoTapeAutomaton(n, r.left, s.right, 0, finals, trans)
 
 

@@ -23,7 +23,7 @@ from ratwp import (
     pump_decompose,
     pumping_constant,
 )
-from ratwp.automata import _explore, _reachable
+from ratwp.automata import _as_async, _explore, _reachable
 from ratwp.oracle import DEFAULT_SLACK_SEARCH, DEFAULT_WORD_CAP
 
 AB = Alphabet(("a", "b"))
@@ -247,6 +247,73 @@ def cayley_by_pairs(table, gens, kind="semigroup"):
     n_states, finals, trans = _explore(None, successors, is_final)
     return TwoTapeAutomaton(n_states, alphabet, alphabet, 0, finals, trans,
                             mode="sync")
+
+
+def product_by_folds(table, wp_t, gens):
+    """Reference for product_with_finite, without merging: one state per
+    reachable (s, t, q), s and t folding the S-projections of the two
+    tapes' words in S with an adjoined identity and q a state of T's
+    automaton, whose transitions are lifted to the product alphabet. A
+    state accepts when s = t in S proper and q accepts."""
+    wp_t = _as_async(wp_t)
+    pi_s, pi_t = gens.pi_s(), gens.pi_t()
+    alphabet = gens.alphabet()
+    one = len(table)  # the adjoined identity of S^1
+
+    def mul1(i, j):
+        if i == one:
+            return j
+        if j == one:
+            return i
+        return table.mul(i, j)
+
+    s_of = {c: table.index(pi_s[c]) for c in alphabet}
+    lifts = {EPSILON: [EPSILON]}  # T label -> product labels projecting to it
+    for c in alphabet:
+        lifts.setdefault(pi_t[c], []).append(c)
+    by_src = wp_t.by_src
+
+    def successors(state):
+        s, t, q = state
+        for g in by_src.get(q, ()):
+            for c in lifts.get(g.left, ()):
+                ns = s if c is EPSILON else mul1(s, s_of[c])
+                for d in lifts.get(g.right, ()):
+                    nt = t if d is EPSILON else mul1(t, s_of[d])
+                    yield c, d, (ns, nt, g.dst)
+
+    n, finals, trans = _explore(
+        (one, one, wp_t.initial), successors,
+        lambda state: (state[0] == state[1] != one
+                       and state[2] in wp_t.finals))
+    return TwoTapeAutomaton(n, alphabet, alphabet, 0, finals, trans)
+
+
+def compose_with_silent_loops(r, s):
+    """Reference for compose: the product on the reachable state pairs
+    with every step, silent steps from a pair to itself included. An
+    r-step writing nothing on the middle tape fires alone, an s-step
+    reading nothing from it fires alone, and steps agreeing on a middle
+    symbol fire jointly."""
+    r, s = _as_async(r), _as_async(s)
+
+    def successors(state):
+        i, j = state
+        for t in r.by_src.get(i, ()):
+            if t.right is EPSILON:
+                yield t.left, EPSILON, (t.dst, j)
+                continue
+            for u in s.by_src.get(j, ()):
+                if u.left == t.right:
+                    yield t.left, u.right, (t.dst, u.dst)
+        for u in s.by_src.get(j, ()):
+            if u.left is EPSILON:
+                yield EPSILON, u.right, (i, u.dst)
+
+    n, finals, trans = _explore(
+        (r.initial, s.initial), successors,
+        lambda state: state[0] in r.finals and state[1] in s.finals)
+    return TwoTapeAutomaton(n, r.left, s.right, 0, finals, trans)
 
 
 def moore_block_count(aut):

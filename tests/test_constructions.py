@@ -40,7 +40,9 @@ from random_automata import (
     moore_block_count,
     oracle_from_words,
     permuted_table,
+    product_by_folds,
     transformation_tables,
+    two_tape_automata,
 )
 
 A = Alphabet(("a",))
@@ -278,10 +280,60 @@ class TestProductWithFinite:
         oracle = componentwise_oracle(c2_table, gens, 5)
         assert verify(wp, oracle, 5) == []
 
+    def test_c2_times_fig3_sizes(self, c2_table):
+        # three states, all over fig3's final state but the initial one:
+        # the pair of adjoined identities, the equal pairs of C2 and the
+        # unequal ones
+        gens = ProductGenerators((("x", "g", "a"), ("y", "g", "b")))
+        wp = product_with_finite(c2_table, builtin("fig3"), gens)
+        assert (wp.n_states, len(wp.transitions)) == (3, 8)
+        assert trim(wp) is wp
+
+    def test_t3_times_fig3_sizes(self, t3_table):
+        gens = ProductGenerators(tuple(zip("xyz", T3_GENS, "aba")))
+        wp = product_with_finite(t3_table, builtin("fig3"), gens)
+        assert (wp.n_states, len(wp.transitions)) == (103, 515)
+        assert trim(wp) is wp
+
+    def test_adjoined_identity_pair_is_not_final(self):
+        # in {s, a, z} with aa = a and every other product z, the pair
+        # (s, s) and the pair of adjoined identities accept the same pairs
+        # but (-, -), which only (s, s) accepts: they must not merge
+        table = MultiplicationTable(("s", "a", "z"), ((2, 2, 2), (2, 1, 2),
+                                                      (2, 2, 2)))
+        wp_t = TwoTapeAutomaton(1, AB, AB, 0, frozenset({0}),
+                                ((0, "a", "a", 0),))
+        gens = ProductGenerators((("y", "a", "a"),))
+        wp = product_with_finite(table, wp_t, gens)
+        assert enumerate_accepted(wp, 3) == enumerate_accepted(
+            product_by_folds(table, wp_t, gens), 3)
+        assert not wp.accepts((), ())
+
     def test_unknown_projection(self, c2_table):
         gens = ProductGenerators((("x", "g", "c"),))
         with pytest.raises(InputError):
             product_with_finite(c2_table, builtin("fig3"), gens)
+
+
+@settings(max_examples=100, deadline=None)
+@given(transformation_tables(), st.data())
+def test_product_merges_the_reference(table_gens, data):
+    # the product accepts the pairs of the one with a state per (s, t, q),
+    # has no more states than it, and does not depend on the order of the
+    # elements
+    table, _ = table_gens
+    wp_t = data.draw(st.one_of(st.just(builtin("fig3")), two_tape_automata()))
+    pairs = data.draw(st.lists(
+        st.tuples(st.sampled_from(table.elements), st.sampled_from("ab")),
+        min_size=1, max_size=3))
+    gens = ProductGenerators(tuple((c, e, x) for c, (e, x) in zip("xyz", pairs)))
+    order = data.draw(st.permutations(range(len(table))))
+    wp = product_with_finite(table, wp_t, gens)
+    reference = product_by_folds(table, wp_t, gens)
+    assert enumerate_accepted(wp, 4) == enumerate_accepted(reference, 4)
+    assert wp.n_states <= reference.n_states
+    permuted = product_with_finite(permuted_table(table, order), wp_t, gens)
+    assert dumps_fsa(permuted) == dumps_fsa(wp)
 
 
 def componentwise_oracle(table, gens, bound):

@@ -59,6 +59,17 @@ class TestMultiplicationTable:
         with pytest.raises(InputError):
             MultiplicationTable(("a", "b"), ((1, 0), (0, 0)))
 
+    def test_names_the_first_non_associative_triple(self, t3_table):
+        # one wrong entry, 012 021 = 022 instead of 021: the first triple
+        # (i, j, k) in table order with (i j) k != i (j k) is named
+        product = [list(row) for row in t3_table.product]
+        i, j = t3_table.index("012"), t3_table.index("021")
+        product[i][j] = t3_table.index("022")
+        with pytest.raises(InputError) as err:
+            MultiplicationTable(t3_table.elements, product)
+        assert str(err.value) == ("product is not associative at "
+                                  "(002, 012, 021)")
+
     def test_rejects_bad_shape(self):
         with pytest.raises(InputError):
             MultiplicationTable(("a", "b"), ((0, 1),))

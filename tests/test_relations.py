@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratwp import (
+    EPSILON,
     Alphabet,
     InputError,
     NfaTransition,
@@ -21,6 +22,7 @@ from ratwp import (
 )
 from random_automata import (
     all_reachable,
+    compose_with_silent_loops,
     one_tape_automata,
     two_tape_automata,
 )
@@ -208,6 +210,26 @@ def test_compose_contains_bounded_composition(r, s):
     expected = {(u, w) for u, x in enumerate_accepted(r, 3)
                 for y, w in second if x == y}
     assert expected <= enumerate_accepted(out, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(two_tape_automata(), two_tape_automata())
+def test_compose_drops_silent_self_loops(r, s):
+    out = compose(r, s)
+    assert not [t for t in out.transitions
+                if t.src == t.dst and t.left is t.right is EPSILON]
+    reference = compose_with_silent_loops(r, s)
+    assert enumerate_accepted(out, 4) == enumerate_accepted(reference, 4)
+
+
+def test_fig3_chain_has_no_silent_self_loops():
+    # each fig3 o fig3 join reads (-, a) against (a, -) from state (1, 1)
+    # to itself, a step that does nothing
+    fig3 = builtin("fig3")
+    chain = fig3
+    for _ in range(5):
+        chain = compose(chain, fig3)
+        assert (chain.n_states, len(chain.transitions)) == (2, 5)
 
 
 @settings(max_examples=60, deadline=None)
