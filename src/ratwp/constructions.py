@@ -40,7 +40,10 @@ def _require_square(wp, what):
 def _refine(block, rows, states):
     """Moore's partition refinement, in place: each round every q of states
     moves to a block per (block[q], the blocks of the targets rows[q]),
-    until no block splits. Every other state keeps its block."""
+    until no block splits. Every other state keeps its block. The table
+    constructions add a non-final sink whose row points only to itself: on
+    total rows, the states that reach no final state share the sink's
+    block, and each construction leaves out every move into that block."""
     signatures = [itemgetter(q, *rows[q]) for q in states]
     count = len({block[q] for q in states})
     while True:
@@ -62,15 +65,15 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
     and the padding copies enforce that a pad is only ever followed by
     pads on its tape.
 
-    Only the useful states are kept, those from which a final state is
-    reached: a right-padding state (s, t) reaches one iff t is in s S^1, a
-    left-padding one iff s is in t S^1, and a neutral one iff s = t or one
-    of its successors does. Each useful state has one row of targets, one
-    per label in a fixed order (the k^2 pairs (x, y), then (x, #), then
-    (#, y)), a move into a useless state being absent. Moore's partition
-    refinement on these rows merges the states that accept the same pairs,
-    and the blocks reachable from the initial one, numbered in
-    breadth-first discovery order, are the states of the result: the
+    Each state has one row of targets, one per label in a fixed order (the
+    k^2 pairs (x, y), then (x, #), then (#, y)). A move that does not
+    exist goes to a non-final sink, and so does a padding move into a
+    state that reaches no final state: a right-padding state (s, t)
+    reaches one iff t is in s S^1, a left-padding one iff s is in t S^1.
+    Moore's partition refinement on these rows merges the states that
+    accept the same pairs, the dead neutral pairs joining the sink's
+    block, and the other blocks reachable from the initial one, numbered
+    in breadth-first discovery order, are the states of the result: the
     minimal deterministic automaton, whose text does not depend on the
     order of the table's elements.
     """
@@ -83,58 +86,47 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
     ideal = [_reachable((s,), mul) for s in elems]  # s S^1
     # The pair (s, t) is p = s n + t: its neutral state is p, its
     # right-padding state nn + p and its left-padding state 2 nn + p. The
-    # initial state is 3 nn, and 3 nn + 1 stands for a move that does not
-    # exist. A row lists a state's targets by label: the k^2 pairs (x, y),
-    # then the k moves (x, #), then the k moves (#, y).
-    start, none = 3 * nn, 3 * nn + 1
+    # initial state is 3 nn and the sink 3 nn + 1. A row lists a state's
+    # targets by label: the k^2 pairs (x, y), then the k moves (x, #),
+    # then the k moves (#, y).
+    start, sink = 3 * nn, 3 * nn + 1
     rows = [None] * start
-    useful = bytearray(none + 1)
     for s, t in iproduct(elems, repeat=2):
         p = s * n + t
-        pad_right = [nn + a * n + t for a in mul[s]]
-        pad_left = [2 * nn + s * n + b for b in mul[t]]
+        pad_right = [nn + a * n + t if t in ideal[a] else sink for a in mul[s]]
+        pad_left = [2 * nn + s * n + b if s in ideal[b] else sink
+                    for b in mul[t]]
         rows[p] = ([a * n + b for a in mul[s] for b in mul[t]]
                    + pad_right + pad_left)
-        rows[nn + p] = [none] * k * k + pad_right + [none] * k
-        rows[2 * nn + p] = [none] * (k * k + k) + pad_left
-        useful[nn + p] = t in ideal[s]
-        useful[2 * nn + p] = s in ideal[t]
+        rows[nn + p] = [sink] * k * k + pad_right + [sink] * k
+        rows[2 * nn + p] = [sink] * (k * k + k) + pad_left
     g = [gen_idx[x] for x in gens]
     # a monoid's initial state moves as the neutral state of (e, e) does
     rows.append(rows[e * n + e] if kind == "monoid" else
-                [a * n + b for a in g for b in g] + [none] * 2 * k)
-    # The useful neutral states: a backward search over the neutral pairs
-    # from those that are final or step into a useful padding state.
-    before = [[] for _ in range(nn)]
-    for p in range(nn):
-        for r in rows[p][:k * k]:
-            before[r].append(p)
-    seeds = [p for p in range(nn) if p // n == p % n
-             or any(useful[r] for r in rows[p][k * k:])]
-    for p in _reachable(seeds, before):
-        useful[p] = 1
-    live = [start, *(q for q in range(start) if useful[q])]
-
-    def is_final(q):
-        return kind == "monoid" if q == start else q % nn // n == q % n
-
-    # from final against non-final, every useless state staying in block -1
-    block = [-1] * (none + 1)
-    for q in live:
-        block[q] = int(is_final(q))
-    _refine(block, rows, live)
-    member = {block[q]: q for q in live}
+                [a * n + b for a in g for b in g] + [sink] * 2 * k)
+    rows.append([sink] * (k * k + 2 * k))
+    final = bytearray(sink + 1)
+    for p in range(0, nn, n + 1):  # the pairs (s, s)
+        final[p] = final[nn + p] = final[2 * nn + p] = 1
+    final[start] = kind == "monoid"
+    # the padding states refined are those that a neutral state moves to
+    states = list({start, sink, *range(nn)}.union(
+        *(rows[p][k * k:] for p in range(nn))))
+    block = list(final)
+    _refine(block, rows, states)
+    member = {block[q]: q for q in states}
+    dead = block[sink]
     labels = [*iproduct(gens, repeat=2), *((x, PAD) for x in gens),
               *((PAD, y) for y in gens)]
 
     def successors(b):
         for (x, y), dst in zip(labels, rows[member[b]]):
-            if useful[dst]:
+            if block[dst] != dead:
                 yield x, y, block[dst]
 
     alphabet = Alphabet(gens)
     n_states, finals, trans = _explore(block[start], successors,
-                                       lambda b: is_final(member[b]))
+                                       lambda b: final[member[b]])
     return TwoTapeAutomaton(n_states, alphabet, alphabet, 0, finals, trans,
                             mode="sync")
 
@@ -284,7 +276,9 @@ def product_with_finite(table, wp_t, gens):
     to the product alphabet. The blocks are the coarsest, by Moore's
     refinement, that the steps (s x, t) and (s, t x) respect and that part
     the final pairs (s = t in S proper) from the rest; a state accepts
-    when its pair and its T-state do.
+    when its pair and its T-state do. A sink pair, whose steps all lead
+    to itself, is refined with them; its block holds the pairs that never
+    fold to equal ones, and no move goes into it.
     """
     wp_t = _as_async(wp_t)
     _require_square(wp_t, "product_with_finite")
@@ -300,8 +294,10 @@ def product_with_finite(table, wp_t, gens):
     mul = [*table.product, range(n)]
     rows = [[mul[s][x] * m + t for x in xs] + [s * m + mul[t][x] for x in xs]
             for s in range(m) for t in range(m)]
-    block = [int(s == t != n) for s in range(m) for t in range(m)]
-    _refine(block, rows, range(m * m))
+    rows.append([m * m] * 2 * k)  # the sink pair m^2
+    block = [int(s == t != n) for s in range(m) for t in range(m)] + [0]
+    _refine(block, rows, range(m * m + 1))
+    dead = block[m * m]
     first = {}
     rep = [first.setdefault(b, p) for p, b in enumerate(block)]
     lifts = {EPSILON: [(EPSILON, None)]}  # T label -> (product label, column)
@@ -315,8 +311,9 @@ def product_with_finite(table, wp_t, gens):
             for c, i in lifts.get(g.left, ()):
                 pc = p if i is None else rows[p][i]
                 for d, j in lifts.get(g.right, ()):
-                    yield c, d, (rep[pc if j is None else rows[pc][k + j]],
-                                 g.dst)
+                    pd = pc if j is None else rows[pc][k + j]
+                    if block[pd] != dead:
+                        yield c, d, (rep[pd], g.dst)
 
     n_states, finals, trans = _explore(
         (rep[n * m + n], wp_t.initial), successors,

@@ -1,5 +1,7 @@
+import hashlib
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratwp import (
@@ -119,6 +121,47 @@ class TestCayley:
         assert (wp.n_states, len(wp.transitions)) == (229, 1587)
         wp = cayley_wp_sync(t3_table, T3_GENS, kind="monoid")
         assert (wp.n_states, len(wp.transitions)) == (228, 1578)
+
+
+class TestCayleyText:
+    # the .fsa text of the minimal automaton, byte for byte: C2 and the
+    # left-zero semigroup in full, T3 by the sha256 of its text
+    C2 = ("type: sync\nleft: g\nright: g\nstates: 6\ninitial: 0\n"
+          "final: 1 4 5\ntrans: 0 g g 1\ntrans: 1 g g 1\ntrans: 1 g # 2\n"
+          "trans: 1 # g 3\ntrans: 2 g # 4\ntrans: 3 # g 5\n"
+          "trans: 4 g # 2\ntrans: 5 # g 3\n")
+    C2_MONOID = ("type: sync\nleft: g\nright: g\nstates: 5\ninitial: 0\n"
+                 "final: 0 3 4\ntrans: 0 g g 0\ntrans: 0 g # 1\n"
+                 "trans: 0 # g 2\ntrans: 1 g # 3\ntrans: 2 # g 4\n"
+                 "trans: 3 g # 1\ntrans: 4 # g 2\n")
+    LEFT_ZERO = ("type: sync\nleft: l r\nright: l r\nstates: 4\n"
+                 "initial: 0\nfinal: 1 2 3\ntrans: 0 l l 1\n"
+                 "trans: 0 r r 1\ntrans: 1 l l 1\ntrans: 1 l r 1\n"
+                 "trans: 1 r l 1\ntrans: 1 r r 1\ntrans: 1 l # 2\n"
+                 "trans: 1 r # 2\ntrans: 1 # l 3\ntrans: 1 # r 3\n"
+                 "trans: 2 l # 2\ntrans: 2 r # 2\ntrans: 3 # l 3\n"
+                 "trans: 3 # r 3\n")
+    T3_SHA256 = {
+        "semigroup":
+            "74905d223dc6769079e9ca01fcec30a400fdf0c221607058e3dfb8a1940eeb9e",
+        "monoid":
+            "aed8b2c0a6c749d6e954d8ead223625eb60c791408ebefa7805415679cdee5cf",
+    }
+
+    def test_c2(self, c2_table):
+        assert dumps_fsa(cayley_wp_sync(c2_table, ("g",))) == self.C2
+        assert dumps_fsa(cayley_wp_sync(c2_table, ("g",), kind="monoid")) \
+            == self.C2_MONOID
+
+    def test_left_zero(self, left_zero_table):
+        # the pairs (l, r) and (r, l) never become equal: no move enters them
+        wp = cayley_wp_sync(left_zero_table, ("l", "r"))
+        assert dumps_fsa(wp) == self.LEFT_ZERO
+
+    @pytest.mark.parametrize("kind", ["semigroup", "monoid"])
+    def test_t3(self, t3_table, kind):
+        text = dumps_fsa(cayley_wp_sync(t3_table, T3_GENS, kind=kind))
+        assert hashlib.sha256(text.encode()).hexdigest() == self.T3_SHA256[kind]
 
 
 @settings(max_examples=30, deadline=None)
@@ -309,6 +352,16 @@ class TestProductWithFinite:
             product_by_folds(table, wp_t, gens), 3)
         assert not wp.accepts((), ())
 
+    def test_dead_pairs_are_left_out(self, left_zero_table):
+        # in the left-zero semigroup the pairs (l, r) and (r, l) never fold
+        # to equal ones: no state is built for them
+        gens = ProductGenerators((("x", "l", "a"), ("y", "r", "a")))
+        wp = product_with_finite(left_zero_table, builtin("fig3"), gens)
+        assert (wp.n_states, len(wp.transitions)) == (2, 6)
+        assert trim(wp) is wp
+        assert enumerate_accepted(wp, 4) == enumerate_accepted(
+            product_by_folds(left_zero_table, builtin("fig3"), gens), 4)
+
     def test_unknown_projection(self, c2_table):
         gens = ProductGenerators((("x", "g", "c"),))
         with pytest.raises(InputError):
@@ -334,6 +387,27 @@ def test_product_merges_the_reference(table_gens, data):
     assert wp.n_states <= reference.n_states
     permuted = product_with_finite(permuted_table(table, order), wp_t, gens)
     assert dumps_fsa(permuted) == dumps_fsa(wp)
+
+
+# T accepts every pair, so a product state reaches a final state iff its
+# pair of S-values can still fold to equal ones
+EVERY_PAIR = TwoTapeAutomaton(1, AB, AB, 0, frozenset({0}), (
+    (0, "a", None, 0), (0, None, "a", 0), (0, "b", None, 0), (0, None, "b", 0)))
+LEFT_ZERO = MultiplicationTable(("l", "r"), ((0, 0), (1, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(transformation_tables(), st.lists(
+    st.tuples(st.integers(0, 29), st.sampled_from("ab")),
+    min_size=1, max_size=3))
+@example((LEFT_ZERO, ("l", "r")), [(0, "a"), (1, "a")])
+def test_product_is_trim(table_gens, pairs):
+    table, _ = table_gens
+    gens = ProductGenerators(tuple(
+        (c, table.elements[i % len(table)], x)
+        for c, (i, x) in zip("xyz", pairs)))
+    wp = product_with_finite(table, EVERY_PAIR, gens)
+    assert trim(wp) is wp
 
 
 def componentwise_oracle(table, gens, bound):
