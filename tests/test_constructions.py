@@ -161,7 +161,8 @@ class TestCayleyText:
     @pytest.mark.parametrize("kind", ["semigroup", "monoid"])
     def test_t3(self, t3_table, kind):
         text = dumps_fsa(cayley_wp_sync(t3_table, T3_GENS, kind=kind))
-        assert hashlib.sha256(text.encode()).hexdigest() == self.T3_SHA256[kind]
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == self.T3_SHA256[kind]
 
 
 @settings(max_examples=30, deadline=None)
@@ -392,7 +393,8 @@ def test_product_merges_the_reference(table_gens, data):
 # T accepts every pair, so a product state reaches a final state iff its
 # pair of S-values can still fold to equal ones
 EVERY_PAIR = TwoTapeAutomaton(1, AB, AB, 0, frozenset({0}), (
-    (0, "a", None, 0), (0, None, "a", 0), (0, "b", None, 0), (0, None, "b", 0)))
+    (0, "a", None, 0), (0, None, "a", 0),
+    (0, "b", None, 0), (0, None, "b", 0)))
 LEFT_ZERO = MultiplicationTable(("l", "r"), ((0, 0), (1, 1)))
 
 
