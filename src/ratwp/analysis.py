@@ -394,10 +394,10 @@ def validate_cross_section(d, oracle, bound):
     that bound is an error."""
     if bound < 1 and not oracle.includes_empty:
         raise InputError("bound must be >= 1")
-    lang, decode = _accepted_codes(d.relation_view, bound)
     _check_alphabets(oracle, d.alphabet)
     if bound > oracle.bound + oracle.slack:
         raise InputError("query beyond the oracle's bound")
+    lang, decode = _accepted_codes(d.relation_view, bound)
     k = len(oracle.alphabet)
     short = _code_limit(k, bound - 1)  # the words shorter than the bound
     classes = _class_members(oracle.class_by_code,
@@ -425,10 +425,10 @@ def _label_str(lab):
     return lab
 
 
-def export_dot(aut, name="automaton"):
-    """Deterministic DOT text; parallel transitions are merged into one
-    labelled edge."""
-    lines = [f"digraph {name} {{", "  rankdir=LR;",
+def export_dot(aut):
+    """Deterministic DOT text of a graph named automaton; parallel
+    transitions are merged into one labelled edge."""
+    lines = ["digraph automaton {", "  rankdir=LR;",
              "  __init [shape=point, label=\"\"];"]
     for q in range(aut.n_states):
         shape = "doublecircle" if q in aut.finals else "circle"

@@ -53,30 +53,25 @@ def _word(arg, args, alphabet=None):
 
 def _emit(aut, args):
     text = dumps_fsa(aut)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
-def _automaton(args, name="automaton"):
-    """The two-tape automaton in the .fsa file args.<name>."""
-    path = getattr(args, name)
-    aut = load_fsa(path)
-    if not isinstance(aut, TwoTapeAutomaton):
-        raise InputError(f"{path} is not a two-tape automaton")
-    return aut
+def _require(value, cls, error):
+    """value, which must be an instance of cls, else InputError(error)."""
+    if not isinstance(value, cls):
+        raise InputError(error)
+    return value
 
 
-def _language(args, name):
-    """The one-tape automaton in the .fsa file args.<name>."""
-    path = getattr(args, name)
-    aut = load_fsa(path)
-    if not isinstance(aut, OneTapeAutomaton):
-        raise InputError(f"{path} is not a one-tape automaton")
-    return aut
+def _load(path, cls=TwoTapeAutomaton):
+    """The automaton of class cls in the .fsa file at path."""
+    tapes = "two" if cls is TwoTapeAutomaton else "one"
+    return _require(load_fsa(path), cls,
+                    f"{path} is not a {tapes}-tape automaton")
 
 
 _ORACLE_BOUND = 5  # the default --bound with an oracle
@@ -99,8 +94,14 @@ def _load_oracle(args, bound):
     return build_oracle(load_sgp(path), bound)
 
 
+def _verdict(report):
+    """Print a Report; a fail or refuted verdict exits 1."""
+    print(report)
+    return 1 if report.verdict in ("fail", "refuted") else 0
+
+
 def cmd_accept(args):
-    aut = _automaton(args)
+    aut = _load(args.automaton)
     v = _word(args.left, args, aut.left)
     w = _word(args.right, args, aut.right)
     if aut.accepts(v, w):
@@ -111,7 +112,7 @@ def cmd_accept(args):
 
 
 def cmd_verify(args):
-    aut = _automaton(args)
+    aut = _load(args.automaton)
     oracle = _load_oracle(args, args.bound)
     disagreements = verify(aut, oracle, args.bound)
     if not disagreements:
@@ -123,34 +124,8 @@ def cmd_verify(args):
     return 1
 
 
-def cmd_compose(args):
-    return _emit(compose(_automaton(args, "first"),
-                         _automaton(args, "second")), args)
-
-
-def cmd_fix_tape(args):
-    r = _automaton(args)
-    fixed = r.left if args.side == "left" else r.right
-    return _emit(fix_tape(r, _word(args.word, args, fixed), args.side), args)
-
-
-def cmd_cross(args):
-    return _emit(cross_product(_language(args, "first"),
-                               _language(args, "second")), args)
-
-
-def cmd_intersect(args):
-    return _emit(intersect_rectangle(_automaton(args),
-                                     _language(args, "left_lang"),
-                                     _language(args, "right_lang")), args)
-
-
-def cmd_trim(args):
-    return _emit(trim(load_fsa(args.automaton)), args)
-
-
 def cmd_pump(args):
-    aut = _automaton(args)
+    aut = _load(args.automaton)
     pair = (_word(args.left, args, aut.left), _word(args.right, args, aut.right))
     dec = pump_decompose(aut, pair)
     report = pump_check(aut, dec, args.imax)
@@ -159,38 +134,26 @@ def cmd_pump(args):
         return f"({''.join(p[0]) or '-'}, {''.join(p[1]) or '-'})"
 
     print(f"prefix {fmt(dec.prefix)} loop {fmt(dec.loop)} suffix {fmt(dec.suffix)}")
-    print(report)
-    return 0 if report.verdict == "pass" else 1
-
-
-def cmd_pump_refute(args):
-    aut = _automaton(args)
-    oracle = _load_oracle(args, args.bound)
-    report = pump_refute(aut, oracle, args.bound, i_max=args.imax)
-    print(report)
-    return 1 if report.verdict == "refuted" else 0
+    return _verdict(report)
 
 
 def cmd_check(args):
-    aut = _automaton(args)
     check = equivalence_check if args.property == "equiv" else congruence_check
-    report = check(aut, args.bound, kind=args.kind)
-    print(report)
-    return 0 if report.verdict == "pass" else 1
+    return _verdict(check(_load(args.automaton), args.bound, kind=args.kind))
 
 
 def cmd_cross_section(args):
-    d = cross_section(_automaton(args))
+    d = cross_section(_load(args.automaton))
     if not args.oracle:
         if (args.bound, args.kind, args.gens) != (None, None, None):
             raise InputError("--bound, --kind and --gens need --oracle")
-        return _emit(d, args)
+        return d
     bound = _ORACLE_BOUND if args.bound is None else args.bound
     report = validate_cross_section(d, _load_oracle(args, bound), bound)
-    print(report)
+    code = _verdict(report)
     if args.output:
         save_fsa(d, args.output)
-    return 0 if report.verdict == "pass" else 1
+    return code
 
 
 def cmd_dot(args):
@@ -210,83 +173,127 @@ def _parse_pairs(text):
     return ProductGenerators(tuple(pairs))
 
 
-def _build_cayley(args):
-    table = load_tbl(args.table)
-    return cayley_wp_sync(table, _generators(args, table), kind=args.kind)
+def _arg(*names, **options):
+    """One add_argument call, as data. In a _COMMANDS row a bare string
+    stands for _arg(string), a positional argument."""
+    return names, options
 
 
-def _build_free(args):
-    return free_wp(Alphabet(tuple(args.alphabet.split())), kind=args.kind)
+_OUTPUT = _arg("-o", "--output")
+_KINDS = ("semigroup", "monoid")
+_CONSTRUCT_KIND = _arg("--kind", choices=_KINDS, default="semigroup")
+_IMAX = _arg("--imax", type=int, default=5)
 
 
-def _build_builtin(args):
-    value = builtin(args.name)
-    if not isinstance(value, TwoTapeAutomaton):
-        raise InputError(f"builtin {args.name!r} has no deciding automaton")
-    return value
+def _oracle_flags(bound=_ORACLE_BOUND):
+    return (_arg("--bound", type=int, default=bound),
+            _arg("--kind", choices=_KINDS, default=None,
+                 help="for .tbl oracles (default: semigroup)"),
+            _arg("--gens", default=None,
+                 help="comma-separated generators for .tbl oracles"))
 
 
-def _build_add_gen(args):
-    wp = _automaton(args)
-    return add_generator(wp, args.symbol, _word(args.rep, args, wp.left))
+def _required(*flags):
+    return tuple(_arg(flag, required=True) for flag in flags)
 
 
-def _build_product_finite(args):
-    wp = _automaton(args)
-    table = load_tbl(args.table)
-    return product_with_finite(table, wp, _parse_pairs(args.pairs))
-
-
-# kind -> (positional inputs, required flags, optional flags, build). A
-# build looks each construction up by its module-level name when it runs,
-# as main does for cmd_*, so a replaced module attribute takes effect.
-_CONSTRUCTIONS = {
-    "cayley": (("table",), (), ("--gens", "--kind"), _build_cayley),
-    "free": ((), ("--alphabet",), ("--kind",), _build_free),
-    "from-builtin": (("name",), (), (), _build_builtin),
-    "add-gen": (("automaton",), ("--symbol", "--rep"), (), _build_add_gen),
-    "remove-gen": (("automaton",), ("--symbol",), (),
-                   lambda args: remove_generator(_automaton(args),
-                                                 args.symbol)),
-    "adjoin-one": (("automaton",), ("--symbol",), (),
-                   lambda args: adjoin_identity(_automaton(args),
-                                                args.symbol)),
-    "adjoin-zero": (("automaton",), ("--symbol",), (),
-                    lambda args: adjoin_zero(_automaton(args), args.symbol)),
-    "ideal-ext": (("automaton", "ideal"), (), (),
-                  lambda args: ideal_extension(_automaton(args),
-                                               load_ideal(args.ideal))),
-    "product-finite": (("automaton", "table"), ("--pairs",), (),
-                       _build_product_finite),
-    "free-product": (("first", "second"), (), (),
-                     lambda args: free_product(_automaton(args, "first"),
-                                               _automaton(args, "second"))),
-    "zero-union": (("first", "second"), ("--symbol",), (),
-                   lambda args: zero_union(_automaton(args, "first"),
-                                           _automaton(args, "second"),
-                                           args.symbol)),
+# name -> (help, arguments, run). A row "construct KIND" is a kind of
+# construct; kinds show no help line. The construct row has no run: it
+# holds the kinds. A run returns an exit code, or an automaton to write.
+# Each run looks library functions up by their module-level name when it
+# runs, so a replaced module attribute takes effect.
+_COMMANDS = {
+    "accept": ("test a word pair", ("automaton", "left", "right"),
+               cmd_accept),
+    "verify": ("compare against a bounded oracle",
+               ("automaton",
+                _arg("oracle", help=".sgp presentation or .tbl table"),
+                *_oracle_flags()),
+               cmd_verify),
+    "compose": ("relational composition", ("first", "second", _OUTPUT),
+                lambda a: compose(_load(a.first), _load(a.second))),
+    "fix-tape": ("slice a relation at a fixed word",
+                 ("automaton", "word",
+                  _arg("--side", choices=("left", "right"), default="left"),
+                  _OUTPUT),
+                 lambda a: fix_tape(r := _load(a.automaton),
+                                    _word(a.word, a, getattr(r, a.side)),
+                                    a.side)),
+    "cross": ("cross product of two languages", ("first", "second", _OUTPUT),
+              lambda a: cross_product(_load(a.first, OneTapeAutomaton),
+                                      _load(a.second, OneTapeAutomaton))),
+    "intersect": ("intersect with a rectangle L x K",
+                  ("automaton", "left_lang", "right_lang", _OUTPUT),
+                  lambda a: intersect_rectangle(
+                      _load(a.automaton), _load(a.left_lang, OneTapeAutomaton),
+                      _load(a.right_lang, OneTapeAutomaton))),
+    "construct": ("build a word-problem automaton", (), None),
+    "construct cayley": (
+        None, ("table", _arg("--gens"), _CONSTRUCT_KIND, _OUTPUT),
+        lambda a: cayley_wp_sync(table := load_tbl(a.table),
+                                 _generators(a, table), kind=a.kind)),
+    "construct free": (
+        None, (*_required("--alphabet"), _CONSTRUCT_KIND, _OUTPUT),
+        lambda a: free_wp(Alphabet(tuple(a.alphabet.split())), kind=a.kind)),
+    "construct from-builtin": (
+        None, ("name", _OUTPUT),
+        lambda a: _require(builtin(a.name), TwoTapeAutomaton,
+                           f"builtin {a.name!r} has no deciding automaton")),
+    "construct add-gen": (
+        None, ("automaton", *_required("--symbol", "--rep"), _OUTPUT),
+        lambda a: add_generator(wp := _load(a.automaton), a.symbol,
+                                _word(a.rep, a, wp.left))),
+    "construct remove-gen": (
+        None, ("automaton", *_required("--symbol"), _OUTPUT),
+        lambda a: remove_generator(_load(a.automaton), a.symbol)),
+    "construct adjoin-one": (
+        None, ("automaton", *_required("--symbol"), _OUTPUT),
+        lambda a: adjoin_identity(_load(a.automaton), a.symbol)),
+    "construct adjoin-zero": (
+        None, ("automaton", *_required("--symbol"), _OUTPUT),
+        lambda a: adjoin_zero(_load(a.automaton), a.symbol)),
+    "construct ideal-ext": (
+        None, ("automaton", "ideal", _OUTPUT),
+        lambda a: ideal_extension(_load(a.automaton), load_ideal(a.ideal))),
+    # by keyword, so that the automaton is loaded before the table
+    "construct product-finite": (
+        None, ("automaton", "table",
+               _arg("--pairs", required=True, help="sym=element:symbol,..."),
+               _OUTPUT),
+        lambda a: product_with_finite(wp_t=_load(a.automaton),
+                                      table=load_tbl(a.table),
+                                      gens=_parse_pairs(a.pairs))),
+    "construct free-product": (
+        None, ("first", "second", _OUTPUT),
+        lambda a: free_product(_load(a.first), _load(a.second))),
+    "construct zero-union": (
+        None, ("first", "second", *_required("--symbol"), _OUTPUT),
+        lambda a: zero_union(_load(a.first), _load(a.second), a.symbol)),
+    "trim": ("keep useful states only", ("automaton", _OUTPUT),
+             lambda a: trim(load_fsa(a.automaton))),
+    "pump": ("decompose and pump an accepted pair",
+             ("automaton", "left", "right", _IMAX), cmd_pump),
+    "pump-refute": ("search for a pumping counterexample",
+                    ("automaton", "oracle", _IMAX, *_oracle_flags()),
+                    lambda a: _verdict(pump_refute(
+                        _load(a.automaton), _load_oracle(a, a.bound), a.bound,
+                        i_max=a.imax))),
+    "check": ("relation property checks",
+              (_arg("property", choices=("equiv", "congruence")), "automaton",
+               _arg("--bound", type=int, default=5),
+               _arg("--kind", choices=_KINDS, default="semigroup",
+                    help="monoid: include the empty word")),
+              cmd_check),
+    "cross-section": ("loop-removal cross-section",
+                      ("automaton",
+                       _arg("--oracle", default=None,
+                            help="validate against this .sgp/.tbl oracle"),
+                       # a given --bound needs --oracle
+                       *_oracle_flags(bound=None),
+                       _OUTPUT),
+                      cmd_cross_section),
+    "dot": ("graph description to stdout", ("automaton",), cmd_dot),
 }
-
-_CONSTRUCT_FLAGS = {
-    "--gens": {},
-    "--kind": {"choices": ("semigroup", "monoid"), "default": "semigroup"},
-    "--alphabet": {},
-    "--symbol": {},
-    "--rep": {},
-    "--pairs": {"help": "sym=element:symbol,..."},
-}
-
-
-def cmd_construct(args):
-    return _emit(args.build(args), args)
-
-
-def _add_oracle_flags(p, bound=_ORACLE_BOUND):
-    p.add_argument("--bound", type=int, default=bound)
-    p.add_argument("--kind", choices=("semigroup", "monoid"), default=None,
-                   help="for .tbl oracles (default: semigroup)")
-    p.add_argument("--gens", default=None,
-                   help="comma-separated generators for .tbl oracles")
 
 
 def build_parser():
@@ -296,88 +303,19 @@ def build_parser():
     )
     parser.add_argument("--tokens", action="store_true",
                         help="read words as whitespace-separated tokens")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("accept", help="test a word pair")
-    p.add_argument("automaton")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser("verify", help="compare against a bounded oracle")
-    p.add_argument("automaton")
-    p.add_argument("oracle", help=".sgp presentation or .tbl table")
-    _add_oracle_flags(p)
-
-    p = sub.add_parser("compose", help="relational composition")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("fix-tape", help="slice a relation at a fixed word")
-    p.add_argument("automaton")
-    p.add_argument("word")
-    p.add_argument("--side", choices=("left", "right"), default="left")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("cross", help="cross product of two languages")
-    p.add_argument("first")
-    p.add_argument("second")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("intersect", help="intersect with a rectangle L x K")
-    p.add_argument("automaton")
-    p.add_argument("left_lang")
-    p.add_argument("right_lang")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("construct", help="build a word-problem automaton")
-    kinds = p.add_subparsers(dest="what", required=True)
-    for what, (inputs, required, optional, build) in _CONSTRUCTIONS.items():
-        k = kinds.add_parser(what)
-        for name in inputs:
-            k.add_argument(name)
-        for flag in required:
-            k.add_argument(flag, required=True, **_CONSTRUCT_FLAGS[flag])
-        for flag in optional:
-            k.add_argument(flag, **_CONSTRUCT_FLAGS[flag])
-        k.add_argument("-o", "--output")
-        k.set_defaults(build=build)
-
-    p = sub.add_parser("trim", help="keep useful states only")
-    p.add_argument("automaton")
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("pump", help="decompose and pump an accepted pair")
-    p.add_argument("automaton")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--imax", type=int, default=5)
-
-    p = sub.add_parser("pump-refute",
-                       help="search for a pumping counterexample")
-    p.add_argument("automaton")
-    p.add_argument("oracle")
-    p.add_argument("--imax", type=int, default=5)
-    _add_oracle_flags(p)
-
-    p = sub.add_parser("check", help="relation property checks")
-    p.add_argument("property", choices=("equiv", "congruence"))
-    p.add_argument("automaton")
-    p.add_argument("--bound", type=int, default=5)
-    p.add_argument("--kind", choices=("semigroup", "monoid"),
-                   default="semigroup",
-                   help="monoid: include the empty word")
-
-    p = sub.add_parser("cross-section", help="loop-removal cross-section")
-    p.add_argument("automaton")
-    p.add_argument("--oracle", default=None,
-                   help="validate against this .sgp/.tbl oracle")
-    _add_oracle_flags(p, bound=None)  # a given --bound needs --oracle
-    p.add_argument("-o", "--output")
-
-    p = sub.add_parser("dot", help="graph description to stdout")
-    p.add_argument("automaton")
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, (summary, arguments, run) in _COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        p = groups[group].add_parser(
+            leaf, **({} if summary is None else {"help": summary}))
+        for argument in arguments:
+            if isinstance(argument, str):
+                argument = _arg(argument)
+            p.add_argument(*argument[0], **argument[1])
+        if run is None:
+            groups[name] = p.add_subparsers(dest="what", required=True)
+        else:
+            p.set_defaults(run=run)
     return parser
 
 
@@ -390,15 +328,13 @@ def _parser():
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    # Each command runs cmd_<command>, looked up at call time rather than
-    # kept in the cached parser, so a replaced cmd_* function takes effect.
-    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        result = args.run(args)
+        if isinstance(result, int):
+            return result
+        _emit(result, args)
+        return 0
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,7 @@ from .automata import (
     _explore,
     _reachable,
     swap_tapes,
+    trim,
     union,
 )
 from .presentations import IdealData, Presentation, RelationSchema
@@ -278,7 +279,9 @@ def product_with_finite(table, wp_t, gens):
     the final pairs (s = t in S proper) from the rest; a state accepts
     when its pair and its T-state do. A sink pair, whose steps all lead
     to itself, is refined with them; its block holds the pairs that never
-    fold to equal ones, and no move goes into it.
+    fold to equal ones, and no move goes into it. A pair that could still
+    become equal can yet meet a T-state with no moves left to make it so,
+    so the result is trimmed (an already-trim product comes back as it is).
     """
     wp_t = _as_async(wp_t)
     _require_square(wp_t, "product_with_finite")
@@ -319,7 +322,8 @@ def product_with_finite(table, wp_t, gens):
         (rep[n * m + n], wp_t.initial), successors,
         lambda state: (state[0] // m == state[0] % m != n
                        and state[1] in wp_t.finals))
-    return TwoTapeAutomaton(n_states, alphabet, alphabet, 0, finals, trans)
+    return trim(TwoTapeAutomaton(n_states, alphabet, alphabet, 0, finals,
+                                 trans))
 
 
 def free_product(wp_s, wp_t):

@@ -34,6 +34,7 @@ from ratwp import (
     union,
     validate_cross_section,
 )
+import ratwp.analysis
 from ratwp.analysis import (
     _cut, _cut_rows, _eps_right_cycle_edges, _pump_form,
 )
@@ -452,6 +453,23 @@ class TestValidateCrossSection:
         monoid = build_oracle(Presentation("monoid", AB), 3)
         assert validate_cross_section(empty, monoid, 0).witnesses == (
             ("missing", ()),)
+
+    @pytest.mark.parametrize("alphabet, bound, error", [
+        (XYZ, 3, "alphabets differ"),
+        (AB, 18, "beyond the oracle's bound"),
+    ])
+    def test_refused_before_enumerating(self, monkeypatch, alphabet, bound,
+                                        error):
+        # a query the oracle cannot answer costs no enumeration of D
+        def enumerated(*args):
+            raise AssertionError("D was enumerated")
+
+        monkeypatch.setattr(ratwp.analysis, "_accepted_codes", enumerated)
+        every_word = OneTapeAutomaton(1, alphabet, 0, frozenset({0}), tuple(
+            NfaTransition(0, s, 0) for s in alphabet))
+        oracle = build_oracle(builtin_presentation("fig3"), 3)
+        with pytest.raises(InputError, match=error):
+            validate_cross_section(every_word, oracle, bound)
 
     def test_infinite_class_fails_finiteness_proxy(self):
         # D = A+ hits the infinite class of b (= b a*) at growing counts

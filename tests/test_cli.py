@@ -1,3 +1,5 @@
+import argparse
+
 import pytest
 
 from ratwp import builtin, free_wp, loads_fsa, save_fsa
@@ -344,7 +346,210 @@ ONE_INPUT_SHORT = {
 
 
 def test_every_construct_kind_has_a_short_case():
-    assert set(ONE_INPUT_SHORT) == set(ratwp.cli._CONSTRUCTIONS)
+    assert set(ONE_INPUT_SHORT) == {
+        name.removeprefix("construct ") for name in ratwp.cli._COMMANDS
+        if name.startswith("construct ")}
+
+
+# Every parser's declared arguments: per argument its option strings,
+# dest, default, choices, required, type and help; a sub-parser group's
+# choices are its (name, help line) pairs. Written out as data rather than
+# as help texts, so that argparse's help layout, which differs between
+# Python versions, is not pinned.
+DECLARED_ARGUMENTS = {
+    "": [
+        (("--tokens",), "tokens", False, None, False, None,
+         "read words as whitespace-separated tokens"),
+        ((), "command", None,
+         (("accept", "test a word pair"),
+          ("verify", "compare against a bounded oracle"),
+          ("compose", "relational composition"),
+          ("fix-tape", "slice a relation at a fixed word"),
+          ("cross", "cross product of two languages"),
+          ("intersect", "intersect with a rectangle L x K"),
+          ("construct", "build a word-problem automaton"),
+          ("trim", "keep useful states only"),
+          ("pump", "decompose and pump an accepted pair"),
+          ("pump-refute", "search for a pumping counterexample"),
+          ("check", "relation property checks"),
+          ("cross-section", "loop-removal cross-section"),
+          ("dot", "graph description to stdout")),
+         True, None, None),
+    ],
+    "accept": [
+        ((), "automaton", None, None, True, None, None),
+        ((), "left", None, None, True, None, None),
+        ((), "right", None, None, True, None, None),
+    ],
+    "check": [
+        ((), "property", None, ("equiv", "congruence"), True, None, None),
+        ((), "automaton", None, None, True, None, None),
+        (("--bound",), "bound", 5, None, False, "int", None),
+        (("--kind",), "kind", "semigroup", ("semigroup", "monoid"), False,
+         None, "monoid: include the empty word"),
+    ],
+    "compose": [
+        ((), "first", None, None, True, None, None),
+        ((), "second", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct": [
+        ((), "what", None,
+         (("cayley", None), ("free", None), ("from-builtin", None),
+          ("add-gen", None), ("remove-gen", None), ("adjoin-one", None),
+          ("adjoin-zero", None), ("ideal-ext", None), ("product-finite", None),
+          ("free-product", None), ("zero-union", None)),
+         True, None, None),
+    ],
+    "construct add-gen": [
+        ((), "automaton", None, None, True, None, None),
+        (("--symbol",), "symbol", None, None, True, None, None),
+        (("--rep",), "rep", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct adjoin-one": [
+        ((), "automaton", None, None, True, None, None),
+        (("--symbol",), "symbol", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct adjoin-zero": [
+        ((), "automaton", None, None, True, None, None),
+        (("--symbol",), "symbol", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct cayley": [
+        ((), "table", None, None, True, None, None),
+        (("--gens",), "gens", None, None, False, None, None),
+        (("--kind",), "kind", "semigroup", ("semigroup", "monoid"), False,
+         None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct free": [
+        (("--alphabet",), "alphabet", None, None, True, None, None),
+        (("--kind",), "kind", "semigroup", ("semigroup", "monoid"), False,
+         None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct free-product": [
+        ((), "first", None, None, True, None, None),
+        ((), "second", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct from-builtin": [
+        ((), "name", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct ideal-ext": [
+        ((), "automaton", None, None, True, None, None),
+        ((), "ideal", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct product-finite": [
+        ((), "automaton", None, None, True, None, None),
+        ((), "table", None, None, True, None, None),
+        (("--pairs",), "pairs", None, None, True, None,
+         "sym=element:symbol,..."),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct remove-gen": [
+        ((), "automaton", None, None, True, None, None),
+        (("--symbol",), "symbol", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "construct zero-union": [
+        ((), "first", None, None, True, None, None),
+        ((), "second", None, None, True, None, None),
+        (("--symbol",), "symbol", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "cross": [
+        ((), "first", None, None, True, None, None),
+        ((), "second", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "cross-section": [
+        ((), "automaton", None, None, True, None, None),
+        (("--oracle",), "oracle", None, None, False, None,
+         "validate against this .sgp/.tbl oracle"),
+        (("--bound",), "bound", None, None, False, "int", None),
+        (("--kind",), "kind", None, ("semigroup", "monoid"), False, None,
+         "for .tbl oracles (default: semigroup)"),
+        (("--gens",), "gens", None, None, False, None,
+         "comma-separated generators for .tbl oracles"),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "dot": [
+        ((), "automaton", None, None, True, None, None),
+    ],
+    "fix-tape": [
+        ((), "automaton", None, None, True, None, None),
+        ((), "word", None, None, True, None, None),
+        (("--side",), "side", "left", ("left", "right"), False, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "intersect": [
+        ((), "automaton", None, None, True, None, None),
+        ((), "left_lang", None, None, True, None, None),
+        ((), "right_lang", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "pump": [
+        ((), "automaton", None, None, True, None, None),
+        ((), "left", None, None, True, None, None),
+        ((), "right", None, None, True, None, None),
+        (("--imax",), "imax", 5, None, False, "int", None),
+    ],
+    "pump-refute": [
+        ((), "automaton", None, None, True, None, None),
+        ((), "oracle", None, None, True, None, None),
+        (("--imax",), "imax", 5, None, False, "int", None),
+        (("--bound",), "bound", 5, None, False, "int", None),
+        (("--kind",), "kind", None, ("semigroup", "monoid"), False, None,
+         "for .tbl oracles (default: semigroup)"),
+        (("--gens",), "gens", None, None, False, None,
+         "comma-separated generators for .tbl oracles"),
+    ],
+    "trim": [
+        ((), "automaton", None, None, True, None, None),
+        (("-o", "--output"), "output", None, None, False, None, None),
+    ],
+    "verify": [
+        ((), "automaton", None, None, True, None, None),
+        ((), "oracle", None, None, True, None,
+         ".sgp presentation or .tbl table"),
+        (("--bound",), "bound", 5, None, False, "int", None),
+        (("--kind",), "kind", None, ("semigroup", "monoid"), False, None,
+         "for .tbl oracles (default: semigroup)"),
+        (("--gens",), "gens", None, None, False, None,
+         "comma-separated generators for .tbl oracles"),
+    ],
+}
+
+
+def declared_arguments(parser, path=(), found=None):
+    """Parser path -> the declared arguments of that parser and of each
+    sub-parser under it, in the form of DECLARED_ARGUMENTS."""
+    found = {} if found is None else found
+    rows = found[" ".join(path)] = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            lines = {c.dest: c.help for c in action._choices_actions}
+            choices = tuple((name, lines.get(name)) for name in choices)
+            for name, sub in action.choices.items():
+                declared_arguments(sub, path + (name,), found)
+        elif choices is not None:
+            choices = tuple(choices)
+        rows.append((tuple(action.option_strings), action.dest,
+                     action.default, choices, action.required,
+                     getattr(action.type, "__name__", None), action.help))
+    return found
+
+
+def test_declared_arguments():
+    assert declared_arguments(ratwp.cli.build_parser()) == DECLARED_ARGUMENTS
 
 
 class TestConstructArguments:

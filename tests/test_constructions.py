@@ -363,6 +363,18 @@ class TestProductWithFinite:
         assert enumerate_accepted(wp, 4) == enumerate_accepted(
             product_by_folds(left_zero_table, builtin("fig3"), gens), 4)
 
+    def test_dead_through_t_is_left_out(self, c2_table):
+        # T's automaton is trim, and the pair (g, 1) could still become
+        # equal, but reading (x, y) takes T to its final state, which has
+        # no move left to make it so: nothing is accepted, and trim leaves
+        # the initial state alone
+        gens = ProductGenerators((("x", "g", "a"), ("y", "1", "b")))
+        wp_t = TwoTapeAutomaton(2, AB, AB, 0, frozenset({1}),
+                                ((0, "a", "b", 1),))
+        wp = product_with_finite(c2_table, wp_t, gens)
+        assert (wp.n_states, wp.finals, wp.transitions) == (
+            1, frozenset(), ())
+
     def test_unknown_projection(self, c2_table):
         gens = ProductGenerators((("x", "g", "c"),))
         with pytest.raises(InputError):
@@ -386,6 +398,7 @@ def test_product_merges_the_reference(table_gens, data):
     reference = product_by_folds(table, wp_t, gens)
     assert enumerate_accepted(wp, 4) == enumerate_accepted(reference, 4)
     assert wp.n_states <= reference.n_states
+    assert trim(wp) is wp
     permuted = product_with_finite(permuted_table(table, order), wp_t, gens)
     assert dumps_fsa(permuted) == dumps_fsa(wp)
 
