@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product as iproduct
-from operator import itemgetter
 
 from .automata import (
     EPSILON,
@@ -18,7 +17,6 @@ from .automata import (
     TwoTapeAutomaton,
     _as_async,
     _explore,
-    _reachable,
     swap_tapes,
     trim,
     union,
@@ -38,96 +36,106 @@ def _require_square(wp, what):
         raise InputError(f"{what} needs equal tape alphabets")
 
 
-def _refine(block, rows, states):
-    """Moore's partition refinement, in place: each round every q of states
-    moves to a block per (block[q], the blocks of the targets rows[q]),
-    until no block splits. Every other state keeps its block. The table
-    constructions add a non-final sink whose row points only to itself: on
-    total rows, the states that reach no final state share the sink's
-    block, and each construction leaves out every move into that block."""
-    signatures = [itemgetter(q, *rows[q]) for q in states]
-    count = len({block[q] for q in states})
-    while True:
-        ids = {}
-        new = [ids.setdefault(sig(block), len(ids)) for sig in signatures]
-        for q, b in zip(states, new):
-            block[q] = b
-        if len(ids) == count:
-            return
-        count = len(ids)
+def _kernel_blocks(product, vs):
+    """Blocks of the pairs (s, t) of S^1, keyed by their kernels.
+
+    product lists the rows of S, whose adjoined identity 1 is n =
+    len(product), and vs the subsemigroup V that the generators make. The
+    kernel K(s, t) = {(a, b) in V^1 x V^1 : s a = t b != 1} holds the
+    values of the word pairs that take (s, t) to an equal pair other than
+    (1, 1); every element of V^1 is the value of a word, so two pairs
+    accept the same word pairs iff their kernels are equal. A key lists,
+    for each a in V^1 (V, then 1), the id of the fiber {b in V^1 : t b =
+    s a != 1}; the fibers are built once per t, the empty one's id is 0.
+
+    Returns (block, rep). block(s, t) is the id of K(s, t)'s key, and
+    block(s, t, "a") and block(s, t, "b") those of its parts in V^1 x {1}
+    and {1} x V^1; the empty kernel's id is 0. rep maps each id to the
+    arguments that first gave it.
+    """
+    n = len(product)
+    v1 = [*vs, n]
+    rows = [[*row, s] for s, row in enumerate(product)] + [range(n + 1)]
+    times = [[row[a] for a in v1] for row in rows]  # times[s]: the s a
+    ids = {frozenset(): 0}
+    fibers = []  # fibers[t][c]: the id of {b in V^1 : t b = c != 1}
+    for row in rows:
+        by_value = {}
+        for b in v1:
+            by_value.setdefault(row[b], []).append(b)
+        by_value.pop(n, None)  # t b = 1 only for t = b = 1
+        fiber = [0] * (n + 1)
+        for c, bs in by_value.items():
+            fiber[c] = ids.setdefault(frozenset(bs), len(ids))
+        fibers.append(fiber)
+    # in V^1 x {1} the fiber of a is {1} when s a = t != 1: ones[t][s a]
+    one = ids.setdefault(frozenset((n,)), len(ids))
+    ones = [[one * (c == t != n) for c in range(n + 1)] for t in range(n + 1)]
+    zeros = (0,) * len(vs)
+    keys, rep, cache = {(0,) * len(v1): 0}, {}, {}
+
+    def block(s, t, part=None):
+        b = cache.get((s, t, part))
+        if b is None:
+            if part is None:
+                key = tuple(map(fibers[t].__getitem__, times[s]))
+            elif part == "a":
+                key = tuple(map(ones[t].__getitem__, times[s]))
+            else:
+                key = (*zeros, fibers[t][s])
+            b = cache[s, t, part] = keys.setdefault(key, len(keys))
+            rep.setdefault(b, (s, t, part))
+        return b
+
+    return block, rep
 
 
 def cayley_wp_sync(table, gens, kind="semigroup"):
     """Minimal synchronous word-problem automaton of a finite semigroup.
 
-    It is built from an initial state plus three copies (neutral,
-    right-padding, left-padding) of the pairs (s, t) of semigroup
-    elements; each copy tracks right multiplication of both tapes' values,
-    and the padding copies enforce that a pad is only ever followed by
-    pads on its tape.
+    A neutral state is a pair (s, t) of S^1 that moves by (x, y) to
+    (s x, t y), by (x, #) to the right-padding state (s x, t) and by
+    (#, y) to the left-padding state (s, t y); a padding state moves on
+    its own tape only. The labels are ordered the k^2 pairs (x, y), then
+    (x, #), then (#, y). A state accepts when s = t != 1. The initial
+    state is the neutral (1, 1), whose kernel is the diagonal of S, or
+    for a monoid the neutral (e, e), e being the identity.
 
-    Each state has one row of targets, one per label in a fixed order (the
-    k^2 pairs (x, y), then (x, #), then (#, y)). A move that does not
-    exist goes to a non-final sink, and so does a padding move into a
-    state that reaches no final state: a right-padding state (s, t)
-    reaches one iff t is in s S^1, a left-padding one iff s is in t S^1.
-    Moore's partition refinement on these rows merges the states that
-    accept the same pairs, the dead neutral pairs joining the sink's
-    block, and the other blocks reachable from the initial one, numbered
-    in breadth-first discovery order, are the states of the result: the
-    minimal deterministic automaton, whose text does not depend on the
-    order of the table's elements.
+    The states are merged by _kernel_blocks, with no transition built: a
+    neutral state (s, t) accepts the word pairs whose values lie in
+    K(s, t), a right-padding one those in K(s, t) within S^1 x {1}, a
+    left-padding one those in {1} x S^1. States with equal keys merge, and
+    no move goes into the empty kernel, which reaches no final state. The
+    blocks reachable from the initial one, numbered in breadth-first
+    discovery order, make the minimal deterministic automaton, whose text
+    does not depend on the order of the table's elements.
     """
     gens = tuple(gens)
     gen_idx = table.generator_indices(gens, kind)
-    e = table.identity_index()
-    n, k = len(table), len(gens)
-    nn, elems = n * n, range(n)
-    mul = [[table.mul(s, gen_idx[g]) for g in gens] for s in elems]
-    ideal = [_reachable((s,), mul) for s in elems]  # s S^1
-    # The pair (s, t) is p = s n + t: its neutral state is p, its
-    # right-padding state nn + p and its left-padding state 2 nn + p. The
-    # initial state is 3 nn and the sink 3 nn + 1. A row lists a state's
-    # targets by label: the k^2 pairs (x, y), then the k moves (x, #),
-    # then the k moves (#, y).
-    start, sink = 3 * nn, 3 * nn + 1
-    rows = [None] * start
-    for s, t in iproduct(elems, repeat=2):
-        p = s * n + t
-        pad_right = [nn + a * n + t if t in ideal[a] else sink for a in mul[s]]
-        pad_left = [2 * nn + s * n + b if s in ideal[b] else sink
-                    for b in mul[t]]
-        rows[p] = ([a * n + b for a in mul[s] for b in mul[t]]
-                   + pad_right + pad_left)
-        rows[nn + p] = [sink] * k * k + pad_right + [sink] * k
-        rows[2 * nn + p] = [sink] * (k * k + k) + pad_left
     g = [gen_idx[x] for x in gens]
-    # a monoid's initial state moves as the neutral state of (e, e) does
-    rows.append(rows[e * n + e] if kind == "monoid" else
-                [a * n + b for a in g for b in g] + [sink] * 2 * k)
-    rows.append([sink] * (k * k + 2 * k))
-    final = bytearray(sink + 1)
-    for p in range(0, nn, n + 1):  # the pairs (s, s)
-        final[p] = final[nn + p] = final[2 * nn + p] = 1
-    final[start] = kind == "monoid"
-    # the padding states refined are those that a neutral state moves to
-    states = list({start, sink, *range(nn)}.union(
-        *(rows[p][k * k:] for p in range(nn))))
-    block = list(final)
-    _refine(block, rows, states)
-    member = {block[q]: q for q in states}
-    dead = block[sink]
-    labels = [*iproduct(gens, repeat=2), *((x, PAD) for x in gens),
-              *((PAD, y) for y in gens)]
+    n = len(table)
+    mul = [[row[x] for x in g] for row in table.product] + [g]  # s x in S^1
+    block, rep = _kernel_blocks(table.product, range(n))
+    right, left = [(x, PAD) for x in gens], [(PAD, y) for y in gens]
+    labels = {None: [*iproduct(gens, repeat=2), *right, *left],
+              "a": right, "b": left}
 
     def successors(b):
-        for (x, y), dst in zip(labels, rows[member[b]]):
-            if block[dst] != dead:
-                yield x, y, block[dst]
+        s, t, part = rep[b]
+        targets = []
+        if part is None:
+            targets += [block(a, c) for a in mul[s] for c in mul[t]]
+        if part != "b":
+            targets += [block(a, t, "a") for a in mul[s]]
+        if part != "a":
+            targets += [block(s, c, "b") for c in mul[t]]
+        return [(x, y, d) for (x, y), d in zip(labels[part], targets) if d]
 
+    # the initial state is built even when its kernel is empty (no elements)
+    e = table.identity_index() if kind == "monoid" else n
     alphabet = Alphabet(gens)
-    n_states, finals, trans = _explore(block[start], successors,
-                                       lambda b: final[member[b]])
+    n_states, finals, trans = _explore(
+        block(e, e), successors, lambda b: rep[b][0] == rep[b][1] != n)
     return TwoTapeAutomaton(n_states, alphabet, alphabet, 0, finals, trans,
                             mode="sync")
 
@@ -272,16 +280,15 @@ def product_with_finite(table, wp_t, gens):
     """Word problem of S x T for finite S, given T's word-problem automaton
     and a named generating set of pairs.
 
-    A state is a T-state and a block of the pairs (s, t) of S^1 that fold
-    the S-projections of the two tapes' words; each T-transition is lifted
-    to the product alphabet. The blocks are the coarsest, by Moore's
-    refinement, that the steps (s x, t) and (s, t x) respect and that part
-    the final pairs (s = t in S proper) from the rest; a state accepts
-    when its pair and its T-state do. A sink pair, whose steps all lead
-    to itself, is refined with them; its block holds the pairs that never
-    fold to equal ones, and no move goes into it. A pair that could still
-    become equal can yet meet a T-state with no moves left to make it so,
-    so the result is trimmed (an already-trim product comes back as it is).
+    A state is a T-state and a block of _kernel_blocks, V being made by
+    the generators' S-projections: a pair (s, t) of S^1 folds the
+    projections of the two tapes' words, stepping to (s x, t) on the left
+    tape and to (s, t x) on the right one. T's transitions are lifted to
+    the product alphabet, and a state accepts when its pair (s = t in S
+    proper) and its T-state do. No move goes into the empty kernel, but a
+    pair that could still become equal can yet meet a T-state with no
+    moves left to make it so: the result is trimmed (an already-trim
+    product comes back as it is).
     """
     wp_t = _as_async(wp_t)
     _require_square(wp_t, "product_with_finite")
@@ -291,37 +298,30 @@ def product_with_finite(table, wp_t, gens):
         if c not in wp_t.left:
             raise InputError(f"projection {c!r} not in the T automaton's alphabet")
     alphabet = gens.alphabet()
-    n, k = len(table), len(xs)  # n is the adjoined identity of S^1
-    m = n + 1
-    # the pair (s, t) is p = s m + t; its row is k left, then k right steps
-    mul = [*table.product, range(n)]
-    rows = [[mul[s][x] * m + t for x in xs] + [s * m + mul[t][x] for x in xs]
-            for s in range(m) for t in range(m)]
-    rows.append([m * m] * 2 * k)  # the sink pair m^2
-    block = [int(s == t != n) for s in range(m) for t in range(m)] + [0]
-    _refine(block, rows, range(m * m + 1))
-    dead = block[m * m]
-    first = {}
-    rep = [first.setdefault(b, p) for p, b in enumerate(block)]
-    lifts = {EPSILON: [(EPSILON, None)]}  # T label -> (product label, column)
+    n = len(table)  # the adjoined identity of S^1
+    mul = [[row[x] for x in xs] for row in table.product] + [xs]  # s x in S^1
+    block, rep = _kernel_blocks(table.product, sorted(table.closure_of(xs)))
+    lifts = {EPSILON: [(EPSILON, None)]}  # T label -> (product label, x index)
     for i, c in enumerate(alphabet):
         lifts.setdefault(pi_t[c], []).append((c, i))
     by_src = wp_t.by_src
 
     def successors(state):
-        p, q = state  # p is the first pair of its block
-        for g in by_src.get(q, ()):
+        s, t, _ = rep[state[0]]
+        for g in by_src.get(state[1], ()):
             for c, i in lifts.get(g.left, ()):
-                pc = p if i is None else rows[p][i]
+                sc = s if i is None else mul[s][i]
                 for d, j in lifts.get(g.right, ()):
-                    pd = pc if j is None else rows[pc][k + j]
-                    if block[pd] != dead:
-                        yield c, d, (rep[pd], g.dst)
+                    b = block(sc, t if j is None else mul[t][j])
+                    if b:
+                        yield c, d, (b, g.dst)
 
-    n_states, finals, trans = _explore(
-        (rep[n * m + n], wp_t.initial), successors,
-        lambda state: (state[0] // m == state[0] % m != n
-                       and state[1] in wp_t.finals))
+    def is_final(state):
+        s, t, _ = rep[state[0]]
+        return s == t != n and state[1] in wp_t.finals
+
+    n_states, finals, trans = _explore((block(n, n), wp_t.initial),
+                                       successors, is_final)
     return trim(TwoTapeAutomaton(n_states, alphabet, alphabet, 0, finals,
                                  trans))
 

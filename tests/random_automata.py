@@ -336,6 +336,36 @@ def moore_block_count(aut):
         count = len(ids)
 
 
+def moore_pair_blocks(table, xs):
+    """Reference for constructions._kernel_blocks: Moore's partition
+    refinement of the pairs (s, t) of S^1, S with an adjoined identity 1,
+    under the steps (s x, t) and (s, t x) for x in xs. Blocks split, from
+    final (s = t != 1) against non-final, by the blocks the steps lead to,
+    until no block splits. A non-final sink, whose steps all lead to
+    itself, is refined with the pairs: its block holds the pairs that
+    never step to a final one. Returns (blocks of the pairs, the sink's
+    block)."""
+    one = len(table)
+
+    def mul1(s, x):
+        return x if s == one else table.mul(s, x)
+
+    rows = {(s, t): [(mul1(s, x), t) for x in xs]
+            + [(s, mul1(t, x)) for x in xs]
+            for s, t in iproduct(range(one + 1), repeat=2)}
+    rows["sink"] = ["sink"] * 2 * len(xs)
+    block = {p: p != "sink" and p[0] == p[1] != one for p in rows}
+    count = len(set(block.values()))
+    while True:
+        ids = {}
+        block = {p: ids.setdefault((block[p], *(block[q] for q in row)),
+                                   len(ids))
+                 for p, row in rows.items()}
+        if len(ids) == count:
+            return block, block.pop("sink")
+        count = len(ids)
+
+
 def eps_right_cycle_edges_by_closure(aut):
     """Reference for analysis._eps_right_cycle_edges: the transitions u ->
     v reading nothing on the right with (v, u) in the reflexive and

@@ -36,10 +36,12 @@ from ratwp import (
     zero_union,
 )
 from ratwp.automata import NfaTransition, OneTapeAutomaton
+from ratwp.constructions import _kernel_blocks
 from random_automata import (
     all_reachable,
     cayley_by_pairs,
     moore_block_count,
+    moore_pair_blocks,
     oracle_from_words,
     permuted_table,
     product_by_folds,
@@ -90,6 +92,16 @@ class TestCayley:
     def test_monoid_kind_needs_identity(self, left_zero_table):
         with pytest.raises(InputError):
             cayley_wp_sync(left_zero_table, ("l", "r"), kind="monoid")
+
+    def test_empty_table(self):
+        # the initial state's kernel is empty, and it is built all the same
+        empty = MultiplicationTable((), ())
+        wp = cayley_wp_sync(empty, ())
+        assert dumps_fsa(wp) == ("type: sync\nleft: \nright: \nstates: 1\n"
+                                 "initial: 0\nfinal: \n")
+        with pytest.raises(InputError, match="requires a table with an "
+                                             "identity"):
+            cayley_wp_sync(empty, (), kind="monoid")
 
     def test_non_generating_set(self, c2_table):
         with pytest.raises(InputError):
@@ -191,6 +203,28 @@ def test_cayley_is_the_minimal_reference(table_gens, data):
         assert dumps_fsa(permuted) == dumps_fsa(wp)
 
 
+@settings(max_examples=100, deadline=None)
+@given(transformation_tables(), st.data())
+def test_kernel_blocks_are_moore_blocks(table_gens, data):
+    # keyed by their kernels, the pairs of S^1 fall into the blocks of
+    # Moore's refinement, and the empty kernel is the sink's block
+    table, _ = table_gens
+    xs = data.draw(st.lists(st.sampled_from(range(len(table))), max_size=3))
+    block, _ = _kernel_blocks(table.product, sorted(table.closure_of(xs)))
+    moore, sink = moore_pair_blocks(table, xs)
+    kernel = {p: block(*p) for p in moore}
+
+    def parts(blocks):
+        members = {}
+        for p, b in blocks.items():
+            members.setdefault(b, set()).add(p)
+        return {frozenset(ps) for ps in members.values()}
+
+    assert parts(kernel) == parts(moore)
+    assert {p for p, b in kernel.items() if b == 0} == {
+        p for p, b in moore.items() if b == sink}
+
+
 class TestFreeWp:
     def test_semigroup_is_equality_without_empty(self):
         wp = free_wp(AB)
@@ -247,6 +281,19 @@ class TestAdjoin:
                 (("b", "z"), ("z",)), (("z", "b"), ("z",)),
                 (("z", "z"), ("z",)))), 4)
         assert verify(wp, oracle, 4) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(transformation_tables())
+    def test_adjoin_zero_to_cayley(self, table_gens):
+        # S^0's table: S's products, and z times anything is z
+        table, gens = table_gens
+        z = len(table)
+        with_zero = MultiplicationTable(
+            (*table.elements, "z"),
+            (*((*row, z) for row in table.product), (z,) * (z + 1)))
+        wp = adjoin_zero(cayley_wp_sync(table, gens), "z")
+        oracle = table_oracle(with_zero, (*gens, "z"), 3)
+        assert verify(wp, oracle, 3) == []
 
     def test_symbol_clash(self):
         with pytest.raises(InputError):
