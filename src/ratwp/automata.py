@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
+from itertools import product, repeat
 from typing import NamedTuple, Optional
 
 EPSILON = None          # tape label meaning "read nothing"
@@ -104,6 +104,60 @@ def _check_label(lab, allowed):
     raise InputError(f"unknown symbol {lab!r}")
 
 
+def _checked_transitions(aut, record, labels):
+    """The automaton's transitions as records of type record, after its
+    states are checked and every transition is: a state below n_states,
+    then one label per tape from that tape's set in labels, then a state.
+
+    Plain tuples are converted in bulk and records are kept as they are.
+    Validity is decided on whole columns: the type of every state (1.0
+    and 1 are one set element), the range of the distinct states and each
+    tape's set of labels. Only when that check fails (an unhashable field
+    fails it too) are the transitions walked one by one, to raise the
+    InputError that names the first bad field.
+    """
+    n = aut.n_states
+    if not isinstance(n, int):
+        raise InputError(f"state count {n!r} is not an integer")
+    _check_state(aut.initial, n, "initial state")
+    for f in aut.finals:
+        _check_state(f, n, "final state")
+    trans = tuple(aut.transitions)
+    if not trans:
+        return trans
+    kinds = set(map(type, trans))
+    if kinds != {record}:
+        width = len(record._fields)
+        try:
+            fits = set(map(len, trans)) == {width}
+        except TypeError:  # a transition without a length
+            fits = False
+        if not fits:
+            bad = next(t for t in trans
+                       if not hasattr(t, "__len__") or len(t) != width)
+            raise InputError(f"transition {bad!r} needs {width} fields")
+        if record in kinds:
+            trans = tuple(t if type(t) is record else tuple.__new__(record, t)
+                          for t in trans)
+        else:
+            trans = tuple(map(tuple.__new__, repeat(record), trans))
+    src, *labs, dst = zip(*trans)
+    try:
+        states = {*src, *dst}
+        valid = ({*map(type, src), *map(type, dst)} == {int}
+                 and min(states) >= 0 and max(states) < n
+                 and all(set(col) <= tape for col, tape in zip(labs, labels)))
+    except TypeError:  # an unhashable field
+        valid = False
+    if not valid:
+        for src, *labs, dst in trans:
+            _check_state(src, n, "transition source")
+            _check_state(dst, n, "transition target")
+            for lab, tape in zip(labs, labels):
+                _check_label(lab, tape)
+    return trans
+
+
 @dataclass(frozen=True)
 class TwoTapeAutomaton:
     """Asynchronous or synchronous two-tape automaton."""
@@ -118,23 +172,12 @@ class TwoTapeAutomaton:
 
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "transitions", tuple(
-            t if type(t) is Transition else Transition(*t)
-            for t in self.transitions))
         if self.mode not in ("async", "sync"):
             raise InputError(f"unknown mode {self.mode!r}")
-        _check_state(self.initial, self.n_states, "initial state")
-        for f in self.finals:
-            _check_state(f, self.n_states, "final state")
         # a tape's labels: its symbols, and epsilon (async) or pad (sync)
         extra = EPSILON if self.mode == "async" else PAD
-        left, right = {extra, *self.left}, {extra, *self.right}
-        n = self.n_states
-        for src, lab_left, lab_right, dst in self.transitions:
-            _check_state(src, n, "transition source")
-            _check_state(dst, n, "transition target")
-            _check_label(lab_left, left)
-            _check_label(lab_right, right)
+        object.__setattr__(self, "transitions", _checked_transitions(
+            self, Transition, ({extra, *self.left}, {extra, *self.right})))
 
     def accepts(self, left_word, right_word):
         return accepts_two_tape(self, left_word, right_word)
@@ -231,17 +274,8 @@ class OneTapeAutomaton:
 
     def __post_init__(self):
         object.__setattr__(self, "finals", frozenset(self.finals))
-        object.__setattr__(self, "transitions", tuple(
-            t if type(t) is NfaTransition else NfaTransition(*t)
-            for t in self.transitions))
-        _check_state(self.initial, self.n_states, "initial state")
-        for f in self.finals:
-            _check_state(f, self.n_states, "final state")
-        for t in self.transitions:
-            _check_state(t.src, self.n_states, "transition source")
-            _check_state(t.dst, self.n_states, "transition target")
-            if t.label is not EPSILON and t.label not in self.alphabet:
-                raise InputError(f"unknown symbol {t.label!r}")
+        object.__setattr__(self, "transitions", _checked_transitions(
+            self, NfaTransition, ({EPSILON, *self.alphabet},)))
 
     def accepts(self, word):
         return accepts_one_tape(self, word)
@@ -268,25 +302,29 @@ def as_word(text_or_tokens, alphabet=None, tokens=False):
     else:
         w = tuple(text_or_tokens)
     if alphabet is not None:
-        for s in w:
-            if s not in alphabet:
-                raise InputError(f"symbol {s!r} not in alphabet")
+        _check_word(w, alphabet)
     return w
 
 
-def _check_pair(aut, v, w):
-    for s in v:
-        if s not in aut.left:
-            raise InputError(f"symbol {s!r} not in left alphabet")
-    for s in w:
-        if s not in aut.right:
-            raise InputError(f"symbol {s!r} not in right alphabet")
+def _check_word(word, alphabet, tape=""):
+    """Raise InputError naming the first symbol of word outside alphabet.
+    The symbols are checked as one set; only a failed check (an unhashable
+    symbol fails it too) walks the word to name the symbol."""
+    try:
+        if alphabet._digits.keys() >= set(word):
+            return
+    except TypeError:  # an unhashable symbol
+        pass
+    for s in word:
+        if s not in alphabet:
+            raise InputError(f"symbol {s!r} not in {tape}alphabet")
 
 
 def accepts_two_tape(aut, left_word, right_word):
     """Does an accepting computation project to the given pair?"""
     v, w = tuple(left_word), tuple(right_word)
-    _check_pair(aut, v, w)
+    _check_word(v, aut.left, "left ")
+    _check_word(w, aut.right, "right ")
     return _accepting_run(_search_form(aut), v, w) is not None
 
 
@@ -343,9 +381,7 @@ def accepts_one_tape(aut, word):
     """Is the word accepted? A run search on (word, ε) in the relation
     view."""
     w = tuple(word)
-    for s in w:
-        if s not in aut.alphabet:
-            raise InputError(f"symbol {s!r} not in alphabet")
+    _check_word(w, aut.alphabet)
     return _accepting_run(_search_form(aut.relation_view), w, ()) is not None
 
 
@@ -398,7 +434,7 @@ def eliminate_silent_steps(aut):
                 key = (q, t.left, t.right, t.dst)
                 if key not in seen:
                     seen.add(key)
-                    new_trans.append(Transition(*key))
+                    new_trans.append(key)
     new_finals = frozenset(
         q for q in range(aut.n_states) if closure[q] & aut.finals
     )
@@ -426,14 +462,8 @@ def trim(aut):
         return replace(aut, n_states=1, initial=0, finals=frozenset(),
                        transitions=())
     remap = {old: new for new, old in enumerate(sorted(useful))}
-    if isinstance(aut, OneTapeAutomaton):
-        trans = tuple(NfaTransition(remap[src], lab, remap[dst])
-                      for src, lab, dst in aut.transitions
-                      if src in remap and dst in remap)
-    else:
-        trans = tuple(Transition(remap[src], lab_l, lab_r, remap[dst])
-                      for src, lab_l, lab_r, dst in aut.transitions
-                      if src in remap and dst in remap)
+    trans = tuple((remap[t[0]], *t[1:-1], remap[t[-1]])
+                  for t in aut.transitions if t[0] in remap and t[-1] in remap)
     return replace(aut, n_states=len(remap), initial=remap[aut.initial],
                    finals=frozenset(remap[f] for f in aut.finals
                                     if f in remap), transitions=trans)
@@ -488,7 +518,7 @@ def determinize(aut):
 def swap_tapes(aut):
     """Reverse the relation: (v, w) accepted iff (w, v) was."""
     return replace(aut, left=aut.right, right=aut.left, transitions=tuple(
-        Transition(t.src, t.right, t.left, t.dst) for t in aut.transitions))
+        (src, right, left, dst) for src, left, right, dst in aut.transitions))
 
 
 def union(r, s):
@@ -506,7 +536,7 @@ def union(r, s):
     silent = (EPSILON,) * len(tapes)
     trans = [(0, *silent, r.initial + off_r), (0, *silent, s.initial + off_s)]
     for aut, off in ((r, off_r), (s, off_s)):
-        trans += (t._replace(src=t.src + off, dst=t.dst + off)
+        trans += ((t[0] + off, *t[1:-1], t[-1] + off)
                   for t in aut.transitions)
     finals = frozenset(
         {f + off_r for f in r.finals} | {f + off_s for f in s.finals}
@@ -719,14 +749,9 @@ def sync_to_async(aut):
     """View a sync automaton as an async one: pad labels become epsilon."""
     validate_sync(aut)
     trans = tuple(
-        Transition(
-            t.src,
-            EPSILON if t.left == PAD else t.left,
-            EPSILON if t.right == PAD else t.right,
-            t.dst,
-        )
-        for t in aut.transitions
-    )
+        (src, EPSILON if left == PAD else left,
+         EPSILON if right == PAD else right, dst)
+        for src, left, right, dst in aut.transitions)
     return replace(aut, transitions=trans, mode="async")
 
 

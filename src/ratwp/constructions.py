@@ -11,7 +11,6 @@ from .automata import (
     PAD,
     Alphabet,
     InputError,
-    NfaTransition,
     OneTapeAutomaton,
     Transition,
     TwoTapeAutomaton,
@@ -375,7 +374,7 @@ def zero_union(wp_s, wp_t, zero):
                     nfa, nfb = 1, fb
                 else:
                     nfa, nfb = fa, 1
-                mixed_trans.append(NfaTransition(src, sym, nfa * 2 + nfb))
+                mixed_trans.append((src, sym, nfa * 2 + nfb))
     mixed = OneTapeAutomaton(4, alphabet, 0, frozenset({3}), tuple(mixed_trans))
     z = union(union(z_s, z_t), mixed)
     return union(

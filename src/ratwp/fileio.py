@@ -7,15 +7,15 @@ tokenizing everywhere except inside the label fields of a trans line, where
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .automata import (
     EPSILON,
     EPSILON_TOKEN,
     PAD,
     Alphabet,
     InputError,
-    NfaTransition,
     OneTapeAutomaton,
-    Transition,
     TwoTapeAutomaton,
     validate_sync,
 )
@@ -131,38 +131,39 @@ def loads_fsa(text):
     _no_other(single)
 
     labels = [_label_table(tape, kind == "sync") for tape in tapes]
-    # Canonical lines are read with one dict lookup per field; any other
-    # line, valid or not, goes through _parse_trans for its fields or its
-    # error message.
-    states = {str(q): q for q in range(n_states)}
-    fast = [{tok: lab for tok, lab in table.items()
-             if kind != "sync" or lab is not EPSILON} for table in labels]
-    make = NfaTransition if kind == "nfa" else Transition
-    trans = []
-    for rest in trans_lines:
-        tokens = rest.split()
-        try:
-            if kind == "nfa":
-                src, lab, dst = tokens
-                t = make(states[src], fast[0][lab], states[dst])
-            else:
-                src, lab_l, lab_r, dst = tokens
-                t = make(states[src], fast[0][lab_l], fast[1][lab_r],
-                         states[dst])
-        except (ValueError, KeyError):  # a field count or token to check
-            t = make(*_parse_trans(rest, tokens, kind, labels, n_states))
-        trans.append(t)
-
+    trans = _read_trans(trans_lines, kind, labels, n_states)
     if kind == "nfa":
-        return OneTapeAutomaton(n_states, *tapes, initial, finals,
-                                tuple(trans))
-    return TwoTapeAutomaton(n_states, *tapes, initial, finals, tuple(trans),
+        return OneTapeAutomaton(n_states, *tapes, initial, finals, trans)
+    return TwoTapeAutomaton(n_states, *tapes, initial, finals, trans,
                             mode=kind)
 
 
-def _parse_trans(rest, tokens, kind, labels, n_states):
-    """The fields of the trans line `rest` (split into `tokens`), or the
-    InputError that says what is wrong with it."""
+def _read_trans(lines, kind, labels, n_states):
+    """The fields of the trans lines. Canonical lines, their fields split
+    by single spaces, are split in one pass and read a column at a time,
+    each token looked up in its column's table; if any line does not fit,
+    every line goes through _parse_trans for its fields or its error
+    message."""
+    states = {str(q): q for q in range(n_states)}
+    columns = [states, *({tok: lab for tok, lab in table.items()
+                          if kind != "sync" or lab is not EPSILON}
+                         for table in labels), states]
+    width = len(columns)
+    # with width - 1 spaces on every line, line i has tokens i*width onwards
+    if set(map(str.count, lines, repeat(" "))) <= {width - 1}:
+        tokens = " ".join(lines).split(" ")
+        try:
+            return list(zip(*(map(table.__getitem__, tokens[k::width])
+                              for k, table in enumerate(columns))))
+        except KeyError:  # a token outside its column's table
+            pass
+    return [_parse_trans(rest, kind, labels, n_states) for rest in lines]
+
+
+def _parse_trans(rest, kind, labels, n_states):
+    """The fields of the trans line `rest`, or the InputError that says
+    what is wrong with it."""
+    tokens = rest.split()
     n_fields = len(labels) + 2
     if len(tokens) < n_fields:
         raise InputError(f"trans line needs {n_fields} fields: {rest!r}")

@@ -4,7 +4,8 @@ and ideal data for the finite-ideal extension."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 
 from .automata import Alphabet, InputError, _reachable
 
@@ -82,12 +83,21 @@ class MultiplicationTable:
             raise InputError("duplicate element names")
         if len(self.product) != n or any(len(row) != n for row in self.product):
             raise InputError("product table must be square")
-        for row in self.product:
-            for k in row:
-                if not 0 <= k < n:
-                    raise InputError("product entry out of range")
-        prod = self.product  # (i j) k = i (j k), one row (i, j) at a time
-        for i, row_i in enumerate(prod):
+        prod = self.product
+        # the entries as one set, once every one is an int (a float equal
+        # to an index would pass the set test)
+        if not (all(issubclass(t, int)
+                    for t in set(map(type, chain.from_iterable(prod))))
+                and set().union(*prod) <= set(range(n))):
+            raise InputError("product entry out of range")
+        # Light's test: (x a) y = x (a y) for all x, y and each a of a set
+        # whose left-normed products reach every element; times(x) is the
+        # row x (a y), a tuple from two elements on (one is associative)
+        if n < 2 or all(prod[row[a]] == times(row)
+                        for a in _left_normed_basis(prod)
+                        for times in (itemgetter(*prod[a]),) for row in prod):
+            return
+        for i, row_i in enumerate(prod):  # name the first (i j) k != i (j k)
             for j, ij in enumerate(row_i):
                 left, right = prod[ij], tuple(row_i[jk] for jk in prod[j])
                 if left != right:
@@ -149,6 +159,26 @@ class MultiplicationTable:
         gens = set(indices)
         return _reachable(gens, {i: [row[g] for g in gens]
                                  for i, row in enumerate(self.product)})
+
+
+def _left_normed_basis(product):
+    """A set of elements whose left-normed products (g1 g2) ... gk, read
+    off the table, reach every element: each element in turn joins the set
+    unless the products of the set so far reach it. Light's test needs
+    only these: if (x a) y = x (a y) for all x, y and a in {g, h}, the same
+    holds for a = g h, so it holds for every element they reach."""
+    basis, reached = [], set()
+    for g in range(len(product)):
+        if g in reached:
+            continue
+        basis.append(g)
+        todo = [g, *(product[r][g] for r in reached)]
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                todo += map(product[x].__getitem__, basis)
+    return basis
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ from .automata import (
     Alphabet,
     InputError,
     OneTapeAutomaton,
-    Transition,
     TwoTapeAutomaton,
     _as_async,
     _explore,
@@ -58,11 +57,11 @@ def cross_product(l1, l2):
     """The rectangle L1 x L2 as a relation: read v on the left tape, then
     w on the right tape."""
     off = l1.n_states
-    trans = [Transition(t.src, t.label, EPSILON, t.dst) for t in l1.transitions]
+    trans = [(src, lab, EPSILON, dst) for src, lab, dst in l1.transitions]
     for f in l1.finals:
-        trans.append(Transition(f, EPSILON, EPSILON, l2.initial + off))
-    for t in l2.transitions:
-        trans.append(Transition(t.src + off, EPSILON, t.label, t.dst + off))
+        trans.append((f, EPSILON, EPSILON, l2.initial + off))
+    for src, lab, dst in l2.transitions:
+        trans.append((src + off, EPSILON, lab, dst + off))
     return TwoTapeAutomaton(
         n_states=l1.n_states + l2.n_states,
         left=l1.alphabet,
@@ -155,14 +154,9 @@ def relabel(r, f_left, f_right):
     new_left = _image_alphabet(r.left, f_left)
     new_right = _image_alphabet(r.right, f_right)
     trans = tuple(
-        Transition(
-            t.src,
-            EPSILON if t.left is EPSILON else f_left[t.left],
-            EPSILON if t.right is EPSILON else f_right[t.right],
-            t.dst,
-        )
-        for t in r.transitions
-    )
+        (src, EPSILON if left is EPSILON else f_left[left],
+         EPSILON if right is EPSILON else f_right[right], dst)
+        for src, left, right, dst in r.transitions)
     return replace(r, left=new_left, right=new_right, transitions=trans)
 
 
@@ -171,8 +165,8 @@ def identity_relation(alphabet, include_empty=False):
     include_empty the initial state is also final (monoid case)."""
     if len(alphabet) == 0:
         raise InputError("empty alphabet")
-    trans = [Transition(0, a, a, 1) for a in alphabet]
-    trans += [Transition(1, a, a, 1) for a in alphabet]
+    trans = [(0, a, a, 1) for a in alphabet]
+    trans += [(1, a, a, 1) for a in alphabet]
     finals = {0, 1} if include_empty else {1}
     return TwoTapeAutomaton(
         n_states=2,
@@ -202,10 +196,10 @@ def substitution_relation(alphabet, b, w):
             raise InputError(f"symbol {sym!r} not in the alphabet")
     n = len(w)
     extended = Alphabet(alphabet.symbols + (b,))
-    trans = [Transition(0, a, a, 0) for a in alphabet]
+    trans = [(0, a, a, 0) for a in alphabet]
     for i, sym in enumerate(w):
-        trans.append(Transition(i, EPSILON, sym, i + 1))
-    trans.append(Transition(n, b, EPSILON, 0))
+        trans.append((i, EPSILON, sym, i + 1))
+    trans.append((n, b, EPSILON, 0))
     return TwoTapeAutomaton(
         n_states=n + 1,
         left=extended,

@@ -18,6 +18,7 @@ from ratwp import (
     Oracle,
     Presentation,
     Report,
+    Transition,
     TwoTapeAutomaton,
     enumerate_accepted,
     pump_decompose,
@@ -314,6 +315,45 @@ def compose_with_silent_loops(r, s):
         (r.initial, s.initial), successors,
         lambda state: state[0] in r.finals and state[1] in s.finals)
     return TwoTapeAutomaton(n, r.left, s.right, 0, finals, trans)
+
+
+def transitions_by_items(n_states, tapes, transitions, mode=None):
+    """Reference for the transition check of TwoTapeAutomaton (mode
+    "async" or "sync") and OneTapeAutomaton (mode None), one transition at
+    a time: each one not yet a record is made one, then every record's
+    source, target and labels are checked in that order. Returns the
+    records, or raises the InputError that names the first bad field."""
+    record = NfaTransition if mode is None else Transition
+    extra = PAD if mode == "sync" else EPSILON
+    allowed = [{extra, *tape} for tape in tapes]
+    records = tuple(t if type(t) is record else record(*t)
+                    for t in transitions)
+    for src, *labels, dst in records:
+        for q, what in ((src, "source"), (dst, "target")):
+            if not (isinstance(q, int) and 0 <= q < n_states):
+                raise InputError(f"transition {what} {q} out of range for "
+                                 f"{n_states} states")
+        for lab, known in zip(labels, allowed):
+            try:
+                if lab in known:
+                    continue
+            except TypeError:
+                pass
+            if lab is EPSILON:
+                raise InputError("sync automaton may not have epsilon labels")
+            raise InputError(f"unknown symbol {lab!r}")
+    return records
+
+
+def first_non_associative(product):
+    """Reference for MultiplicationTable's associativity check: the first
+    triple (i, j, k) in lexicographic order with (i j) k != i (j k), or
+    None if there is none."""
+    n = len(product)
+    for i, j, k in iproduct(range(n), repeat=3):
+        if product[product[i][j]][k] != product[i][product[j][k]]:
+            return i, j, k
+    return None
 
 
 def moore_block_count(aut):

@@ -48,6 +48,7 @@ from random_automata import (
     behind_chains,
     one_tape_automata,
     sync_automata,
+    transitions_by_items,
     trim_by_fixpoint,
     two_tape_automata,
     two_tape_automata_any_alphabets,
@@ -141,12 +142,108 @@ class TestValidation:
         assert type(nfa.transitions[1]) is NfaTransition
 
 
+    @pytest.mark.parametrize("cls, transitions, message", [
+        (TwoTapeAutomaton, ((0, "a", "a"),),
+         "transition (0, 'a', 'a') needs 4 fields"),
+        (TwoTapeAutomaton, ((0, "a", "a", 0), (0, "a", "a", 0, 1)),
+         "transition (0, 'a', 'a', 0, 1) needs 4 fields"),
+        (TwoTapeAutomaton, (7,), "transition 7 needs 4 fields"),
+        (OneTapeAutomaton, ((0, "a"),), "transition (0, 'a') needs 3 fields"),
+        (OneTapeAutomaton, (Transition(0, "a", "a", 0),),
+         "transition Transition(src=0, left='a', right='a', dst=0) "
+         "needs 3 fields"),
+    ])
+    def test_wrong_field_count_is_named(self, cls, transitions, message):
+        tapes = (AB, AB) if cls is TwoTapeAutomaton else (AB,)
+        with pytest.raises(InputError) as exc:
+            cls(2, *tapes, 0, frozenset(), transitions)
+        assert str(exc.value) == message
+
+    def test_state_count_must_be_an_int(self):
+        with pytest.raises(InputError) as exc:
+            TwoTapeAutomaton(2.0, AB, AB, 0, frozenset(), ())
+        assert str(exc.value) == "state count 2.0 is not an integer"
+        with pytest.raises(InputError) as exc:
+            OneTapeAutomaton(2.0, AB, 0, frozenset(), ((0, "a", 1),))
+        assert str(exc.value) == "state count 2.0 is not an integer"
+
+
+@st.composite
+def faulty_transitions(draw):
+    """(mode, n_states, tapes, transitions): the transitions of an async,
+    sync or one-tape automaton (mode None) from the strategies, with 0-2
+    fields replaced by a fault, each transition passed as a record or as a
+    plain tuple. A state fault is negative, a float, out of range or
+    unhashable; a label fault is unknown, unhashable, a pad or epsilon
+    (a fault in an async automaton, in a sync one respectively)."""
+    aut = draw(st.one_of(two_tape_automata(), sync_automata(),
+                         one_tape_automata()))
+    if isinstance(aut, OneTapeAutomaton):
+        mode, tapes = None, (aut.alphabet,)
+    else:
+        mode, tapes = aut.mode, (aut.left, aut.right)
+    trans = [list(t) for t in aut.transitions]
+    for _ in range(draw(st.integers(0, 2)) if trans else 0):
+        i = draw(st.integers(0, len(trans) - 1))
+        t, q = trans[i], aut.transitions[i]
+        field = draw(st.integers(0, len(t) - 1))
+        if field in (0, len(t) - 1):
+            faults = (-1, float(q[field]), aut.n_states, [q[field]])
+        else:
+            faults = ("c", ["a"], PAD, EPSILON)
+        t[field] = draw(st.sampled_from(faults))
+    record = type(aut.transitions[0]) if trans else tuple
+    as_record = draw(st.lists(st.booleans(), min_size=len(trans),
+                              max_size=len(trans)))
+    return mode, aut.n_states, tapes, tuple(
+        record(*t) if keep else tuple(t) for t, keep in zip(trans, as_record))
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_transitions())
+def test_bulk_check_matches_the_per_item_check(case):
+    mode, n, tapes, transitions = case
+    try:
+        expected = transitions_by_items(n, tapes, transitions, mode)
+    except InputError as exc:
+        expected = str(exc)
+    try:
+        if mode is None:
+            aut = OneTapeAutomaton(n, *tapes, 0, frozenset(), transitions)
+        else:
+            aut = TwoTapeAutomaton(n, *tapes, 0, frozenset(), transitions,
+                                   mode=mode)
+    except InputError as exc:
+        assert str(exc) == expected
+    else:
+        assert aut.transitions == expected
+        assert list(map(type, aut.transitions)) == list(map(type, expected))
+
+
 class TestAcceptance:
     def test_fig1_equality(self):
         aut = builtin("fig1")
         assert aut.accepts(w("ab"), w("ab"))
         assert not aut.accepts(w("a"), w("b"))
         assert not aut.accepts((), ())
+
+    @pytest.mark.parametrize("query, message", [
+        (lambda a: a.accepts(w("acd"), w("a")),
+         "symbol 'c' not in left alphabet"),
+        (lambda a: a.accepts(w("ab"), ("a", ["b"], "c")),
+         "symbol ['b'] not in right alphabet"),
+        (lambda a: a.accepts(w("ac"), w("ad")),
+         "symbol 'c' not in left alphabet"),
+        (lambda a: accepts_one_tape(
+            OneTapeAutomaton(1, AB, 0, frozenset(), ()), w("bbz")),
+         "symbol 'z' not in alphabet"),
+        (lambda a: as_word("a b c", AB, tokens=True),
+         "symbol 'c' not in alphabet"),
+    ])
+    def test_query_names_its_first_bad_symbol(self, query, message):
+        with pytest.raises(InputError) as exc:
+            query(builtin("fig3"))
+        assert str(exc.value) == message
 
     def test_fig2_paper_pairs(self):
         aut = builtin("fig2")

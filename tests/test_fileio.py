@@ -128,6 +128,47 @@ class TestFsaParsing:
             loads_fsa(text)
 
 
+TRANS_LINES = [line for line in FIG3_TEXT.splitlines()
+               if line.startswith("trans:")]
+AT = {"first": 0, "middle": 2, "last": 4}  # positions among TRANS_LINES
+
+
+def _with_line(line, at):
+    """FIG3_TEXT with its trans line at the position `at` replaced."""
+    return FIG3_TEXT.replace(TRANS_LINES[AT[at]] + "\n", line + "\n")
+
+
+@pytest.mark.parametrize("at", AT)
+@pytest.mark.parametrize("sep", [" ", "   ", "\t"])
+@pytest.mark.parametrize("variant", [
+    "trans:  {}  ",              # extra spaces
+    "trans: {} # a comment",     # a trailing comment
+    "\t trans: {}",              # whitespace before trans
+    " trans :{} #",              # around the colon, an empty comment
+])
+def test_non_canonical_trans_line_among_canonical_ones(at, sep, variant):
+    fields = TRANS_LINES[AT[at]].split(":", 1)[1].strip()
+    text = _with_line(variant.format(fields.replace(" ", sep)), at)
+    assert text != FIG3_TEXT
+    assert loads_fsa(text) == loads_fsa(FIG3_TEXT)
+
+
+@pytest.mark.parametrize("at", AT)
+@pytest.mark.parametrize("line, message", [
+    ("trans: 0 z a 1", "unknown symbol 'z'"),
+    ("trans: 0 a a", "trans line needs 4 fields: '0 a a'"),
+    ("trans: 0  a a", "trans line needs 4 fields: '0  a a'"),
+    ("trans: 0 a a 1 junk", "trailing junk in trans line: '0 a a 1 junk'"),
+    ("trans: 0 a a 9", "state 9 out of range for 2 states"),
+    ("trans: 0 a a x", "bad state number 'x'"),
+    ("trans: 1 a # 1", "pad token '#' only allowed in sync automata"),
+])
+def test_malformed_trans_line_message(at, line, message):
+    with pytest.raises(InputError) as exc:
+        loads_fsa(_with_line(line, at))
+    assert str(exc.value) == message
+
+
 class TestSgp:
     def test_basic(self):
         p = loads_sgp(

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratwp import (
@@ -11,6 +11,7 @@ from ratwp import (
     ProductGenerators,
     RelationSchema,
 )
+from random_automata import first_non_associative, transformation_tables
 
 
 class TestRelationSchema:
@@ -75,6 +76,27 @@ class TestMultiplicationTable:
             MultiplicationTable(("a", "b"), ((0, 1),))
         with pytest.raises(InputError):
             MultiplicationTable(("a",), ((3,),))
+
+    @pytest.mark.parametrize("entry", [1.0, "1", None, [1]])
+    def test_rejects_entries_that_are_not_indices(self, entry):
+        for product in (((0, entry), (1, 0)), ((0, 1), (entry, 0))):
+            with pytest.raises(InputError) as err:
+                MultiplicationTable(("a", "b"), product)
+            assert str(err.value) == "product entry out of range"
+
+    def test_left_zero_band(self):
+        # x y = x: no element is a product of others, so Light's test
+        # takes every element as a generator
+        n = 27
+        names = tuple(f"e{i}" for i in range(n))
+        band = [[i] * n for i in range(n)]
+        MultiplicationTable(names, band)
+        band[20][3] = 5  # (e20 e0) e3 = e5, e20 (e0 e3) = e20
+        with pytest.raises(InputError) as err:
+            MultiplicationTable(names, band)
+        assert first_non_associative(band) == (20, 0, 3)
+        assert str(err.value) == ("product is not associative at "
+                                  "(e20, e0, e3)")
 
     def test_fold(self):
         c2 = MultiplicationTable(("1", "g"), ((0, 1), (1, 0)))
@@ -148,3 +170,45 @@ class TestProductGenerators:
     def test_duplicate_names(self):
         with pytest.raises(InputError):
             ProductGenerators((("x", "g", "a"), ("x", "1", "b")))
+
+
+@st.composite
+def small_products(draw, max_elements=4):
+    """Random square tables on 1-4 elements, most not associative."""
+    n = draw(st.integers(1, max_elements))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@st.composite
+def changed_transformation_products(draw):
+    """A transformation semigroup's table, with one entry changed or
+    not."""
+    table, _ = draw(transformation_tables())
+    product = [list(row) for row in table.product]
+    n = len(product)
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    product[i][j] = k
+    return product
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_products(), changed_transformation_products(),
+                 transformation_tables().map(lambda tg: tg[0].product)))
+# (x 0) y = x (0 y) for all x, y, and right multiplications by any
+# elements reach every element from 0: a basis grown by products with
+# elements outside it would hold 0 alone, and pass
+@example(((0, 0, 2), (1, 1, 1), (2, 2, 1)))
+@example(((0, 1, 2), (1, 1, 0), (2, 0, 2)))
+def test_light_test_matches_the_full_scan(product):
+    names = tuple(f"e{i}" for i in range(len(product)))
+    triple = first_non_associative(product)
+    if triple is None:
+        assert MultiplicationTable(names, product).product == tuple(
+            map(tuple, product))
+        return
+    with pytest.raises(InputError) as err:
+        MultiplicationTable(names, product)
+    i, j, k = triple
+    assert str(err.value) == ("product is not associative at "
+                              f"(e{i}, e{j}, e{k})")
