@@ -304,8 +304,7 @@ def equivalence_check(aut, bound, kind="semigroup"):
     comp = _UnionFind(lim)
     for p in accepted:
         comp.union(*divmod(p, lim))
-    roots = [comp.find(c) for c in range(lim)]
-    missing = next(_missing_pairs(roots, first, lim, accepted,
+    missing = next(_missing_pairs(comp.ids(0, lim), first, lim, accepted,
                                   len(accepted)), None)
     if missing is not None:
         # some u links v and w but (v, w) is missing

@@ -721,10 +721,26 @@ def validate_sync(aut):
 
 def _check_padding(aut):
     """The check of validate_sync: raise InputError at the first break of
-    the padding discipline."""
-    for t in aut.transitions:
-        if t.left == PAD and t.right == PAD:
-            raise InputError("transition padded on both tapes")
+    the padding discipline.
+
+    Decided in bulk on state sets: if no state that a transition enters
+    by a pad on a tape leaves by a symbol on that tape, every state reached
+    after a pad there is such a state, so the discipline holds. Otherwise
+    the (state, left padded, right padded) search names the first break,
+    or passes if no break lies on a path from the initial state."""
+    trans = aut.transitions
+    if any(t.left == PAD and t.right == PAD for t in trans):
+        raise InputError("transition padded on both tapes")
+    for tape in (1, 2):  # the label fields of a Transition
+        entered = {t.dst for t in trans if t[tape] == PAD}
+        if not entered.isdisjoint([t.src for t in trans if t[tape] != PAD]):
+            _first_padding_fault(aut)
+            return
+
+
+def _first_padding_fault(aut):
+    """Raise InputError at the first break of the padding discipline that
+    a search over (state, left padded, right padded) nodes reaches."""
     by_src = aut.by_src
     seen = {(aut.initial, False, False)}
     stack = [(aut.initial, False, False)]

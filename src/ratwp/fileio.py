@@ -104,14 +104,7 @@ def _parse_state(token, n_states):
 
 def loads_fsa(text):
     """Parse .fsa text into a TwoTapeAutomaton or OneTapeAutomaton."""
-    # a trans line keeps its '#' tokens (pads); the header loses comments
-    header, trans_lines = [], []
-    for raw in text.splitlines():
-        name, colon, rest = raw.partition(":")
-        if colon and name.strip() == "trans":
-            trans_lines.append(rest.strip())
-        else:
-            header.append(raw)
+    header, trans_lines = _fsa_sections(text)
     single, _ = _directives(_content_lines(header))
     kind = _take(single, "type")
     if kind not in ("async", "sync", "nfa"):
@@ -136,6 +129,29 @@ def loads_fsa(text):
         return OneTapeAutomaton(n_states, *tapes, initial, finals, trans)
     return TwoTapeAutomaton(n_states, *tapes, initial, finals, trans,
                             mode=kind)
+
+
+def _fsa_sections(text):
+    """The header lines of .fsa text and the stripped fields of its trans
+    lines. A trans line keeps its '#' tokens (pads); the header loses
+    comments later. When every line from the first 'trans:' line on is a
+    trans line, as dumps_fsa writes them, those lines are split off in
+    one pass; the lines before go through the per-line sort."""
+    # the first line that starts with 'trans:', or the end
+    at = (0 if text.startswith("trans:")
+          else text.find("\ntrans:") + 1 or len(text))
+    tail = text[at:]
+    fields = tail[6:].split("\ntrans:")
+    if len(fields) != len(tail.splitlines()):  # some line is not a trans line
+        at, fields = len(text), []
+    header, trans_lines = [], []
+    for raw in text[:at].splitlines():
+        name, colon, rest = raw.partition(":")
+        if colon and name.strip() == "trans":
+            trans_lines.append(rest.strip())
+        else:
+            header.append(raw)
+    return header, trans_lines + list(map(str.strip, fields))
 
 
 def _read_trans(lines, kind, labels, n_states):

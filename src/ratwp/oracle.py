@@ -5,8 +5,11 @@ up to bound + slack: two words are merged whenever one rewrites to the
 other by a single application of a defining relation within that set,
 each found by code arithmetic, not by scanning words.
 Merges only ever apply defining relations, so equality claims are sound;
-completeness is handled by growing the slack until the partition restricted
-to the queried lengths stops changing.
+completeness is handled by growing the slack until a step joins no two
+classes of words of the queried lengths. The union-find keeps every root
+the least code of its class, so that is a comparison of two roots with
+the queried lengths' code limit, and the classes are numbered in one
+forward pass.
 """
 
 from __future__ import annotations
@@ -23,22 +26,39 @@ DEFAULT_SLACK_SEARCH = 4
 
 
 class _UnionFind:
+    """Union-find over the ints below n whose every root is the least code
+    of its class, so parent[x] <= x for every x."""
+
     def __init__(self, n):
         self.parent = list(range(n))
 
     def find(self, x):
         parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
+        while parent[x] != x:  # path halving
+            parent[x] = x = parent[parent[x]]
+        return x
 
     def union(self, a, b):
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
-            self.parent[rb] = ra
+            self.parent[max(ra, rb)] = min(ra, rb)
+
+    def ids(self, first, end):
+        """The class ids of the codes in [first, end), numbered in order of
+        first appearance, in one forward pass: once every code below c is
+        passed, parent[parent[c]] is c's root, since parent[c] <= c."""
+        parent = self.parent
+        for c in range(first):
+            parent[c] = parent[parent[c]]
+        ids, n = [-1] * end, 0  # id by code, -1 until numbered
+        for c in range(first, end):
+            root = parent[c] = parent[parent[c]]
+            i = ids[root]
+            if i < 0:
+                i = ids[root] = n
+                n += 1
+            ids[c] = i
+        return ids[first:]
 
 
 @dataclass(frozen=True)
@@ -110,37 +130,65 @@ def _relation_pairs(presentation):
                          and set(rel[0] + rel[1]) <= set(alphabet)}]
 
 
-def _add_length(uf, pairs, k, n, first):
+def _add_length(uf, pairs, k, n, first, end):
     """Union x l y with x r y for each pair {l, r} and |x| + |y| + max(|l|,
     |r|) = n, by code(x l y) = (code(x) k^|l| + code(l)) k^|y| + code(y),
-    leaving out an edge from a code below `first`, not a word."""
-    union = uf.union
+    leaving out an edge from a code below `first`, not a word. True if some
+    union joined two classes with roots below `end`: classes that hold a
+    word of code below `end`, as every root is its class's least code."""
+    parent = uf.parent
+    starts = [0]  # the codes of length i are [starts[i], starts[i + 1])
+    for i in range(n + 1):
+        starts.append(starts[-1] + k ** i)
+    merged = False
     for m, len_l, code_l, len_r, code_r in pairs:
         t = n - m  # |x| + |y|
         if t < 0 or (t == 0 and min(code_l, code_r) < first):
             continue
+        shift_l, shift_r = k ** len_l, k ** len_r
         for i in range(t + 1):  # |x| = i, |y| = j
             j = t - i
-            ys = range(_code_limit(k, j - 1), _code_limit(k, j))
-            for x in range(_code_limit(k, i - 1), _code_limit(k, i)):
-                a = (x * k ** len_l + code_l) * k ** j
-                b = (x * k ** len_r + code_r) * k ** j
+            ys = range(starts[j], starts[j + 1])
+            scale = k ** j
+            for x in range(starts[i], starts[i + 1]):
+                a = (x * shift_l + code_l) * scale
+                b = (x * shift_r + code_r) * scale
                 for y in ys:
-                    union(a + y, b + y)
+                    # find both roots by path halving, then link the larger
+                    # under the smaller
+                    u, v = a + y, b + y
+                    while parent[u] != u:
+                        parent[u] = u = parent[parent[u]]
+                    while parent[v] != v:
+                        parent[v] = v = parent[parent[v]]
+                    if u < v:
+                        parent[v] = u
+                        if v < end:
+                            merged = True
+                    elif v < u:
+                        parent[u] = v
+                        if u < end:
+                            merged = True
+    return merged
 
 
 def build_oracle(presentation, bound, slack=None, word_cap=DEFAULT_WORD_CAP):
     """Congruence-closure oracle for a presentation.
 
-    With slack=None the slack is grown until two consecutive values give
-    the same partition on words up to the bound. One union-find is grown a
-    length at a time (_add_length), so the search costs as much as its
-    final slack.
+    With slack=None the slack is grown until a growth step joins no two
+    classes of words up to the bound, so that partition did not change, or
+    up to DEFAULT_SLACK_SEARCH. One union-find is grown a length at a time
+    (_add_length), so the search costs as much as its final slack. Every
+    root of the union-find is its class's least code, so a class holds a
+    word up to the bound exactly when its root is below that bound's code
+    limit, and a growth step changes the partition of those words exactly
+    when it joins two such roots.
 
     Classes are numbered in order of first appearance over the words in
-    shortlex order, so a class's id is the shortlex rank of its least
-    member among the least members of all classes, and the ids of the
-    words up to the bound are a prefix of the ids of all words.
+    shortlex order, in one pass (_UnionFind.ids), so a class's id is the
+    shortlex rank of its least member among the least members of all
+    classes, and the ids of the words up to the bound are a prefix of the
+    ids of all words.
     """
     if bound < 1:
         raise InputError("bound must be >= 1")
@@ -148,34 +196,35 @@ def build_oracle(presentation, bound, slack=None, word_cap=DEFAULT_WORD_CAP):
     pairs = _relation_pairs(presentation)
     first = 0 if presentation.kind == "monoid" else 1  # the least word code
     k = len(alphabet)
+    end = _code_limit(k, bound)
     uf = _UnionFind(1)  # the empty word's code, 0
     max_len = 0
 
-    def class_ids(s, end=None):
-        """The class ids at slack s of the codes below end (default: all)."""
+    def grow(s):
+        """Grow the closure to the words up to bound + s; True if that
+        joined two classes of words up to the bound."""
         nonlocal max_len
         n_words = _code_limit(k, bound + s) - first
         if n_words > word_cap:
             raise InputError(
                 f"word count {n_words} at slack {s} exceeds the cap {word_cap}"
             )
+        merged = False
         while max_len < bound + s:
             max_len += 1
             uf.parent.extend(range(len(uf.parent), _code_limit(k, max_len)))
-            _add_length(uf, pairs, k, max_len, first)
-        find, ids = uf.find, {}
-        return [ids.setdefault(find(c), len(ids))
-                for c in range(first, end or len(uf.parent))]
+            merged = _add_length(uf, pairs, k, max_len, first, end) or merged
+        return merged
 
     if slack is None:
-        prev = None
-        for slack in range(DEFAULT_SLACK_SEARCH + 1):
-            ids = class_ids(slack, _code_limit(k, bound))
-            if ids == prev:
+        grow(0)
+        for slack in range(1, DEFAULT_SLACK_SEARCH + 1):
+            if not grow(slack):
                 break
-            prev = ids
+    else:
+        grow(slack)
     return Oracle(alphabet, presentation.kind, bound, slack,
-                  (None,) * first + tuple(class_ids(slack)))
+                  (None,) * first + tuple(uf.ids(first, len(uf.parent))))
 
 
 def table_oracle(table, gens, bound=8, kind="semigroup"):

@@ -102,6 +102,45 @@ def sync_automata(draw, max_states=4, max_transitions=8):
 
 
 @st.composite
+def any_sync_automata(draw, max_states=4, max_transitions=8):
+    """Sync automata with any labels from {a, b, #} on either tape: most
+    break the padding discipline somewhere, some off every path from the
+    initial state."""
+    n = draw(st.integers(1, max_states))
+    state = st.integers(0, n - 1)
+    label = st.sampled_from(("a", "b", PAD))
+    trans = draw(st.lists(st.tuples(state, label, label, state),
+                          max_size=max_transitions))
+    return TwoTapeAutomaton(n, AB, AB, draw(state), draw(st.frozensets(state)),
+                            tuple(trans), mode="sync")
+
+
+def padding_fault_by_search(aut):
+    """Reference for validate_sync: the message of its first break of the
+    padding discipline, or None. Checks every transition for pads on both
+    tapes, then searches the (state, left padded, right padded) nodes from
+    the initial one, depth first, each state's transitions in order."""
+    if any(t.left == PAD and t.right == PAD for t in aut.transitions):
+        return "transition padded on both tapes"
+    seen = {(aut.initial, False, False)}
+    stack = [(aut.initial, False, False)]
+    while stack:
+        q, lpad, rpad = stack.pop()
+        for t in aut.transitions:
+            if t.src != q:
+                continue
+            if lpad and t.left != PAD:
+                return f"non-pad left label after padding at state {q}"
+            if rpad and t.right != PAD:
+                return f"non-pad right label after padding at state {q}"
+            node = (t.dst, lpad or t.left == PAD, rpad or t.right == PAD)
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return None
+
+
+@st.composite
 def behind_chains(draw, automata):
     """Automata from the given strategy whose final states lie behind a
     chain of 1-4 reading transitions: each final state of the drawn

@@ -45,8 +45,10 @@ from ratwp.fileio import dumps_fsa, load_fsa
 from random_automata import (
     accepted_pairs,
     all_reachable,
+    any_sync_automata,
     behind_chains,
     one_tape_automata,
+    padding_fault_by_search,
     sync_automata,
     transitions_by_items,
     trim_by_fixpoint,
@@ -655,6 +657,20 @@ def test_padding_checked_once(monkeypatch, tmp_path):
         with pytest.raises(InputError):
             validate_sync(bad)
     assert len(calls) == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_sync_automata(), sync_automata(),
+                 behind_chains(sync_automata())))
+def test_padding_check_agrees_with_search(aut):
+    # the check decided on state sets raises what the node search finds
+    # first, and passes where it finds nothing
+    try:
+        validate_sync(aut)
+        message = None
+    except InputError as exc:
+        message = str(exc)
+    assert message == padding_fault_by_search(aut)
 
 
 @settings(max_examples=60, deadline=None)

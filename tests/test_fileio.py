@@ -17,6 +17,7 @@ from ratwp import (
     loads_sgp,
     save_fsa,
 )
+from ratwp.fileio import _fsa_sections
 from random_automata import (
     dumps_fsa_per_transition,
     one_tape_automata,
@@ -167,6 +168,45 @@ def test_malformed_trans_line_message(at, line, message):
     with pytest.raises(InputError) as exc:
         loads_fsa(_with_line(line, at))
     assert str(exc.value) == message
+
+
+def sections_by_lines(text):
+    """Reference for _fsa_sections: each line sorted on its own."""
+    header, trans_lines = [], []
+    for raw in text.splitlines():
+        name, colon, rest = raw.partition(":")
+        if colon and name.strip() == "trans":
+            trans_lines.append(rest.strip())
+        else:
+            header.append(raw)
+    return header, trans_lines
+
+
+FSA_LINES = st.sampled_from([
+    "type: async", "final: 1", "# trans: 0 a a 1", "", "  ",
+    "trans: 0 a a 1", "trans: 1 b - 0", "trans:  1 a a 1 ", "trans:",
+    " trans: 0 a a 1", "trans :0 b b 1", "trans: 0 a a 1 # trans: x",
+    "xtrans: 0", "trans: 1\r- a 1", "trans: 0 b\x0bb 1"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FSA_LINES, max_size=8),
+       st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x85"]),
+                min_size=8, max_size=8),
+       st.booleans())
+def test_fsa_sections_agree_with_per_line_sort(lines, ends, last_end):
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if not last_end and text:
+        text = text[:-len(ends[len(lines) - 1])]
+    assert _fsa_sections(text) == sections_by_lines(text)
+
+
+def test_header_line_after_trans_lines():
+    # a directive after the trans lines sends them through the per-line
+    # sort: the automaton is the same
+    lines = FIG3_TEXT.splitlines()
+    text = "\n".join(lines[:5] + lines[6:] + lines[5:6]) + "\n"
+    assert loads_fsa(text) == loads_fsa(FIG3_TEXT)
 
 
 class TestSgp:

@@ -20,6 +20,7 @@ from ratwp import (
     union,
     verify,
 )
+from ratwp.oracle import _UnionFind
 
 from random_automata import (
     behind_chains,
@@ -399,3 +400,63 @@ def test_build_oracle_agrees_with_word_closure(presentation, bound, slack,
 def test_build_oracle_fixed_cases_agree_with_word_closure(presentation,
                                                           bound, slack):
     assert_closure_agrees(presentation, bound, slack)
+
+
+@st.composite
+def union_runs(draw):
+    """A code count n <= 60, unions over its codes, and 0 <= first <=
+    shorter <= end <= n."""
+    n = draw(st.integers(1, 60))
+    code = st.integers(0, n - 1)
+    unions = draw(st.lists(st.tuples(code, code), max_size=80))
+    end = draw(st.integers(0, n))
+    shorter = draw(st.integers(0, end))
+    return n, unions, draw(st.integers(0, shorter)), shorter, end
+
+
+@settings(max_examples=200, deadline=None)
+@given(union_runs())
+# parents 3 -> 2 -> 1 -> 0 and 4 -> 0: ids must shorten the paths of the
+# codes below first too
+@example((5, [(2, 3), (1, 2), (0, 1), (0, 4)], 3, 4, 5))
+def test_union_find_keeps_least_roots(run):
+    n, unions, first, shorter, end = run
+    uf = _UnionFind(n)
+    for a, b in unions:
+        uf.union(a, b)
+        assert all(p <= x for x, p in enumerate(uf.parent))
+    parent = uf.parent
+
+    def root(c):  # no path compression: ids must do without it
+        while parent[c] != c:
+            c = parent[c]
+        return c
+
+    roots = [root(c) for c in range(n)]
+    assert all(roots[r] == r and r <= c for c, r in enumerate(roots))
+    # ids number the roots by first appearance over [first, end)
+    number = {}
+    expected = [number.setdefault(roots[c], len(number))
+                for c in range(first, end)]
+    ids = uf.ids(first, end)
+    assert ids == expected
+    assert all(p <= x for x, p in enumerate(uf.parent))
+    assert uf.ids(first, shorter) == ids[:shorter - first]
+
+
+# a = bb = c, b = ccc = d, e = dddd and a = dddd = ddddd = b: at bound 1
+# the letters' classes change at every slack from 1 to 4, so the search
+# stops at its last slack
+SLACK_4 = loads_sgp(
+    "kind: semigroup\ngens: a b c d e\nrel: a = b b\nrel: c = b b\n"
+    "rel: b = c c c\nrel: d = c c c\nrel: e = d d d d\n"
+    "rel: a = d d d d\nrel: a = d d d d d\nrel: b = d d d d d\n")
+
+
+def test_slack_search_runs_to_its_last_slack():
+    letters = [build_oracle(SLACK_4, 1, slack=s).class_by_code[:6]
+               for s in range(5)]
+    assert all(x != y for x, y in zip(letters, letters[1:]))
+    assert build_oracle(SLACK_4, 1).slack == 4
+    for slack in (None, 0, 1, 2, 3, 4):
+        assert_closure_agrees(SLACK_4, 1, slack)
