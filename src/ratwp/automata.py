@@ -3,7 +3,8 @@
 Two-tape automata come in two flavours sharing one carrier type: ``async``
 automata read at most one symbol per tape per step (epsilon labels allowed),
 ``sync`` automata read exactly one symbol per tape per step, with a reserved
-padding token standing in for the exhausted shorter tape.
+padding token standing in for the exhausted shorter tape; a sync automaton
+is checked for the padding discipline when it is built.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs.
@@ -109,7 +110,8 @@ def _checked_transitions(aut, record, labels):
     states are checked and every transition is: a state below n_states,
     then one label per tape from that tape's set in labels, then a state.
 
-    Plain tuples are converted in bulk and records are kept as they are.
+    Transitions that are all records are kept as they are; otherwise all
+    are converted in bulk, a record to an equal record.
     Validity is decided on whole columns: the type of every state (1.0
     and 1 are one set element), the range of the distinct states and each
     tape's set of labels. Only when that check fails (an unhashable field
@@ -125,8 +127,7 @@ def _checked_transitions(aut, record, labels):
     trans = tuple(aut.transitions)
     if not trans:
         return trans
-    kinds = set(map(type, trans))
-    if kinds != {record}:
+    if set(map(type, trans)) != {record}:
         width = len(record._fields)
         try:
             fits = set(map(len, trans)) == {width}
@@ -136,11 +137,7 @@ def _checked_transitions(aut, record, labels):
             bad = next(t for t in trans
                        if not hasattr(t, "__len__") or len(t) != width)
             raise InputError(f"transition {bad!r} needs {width} fields")
-        if record in kinds:
-            trans = tuple(t if type(t) is record else tuple.__new__(record, t)
-                          for t in trans)
-        else:
-            trans = tuple(map(tuple.__new__, repeat(record), trans))
+        trans = tuple(map(tuple.__new__, repeat(record), trans))
     src, *labs, dst = zip(*trans)
     try:
         states = {*src, *dst}
@@ -178,6 +175,8 @@ class TwoTapeAutomaton:
         extra = EPSILON if self.mode == "async" else PAD
         object.__setattr__(self, "transitions", _checked_transitions(
             self, Transition, ({extra, *self.left}, {extra, *self.right})))
+        if self.mode == "sync":
+            _check_padding(self)
 
     def accepts(self, left_word, right_word):
         return accepts_two_tape(self, left_word, right_word)
@@ -192,13 +191,6 @@ class TwoTapeAutomaton:
         for t in self.transitions:
             by_src.setdefault(t.src, []).append(t)
         return {q: tuple(ts) for q, ts in by_src.items()}
-
-    @cached_property
-    def _padding_checked(self):
-        """True once validate_sync has passed on a sync automaton; a
-        failed check raises and is not kept."""
-        _check_padding(self)
-        return True
 
     @cached_property
     def _code_steps(self):
@@ -651,9 +643,9 @@ def _pair_coding(aut, len_bound):
 
 def _search_form(aut):
     """The form the run and pair searches walk, every step reading a
-    symbol: a sync automaton itself, once its padding is checked
-    (validate_sync), else the silent-free form (see silent_free)."""
-    return validate_sync(aut) if aut.mode == "sync" else aut.silent_free
+    symbol: a sync automaton itself, else the silent-free form (see
+    silent_free)."""
+    return aut if aut.mode == "sync" else aut.silent_free
 
 
 def _fewest_reads(finals, into):
@@ -706,22 +698,18 @@ def enumerate_language(aut, len_bound):
 
 
 def validate_sync(aut):
-    """Check the padding discipline of a sync automaton.
-
-    Along any path from the initial state, once a pad is read on a tape,
-    only pads may follow on that tape; pads on both tapes at once are
-    never allowed. A pass is kept on the automaton, so the check runs once
-    per automaton, however often it is asked for.
-    """
+    """aut, which must be a sync automaton. Its padding discipline was
+    checked when it was built (_check_padding)."""
     if aut.mode != "sync":
         raise InputError("not a sync automaton")
-    aut._padding_checked  # checks on the first call only
     return aut
 
 
 def _check_padding(aut):
-    """The check of validate_sync: raise InputError at the first break of
-    the padding discipline.
+    """The check every sync automaton passes when it is built: raise
+    InputError at the first break of the padding discipline. Along any
+    path from the initial state, once a pad is read on a tape, only pads
+    may follow on that tape; pads on both tapes at once are never allowed.
 
     Decided in bulk on state sets: if no state that a transition enters
     by a pad on a tape leaves by a symbol on that tape, every state reached

@@ -17,7 +17,6 @@ from .automata import (
     InputError,
     OneTapeAutomaton,
     TwoTapeAutomaton,
-    validate_sync,
 )
 from .presentations import (
     IdealData,
@@ -217,10 +216,7 @@ def dumps_fsa(aut):
 
 def load_fsa(path):
     with open(path, encoding="utf-8") as f:
-        aut = loads_fsa(f.read())
-    if isinstance(aut, TwoTapeAutomaton) and aut.mode == "sync":
-        validate_sync(aut)
-    return aut
+        return loads_fsa(f.read())
 
 
 def save_fsa(aut, path):

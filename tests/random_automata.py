@@ -103,37 +103,45 @@ def sync_automata(draw, max_states=4, max_transitions=8):
 
 @st.composite
 def any_sync_automata(draw, max_states=4, max_transitions=8):
-    """Sync automata with any labels from {a, b, #} on either tape: most
-    break the padding discipline somewhere, some off every path from the
-    initial state."""
+    """The fields (n_states, initial, finals, transitions) of sync
+    automata over {a, b} with any labels from {a, b, #} on either tape:
+    most break the padding discipline somewhere, some off every path from
+    the initial state, so most are fields no sync automaton is built
+    from."""
     n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
     label = st.sampled_from(("a", "b", PAD))
     trans = draw(st.lists(st.tuples(state, label, label, state),
                           max_size=max_transitions))
-    return TwoTapeAutomaton(n, AB, AB, draw(state), draw(st.frozensets(state)),
-                            tuple(trans), mode="sync")
+    return n, draw(state), draw(st.frozensets(state)), tuple(trans)
 
 
-def padding_fault_by_search(aut):
-    """Reference for validate_sync: the message of its first break of the
-    padding discipline, or None. Checks every transition for pads on both
-    tapes, then searches the (state, left padded, right padded) nodes from
-    the initial one, depth first, each state's transitions in order."""
-    if any(t.left == PAD and t.right == PAD for t in aut.transitions):
+def sync_fields(aut):
+    """The fields of a sync automaton over {a, b}, as any_sync_automata
+    draws them."""
+    return aut.n_states, aut.initial, aut.finals, aut.transitions
+
+
+def padding_fault_by_search(initial, transitions):
+    """Reference for the padding check of a sync automaton's constructor:
+    the message of the first break of the padding discipline, or None.
+    Checks every transition for pads on both tapes, then searches the
+    (state, left padded, right padded) nodes from the initial one, depth
+    first, each state's transitions in order."""
+    if any(left == PAD and right == PAD for _, left, right, _ in transitions):
         return "transition padded on both tapes"
-    seen = {(aut.initial, False, False)}
-    stack = [(aut.initial, False, False)]
+    seen = {(initial, False, False)}
+    stack = [(initial, False, False)]
     while stack:
         q, lpad, rpad = stack.pop()
-        for t in aut.transitions:
-            if t.src != q:
+        for src, left, right, dst in transitions:
+            if src != q:
                 continue
-            if lpad and t.left != PAD:
+            if lpad and left != PAD:
                 return f"non-pad left label after padding at state {q}"
-            if rpad and t.right != PAD:
+            if rpad and right != PAD:
                 return f"non-pad right label after padding at state {q}"
-            node = (t.dst, lpad or t.left == PAD, rpad or t.right == PAD)
+            node = (dst, lpad or left == PAD, rpad or right == PAD)
             if node not in seen:
                 seen.add(node)
                 stack.append(node)
@@ -360,8 +368,10 @@ def transitions_by_items(n_states, tapes, transitions, mode=None):
     """Reference for the transition check of TwoTapeAutomaton (mode
     "async" or "sync") and OneTapeAutomaton (mode None), one transition at
     a time: each one not yet a record is made one, then every record's
-    source, target and labels are checked in that order. Returns the
-    records, or raises the InputError that names the first bad field."""
+    source, target and labels are checked in that order, and then a sync
+    automaton's padding discipline from initial state 0
+    (padding_fault_by_search). Returns the records, or raises the
+    InputError that names the first fault."""
     record = NfaTransition if mode is None else Transition
     extra = PAD if mode == "sync" else EPSILON
     allowed = [{extra, *tape} for tape in tapes]
@@ -381,6 +391,9 @@ def transitions_by_items(n_states, tapes, transitions, mode=None):
             if lab is EPSILON:
                 raise InputError("sync automaton may not have epsilon labels")
             raise InputError(f"unknown symbol {lab!r}")
+    fault = mode == "sync" and padding_fault_by_search(0, records)
+    if fault:
+        raise InputError(fault)
     return records
 
 

@@ -174,6 +174,23 @@ class TestPumpRefute:
         oracle = build_oracle(builtin_presentation("bicyclic"), 8)
         assert pump_refute(candidate, oracle, 6).verdict == "refuted"
 
+    def test_pairs_with_an_empty_side_count_in_a_monoid_only(self):
+        # fig3 plus a path from state 0 through state 2 accepting (a^n, eps)
+        fig3 = builtin("fig3")
+        aut = TwoTapeAutomaton(
+            3, AB, AB, 0, frozenset({1, 2}), fig3.transitions
+            + ((0, "a", None, 2), (2, "a", None, 2)))
+        # a semigroup has no empty word: those pairs are skipped
+        oracle = build_oracle(builtin_presentation("fig3"), 8)
+        assert pump_refute(aut, oracle, 8).verdict == "not-refuted"
+        # in the monoid of fig3's relations a^n is not the empty word
+        monoid = replace(builtin_presentation("fig3"), kind="monoid")
+        report = pump_refute(aut, build_oracle(monoid, 8), 8)
+        assert report.verdict == "refuted"
+        for (v, w), i, pumped in report.witnesses:
+            assert w == () and set(v) == {"a"}
+            assert pump_decompose(aut, (v, w)).pumped(i) == pumped
+
     def test_negative_i_max(self):
         mutant = with_extra_transition(builtin("fig3"), (1, "b", None, 1))
         oracle = build_oracle(builtin_presentation("fig3"), 8)

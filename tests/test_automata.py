@@ -41,7 +41,7 @@ import ratwp.automata
 from ratwp.automata import (
     _as_async, _pair_coding, _search_form,
 )
-from ratwp.fileio import dumps_fsa, load_fsa
+from ratwp.fileio import dumps_fsa, load_fsa, loads_fsa
 from random_automata import (
     accepted_pairs,
     all_reachable,
@@ -50,6 +50,7 @@ from random_automata import (
     one_tape_automata,
     padding_fault_by_search,
     sync_automata,
+    sync_fields,
     transitions_by_items,
     trim_by_fixpoint,
     two_tape_automata,
@@ -132,16 +133,20 @@ class TestValidation:
         assert str(exc.value) == message
 
     def test_transitions_kept(self):
+        # records are kept as they are when every transition is one; a mix
+        # is converted whole, a record to an equal record
         t = Transition(0, "a", EPSILON, 0)
-        aut = TwoTapeAutomaton(1, AB, AB, 0, frozenset(), (t, (0, "b", "b", 0)))
+        aut = TwoTapeAutomaton(1, AB, AB, 0, frozenset(), (t,))
         assert aut.transitions[0] is t
-        assert aut.transitions[1] == Transition(0, "b", "b", 0)
-        assert type(aut.transitions[1]) is Transition
+        aut = TwoTapeAutomaton(1, AB, AB, 0, frozenset(), (t, (0, "b", "b", 0)))
+        assert aut.transitions == (t, Transition(0, "b", "b", 0))
+        assert list(map(type, aut.transitions)) == [Transition] * 2
         t = NfaTransition(0, "a", 0)
-        nfa = OneTapeAutomaton(1, AB, 0, frozenset(), (t, (0, EPSILON, 0)))
+        nfa = OneTapeAutomaton(1, AB, 0, frozenset(), (t,))
         assert nfa.transitions[0] is t
-        assert nfa.transitions[1] == NfaTransition(0, EPSILON, 0)
-        assert type(nfa.transitions[1]) is NfaTransition
+        nfa = OneTapeAutomaton(1, AB, 0, frozenset(), (t, (0, EPSILON, 0)))
+        assert nfa.transitions == (t, NfaTransition(0, EPSILON, 0))
+        assert list(map(type, nfa.transitions)) == [NfaTransition] * 2
 
 
     @pytest.mark.parametrize("cls, transitions, message", [
@@ -177,7 +182,8 @@ def faulty_transitions(draw):
     fields replaced by a fault, each transition passed as a record or as a
     plain tuple. A state fault is negative, a float, out of range or
     unhashable; a label fault is unknown, unhashable, a pad or epsilon
-    (a fault in an async automaton, in a sync one respectively)."""
+    (a fault in an async automaton, in a sync one respectively; in a sync
+    one a pad may break the padding discipline)."""
     aut = draw(st.one_of(two_tape_automata(), sync_automata(),
                          one_tape_automata()))
     if isinstance(aut, OneTapeAutomaton):
@@ -364,14 +370,24 @@ class TestSync:
                 2, AB, AB, 0, frozenset({1}),
                 ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync"))
 
-    def test_accepts_refuses_sync_that_breaks_padding(self):
-        # accepts() checks a sync automaton's padding before it reads it,
-        # so a symbol after a pad is refused as validate_sync refuses it
-        aut = TwoTapeAutomaton(
-            2, AB, AB, 0, frozenset({1}),
-            ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync")
+    def test_construction_refuses_sync_that_breaks_padding(self):
+        # no sync automaton that breaks the padding discipline is built, so
+        # no query reads one: a symbol after a pad is refused by the
+        # constructor, and by loads_fsa, which builds one from text
         with pytest.raises(InputError, match="after padding"):
-            aut.accepts(("a",), ("a", "a"))
+            TwoTapeAutomaton(
+                2, AB, AB, 0, frozenset({1}),
+                ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync")
+        with pytest.raises(InputError, match="after padding"):
+            loads_fsa("type: sync\nleft: a b\nright: a b\nstates: 2\n"
+                      "initial: 0\nfinal: 1\ntrans: 0 # a 1\n"
+                      "trans: 1 a a 1\n")
+
+    @pytest.mark.parametrize("use", [validate_sync, sync_to_async])
+    def test_async_automaton_is_not_sync(self, use):
+        with pytest.raises(InputError) as exc:
+            use(builtin("fig3"))
+        assert str(exc.value) == "not a sync automaton"
 
     def test_sync_to_async_preserves_pairs(self):
         # accepts (v, w) with w a nonempty prefix of v: equal symbols in
@@ -491,8 +507,8 @@ def test_accepts_same_before_and_after_caching(aut):
 
 def test_sync_enumeration_checks_padding_once(monkeypatch):
     # enumerate_accepted walks a sync automaton itself, a pad reading
-    # nothing: its padding is checked on the first call only, and no async
-    # view is built and no silent steps are eliminated
+    # nothing: its padding is checked when it is built, not by a call,
+    # and no async view is built and no silent steps are eliminated
     padding, eliminated = [], []
     check = ratwp.automata._check_padding
     eliminate = ratwp.automata.eliminate_silent_steps
@@ -509,7 +525,7 @@ def test_sync_enumeration_checks_padding_once(monkeypatch):
 def test_sync_queries_build_no_async_view(monkeypatch, c2_table):
     # accepts() and the pumping form read a sync automaton as it is, a pad
     # reading nothing: no async view is built, and the padding is checked
-    # on the first query only
+    # once per automaton built, by no query
     padding, converted = [], []
     check = ratwp.automata._check_padding
     convert = ratwp.automata.sync_to_async
@@ -518,20 +534,24 @@ def test_sync_queries_build_no_async_view(monkeypatch, c2_table):
     monkeypatch.setattr(ratwp.automata, "sync_to_async",
                         lambda a: converted.append(a) or convert(a))
     aut = TestSync().sync_equality()
+    assert padding == [aut]
     assert aut.accepts(w("ab"), w("ab")) and not aut.accepts(w("ab"), w("b"))
+    assert padding == [aut]
+    # the pumping form is the trimmed form, a sync automaton too; states 2
+    # and 3 lie on no initial-to-final path, so pump_decompose builds the
+    # trimmed form as a new automaton, whose padding is checked then
     dec = pump_decompose(aut, (w("abbab"), w("abbab")))
     assert dec.loop == (w("b"), w("b"))
     assert pump_check(aut, dec).verdict == "pass"
     assert enumerate_accepted(aut, 2) == accepted_pairs(aut, 2)
-    assert len(padding) == 1 and converted == []
-    # pump_refute walks the trimmed form, a sync automaton too; states 2
-    # and 3 lie on no initial-to-final path, so the trimmed form is a new
-    # automaton and its padding is checked once more
+    assert padding == [aut, aut.trimmed] and aut.trimmed is not aut
+    assert converted == []
+    # pump_refute walks the trimmed form kept on the automaton
     oracle = build_oracle(builtin_presentation("fig1"), 4)
     assert pump_refute(aut, oracle, 4).verdict == "not-refuted"
-    assert len(padding) == 2 and converted == []
+    assert padding == [aut, aut.trimmed] and converted == []
     # C2's Cayley automaton is built trim, so its pumping form is the
-    # automaton itself and its padding is checked once
+    # automaton itself and its padding is checked once, when it is built
     padding.clear()
     aut = cayley_wp_sync(c2_table, ("g",))
     oracle = table_oracle(c2_table, ("g",), bound=6)
@@ -637,40 +657,41 @@ def test_reads_to_final():
 
 
 def test_padding_checked_once(monkeypatch, tmp_path):
-    # load_fsa checks a sync automaton's padding; enumerate_accepted, which
-    # walks the automaton itself, does not check it again
+    # a sync automaton's padding is checked once, when it is built:
+    # load_fsa builds one, and enumerate_accepted, which walks the
+    # automaton itself, and validate_sync do not check it again
+    path = tmp_path / "sync.fsa"
+    path.write_text(dumps_fsa(TestSync().sync_equality()))
     calls = []
     check = ratwp.automata._check_padding
     monkeypatch.setattr(ratwp.automata, "_check_padding",
                         lambda a: calls.append(a) or check(a))
-    path = tmp_path / "sync.fsa"
-    path.write_text(dumps_fsa(TestSync().sync_equality()))
     aut = load_fsa(path)
-    assert len(calls) == 1
+    assert calls == [aut]
     enumerate_accepted(aut, 3)
     validate_sync(aut)
-    assert len(calls) == 1
-    # a failed check is not kept
-    bad = TwoTapeAutomaton(1, AB, AB, 0, frozenset(), ((0, PAD, PAD, 0),),
-                           mode="sync")
+    assert calls == [aut]
+    # a failed construction keeps nothing: each one checks and raises
     for _ in range(2):
-        with pytest.raises(InputError):
-            validate_sync(bad)
+        with pytest.raises(InputError, match="padded on both tapes"):
+            TwoTapeAutomaton(1, AB, AB, 0, frozenset(), ((0, PAD, PAD, 0),),
+                             mode="sync")
     assert len(calls) == 3
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(any_sync_automata(), sync_automata(),
-                 behind_chains(sync_automata())))
-def test_padding_check_agrees_with_search(aut):
-    # the check decided on state sets raises what the node search finds
-    # first, and passes where it finds nothing
+@given(st.one_of(any_sync_automata(), sync_automata().map(sync_fields),
+                 behind_chains(sync_automata()).map(sync_fields)))
+def test_padding_check_agrees_with_search(fields):
+    # the constructor's check, decided on state sets, raises what the node
+    # search finds first, and passes where it finds nothing
+    n, initial, finals, transitions = fields
     try:
-        validate_sync(aut)
+        TwoTapeAutomaton(n, AB, AB, initial, finals, transitions, mode="sync")
         message = None
     except InputError as exc:
         message = str(exc)
-    assert message == padding_fault_by_search(aut)
+    assert message == padding_fault_by_search(initial, transitions)
 
 
 @settings(max_examples=60, deadline=None)

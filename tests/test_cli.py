@@ -2,7 +2,16 @@ import argparse
 
 import pytest
 
-from ratwp import builtin, free_wp, loads_fsa, save_fsa
+from ratwp import (
+    ProductGenerators,
+    builtin,
+    cross_section,
+    dumps_fsa,
+    free_wp,
+    loads_fsa,
+    product_with_finite,
+    save_fsa,
+)
 from ratwp.automata import Alphabet
 import ratwp.cli
 from ratwp.cli import main
@@ -122,6 +131,27 @@ class TestAlgebraVerbs:
         code, _, err = run(["construct", "from-builtin", "bicyclic"], capsys)
         assert code == 2
         assert "no deciding automaton" in err
+
+    def test_construct_product_finite(self, workdir, capsys, c2_table):
+        code, out, err = run(["construct", "product-finite",
+                              workdir / "fig3.fsa", workdir / "c2.tbl",
+                              "--pairs", "x=g:a,y=g:b"], capsys)
+        assert (code, err) == (0, "")
+        gens = ProductGenerators((("x", "g", "a"), ("y", "g", "b")))
+        assert out == dumps_fsa(product_with_finite(c2_table, builtin("fig3"),
+                                                    gens))
+
+    @pytest.mark.parametrize("args", [
+        ["construct", "cayley", "c2.tbl", "--gens", "z"],
+        ["construct", "product-finite", "fig3.fsa", "c2.tbl",
+         "--pairs", "x=z:a"],
+    ])
+    def test_unknown_element(self, args, workdir, capsys):
+        args = [workdir / a if a.endswith((".fsa", ".tbl")) else a
+                for a in args]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: unknown element 'z'\n"
 
 
 class TestAnalysisVerbs:
@@ -288,6 +318,29 @@ class TestAnalysisVerbs:
         assert code == 0
         assert out.startswith("digraph")
         assert "ε" in out
+
+    @pytest.mark.parametrize("header, transitions, edges", [
+        # a sync automaton: a pad is drawn as a box
+        ("type: sync\nleft: a b\nright: a b\n",
+         ("0 a a 1", "1 b # 1", "1 a # 1"),
+         ['0 -> 1 [label="(a,a)"]', '1 -> 1 [label="(b,□), (a,□)"]']),
+        # a one-tape automaton: one label per transition
+        ("type: nfa\nalphabet: a b\n", ("0 a 1", "1 - 0", "1 b 1"),
+         ['0 -> 1 [label="a"]', '1 -> 0 [label="ε"]',
+          '1 -> 1 [label="b"]']),
+    ])
+    def test_dot_labels(self, header, transitions, edges, workdir, capsys):
+        path = workdir / "small.fsa"
+        path.write_text(header + "states: 2\ninitial: 0\nfinal: 1\n"
+                        + "".join(f"trans: {t}\n" for t in transitions))
+        code, out, _ = run(["dot", path], capsys)
+        assert code == 0
+        assert out == "".join(f"{line}\n" for line in [
+            "digraph automaton {", "  rankdir=LR;",
+            '  __init [shape=point, label=""];',
+            '  0 [label="q0", shape=circle];',
+            '  1 [label="q1", shape=doublecircle];', "  __init -> 0;",
+            *(f"  {edge};" for edge in edges), "}"])
 
 
 class TestErrors:
@@ -631,6 +684,15 @@ def test_cross_section_oracle_flags_need_oracle(flags, workdir, capsys):
                          capsys)
     assert (code, out) == (2, "")
     assert err == "error: --bound, --kind and --gens need --oracle\n"
+
+
+def test_cross_section_writes_its_output(workdir, capsys):
+    # with --oracle the report goes to stdout and D to the -o file
+    path = workdir / "d.fsa"
+    code, out, _ = run(["cross-section", workdir / "fig3.fsa", "--oracle",
+                        workdir / "fig3.sgp", "-o", path], capsys)
+    assert (code, out) == (0, "validate_cross_section: pass\n")
+    assert path.read_text() == dumps_fsa(cross_section(builtin("fig3")))
 
 
 def test_cross_section_without_oracle(workdir, capsys):

@@ -209,6 +209,95 @@ def test_header_line_after_trans_lines():
     assert loads_fsa(text) == loads_fsa(FIG3_TEXT)
 
 
+SYNC_HEADER = ("type: sync\nleft: a b\nright: a b\nstates: 2\ninitial: 0\n"
+               "final: 1\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    (FIG3_TEXT.replace("final: 1", "final 1"),
+     "not a directive: 'final 1'"),
+    (FIG3_TEXT.replace("type: async", "type: ssync"),
+     "unknown automaton type 'ssync'"),
+    (FIG3_TEXT.replace("states: 2", "states: two"),
+     "states directive must be an integer"),
+    # a sync automaton is checked for the padding discipline when built
+    (SYNC_HEADER + "trans: 0 # a 1\ntrans: 1 a a 1\n",
+     "non-pad left label after padding at state 1"),
+    (SYNC_HEADER + "trans: 0 a # 1\ntrans: 1 a b 1\n",
+     "non-pad right label after padding at state 1"),
+    (SYNC_HEADER + "trans: 0 # # 1\n", "transition padded on both tapes"),
+])
+def test_fsa_reader_error(text, message):
+    with pytest.raises(InputError) as exc:
+        loads_fsa(text)
+    assert str(exc.value) == message
+
+
+SGP_HEADER = "kind: semigroup\ngens: a b\n"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("schema: a ^n a = a ; n = 1..2", "bad atom '^n'"),
+    ("schema: a b^n a = a b a",
+     "schema needs '; var = lo..hi' after the relation"),
+    ("schema: a b^n a ; n = 2..3", "schema relation needs '=': 'a b^n a '"),
+    ("schema: a b^n a = a b a ; n 2..3", "bad schema range ' n 2..3'"),
+    ("schema: a b^n a = a b a ; n = 2-3", "bad schema range ' 2-3'"),
+    ("schema: a b^n a = a b a ; n = 2..x", "bad schema range ' 2..x'"),
+    ("rel: a a a", "relation needs '=': 'a a a'"),
+])
+def test_sgp_reader_error(line, message):
+    with pytest.raises(InputError) as exc:
+        loads_sgp(SGP_HEADER + line + "\n")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("elements: 1 g\nrow: 1 g\nrow: g\n",
+     "row length does not match the element count"),
+    ("elements: 1 1\nrow: 1 1\nrow: 1 1\n", "duplicate element names"),
+    ("[ideal]\nelements: u\nbase: a\n", "no table section in {path}"),
+])
+def test_tbl_reader_error(text, message, tmp_path):
+    path = tmp_path / "bad.tbl"
+    path.write_text(text)
+    with pytest.raises(InputError) as exc:
+        load_tbl(path)
+    assert str(exc.value) == message.format(path=path)
+
+
+IDEAL_HEADER = "[ideal]\nelements: u v\n"
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("base: a\nleft:\nleft: a u v\nright: a u v\nprod: u u u\n"
+     "prod: v v v", "empty 'left' line"),
+    ("base: a\nleft: a u v\nleft: a v u\nright: a u v\nprod: u u u\n"
+     "prod: v v v", "duplicate 'left' line for 'a'"),
+    ("base: a\nleft: a u v\nright: a u v\nprod: u u u",
+     "missing prod line for 'v'"),
+    ("base: a\nleft: a u v\nright: a u\nprod: u u u\nprod: v v v",
+     "right line for 'a' needs 2 images"),
+    # u u = u, u v = u, v u = v, v v = u: (v u) v = v v = u, v (u v) = v u
+    ("base: a\nleft: a u u\nright: a u u\nprod: u u u\nprod: v v u",
+     "internal product not associative at (v,u,v)"),
+    # every product is u, so a (u u) = a u must be (a u) u = u
+    ("base: a\nleft: a v u\nright: a u u\nprod: u u u\nprod: v u u",
+     "left action incompatible at (a,u,u)"),
+    ("base: a\nleft: a u u\nright: a v u\nprod: u u u\nprod: v u u",
+     "right action incompatible at (u,u,a)"),
+    # (a u) b = u b = v, but a (u b) = a v = u
+    ("base: a b\nleft: a u u\nleft: b u u\nright: a u u\nright: b v u\n"
+     "prod: u u u\nprod: v u u", "actions incompatible at (a,u,b)"),
+])
+def test_ideal_reader_error(lines, message, tmp_path):
+    path = tmp_path / "bad.tbl"
+    path.write_text(IDEAL_HEADER + lines + "\n")
+    with pytest.raises(InputError) as exc:
+        load_ideal(path)
+    assert str(exc.value) == message
+
+
 class TestSgp:
     def test_basic(self):
         p = loads_sgp(

@@ -143,6 +143,23 @@ class TestIdealData:
                 left_action={}, right_action={("u", "a"): "u"},
                 internal={("u", "u"): "u"})
 
+    @pytest.mark.parametrize("drop, message", [
+        ("left_action", "left action missing for (a, u)"),
+        ("right_action", "right action missing for (u, a)"),
+        ("internal", "internal product missing for (u, u)"),
+    ])
+    def test_missing_entry_is_named(self, drop, message):
+        # load_ideal fills every entry, so only a direct caller leaves one
+        # out
+        fields = dict(elements=("u",), base_symbols=("a",),
+                      left_action={("a", "u"): "u"},
+                      right_action={("u", "a"): "u"},
+                      internal={("u", "u"): "u"})
+        fields[drop] = {}
+        with pytest.raises(InputError) as exc:
+            IdealData(**fields)
+        assert str(exc.value) == message
+
     def test_escaping_product(self):
         with pytest.raises(InputError):
             IdealData(
