@@ -20,7 +20,13 @@ from .automata import (
     _reachable,
     _search_form,
 )
-from .oracle import _UnionFind, _check_alphabets, _class_members, _missing_pairs
+from .oracle import (
+    _UnionFind,
+    _check_alphabets,
+    _class_members,
+    _equal_pairs,
+    _missing_pairs,
+)
 
 
 @dataclass(frozen=True)
@@ -304,8 +310,9 @@ def equivalence_check(aut, bound, kind="semigroup"):
     comp = _UnionFind(lim)
     for p in accepted:
         comp.union(*divmod(p, lim))
-    missing = next(_missing_pairs(comp.ids(0, lim), first, lim, accepted,
-                                  len(accepted)), None)
+    ids = comp.ids(0, lim)
+    missing = next(_missing_pairs(ids, first, lim, accepted, len(accepted),
+                                  _equal_pairs(ids, first, lim)), None)
     if missing is not None:
         # some u links v and w but (v, w) is missing
         return Report("equivalence_check", "fail",

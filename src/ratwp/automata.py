@@ -589,23 +589,92 @@ def _accepted_codes(aut, len_bound):
     return accepted, decode
 
 
+def _accepted_cells(aut, len_bound):
+    """The accepted pairs with both words of length <= len_bound as bit
+    masks, one per cell (|v|, |w|) that holds one: (cells, stride, decode),
+    decode as in _pair_coding.
+
+    Inside a cell a word is coded by its place among the words of its
+    length, with its first symbol as the least significant digit: the word
+    of digits d_0 ... d_(n-1) (index + 1) is at sum (d_t - 1) k^t, so
+    appending digit d to a word of length n adds (d - 1) k^n. The pair
+    (v, w) is bit v S + w of its cell's mask, S the stride.
+    A step of a group (state, |v|, |w|) out of cell (i, j) then moves every
+    pair of the group by one shift, (d - 1) k^i S for a left digit d plus
+    (d - 1) k^j for a right digit d: the search is _accepted_codes' with
+    one mask per group in place of a set of codes, and a cell's mask is the
+    union of its final groups.
+    """
+    aut, _, steps, decode = _pair_coding(aut, len_bound)
+    # the words of length len_bound on the right, rounded up to whole
+    # bytes: a row of a cell is a whole number of bytes
+    stride = -(-len(aut.right) ** len_bound // 8) * 8
+    # what a read adds to the shift, per length before it
+    left_unit = [len(aut.left) ** i * stride for i in range(len_bound + 1)]
+    right_unit = [len(aut.right) ** j for j in range(len_bound + 1)]
+    limits = _node_limits(aut, len_bound)
+    moves = [[(dl > 0, dr > 0, dl and dl - 1, dr and dr - 1, dst)
+              + limits[dst] for _, dl, _, dr, dst in out if limits[dst]]
+             for out in steps]
+    finals = aut.finals
+    layers = [{} for _ in range(2 * len_bound + 1)]
+    layers[0][aut.initial, 0, 0] = 1
+    cells = {}
+    for total in range(2 * len_bound + 1):
+        # taken out of the list, so a step that read nothing would fail
+        layer, layers[total] = layers[total], None
+        while layer:
+            (q, i, j), mask = layer.popitem()
+            if q in finals:
+                cells[i, j] = cells.get((i, j), 0) | mask
+            unit_i, unit_j = left_unit[i], right_unit[j]
+            for (reads_left, reads_right, xl, xr, dst,
+                 max_i, max_j, max_total) in moves[q]:
+                ni, nj = i + reads_left, j + reads_right
+                if ni > max_i or nj > max_j or ni + nj > max_total:
+                    continue
+                shift = xl * unit_i + xr * unit_j
+                target, key = layers[ni + nj], (dst, ni, nj)
+                target[key] = target.get(key, 0) | mask << shift
+    return cells, stride, decode
+
+
+def _cell_codes(k, len_bound):
+    """Per length n <= len_bound, the shortlex codes (_pair_coding) of the
+    words of length n over k symbols, by their place in a cell
+    (_accepted_cells): the word u s of length n + 1 is at place(u) + (d -
+    1) k^n with code(u) k + d, d = index(s) + 1."""
+    codes = [[0]]
+    for _ in range(len_bound):
+        shorter = codes[-1]
+        codes.append([c * k + d for d in range(1, k + 1) for c in shorter])
+    return codes
+
+
 def _pair_moves(aut, len_bound):
     """_pair_coding with its steps as moves of whole groups of pair codes:
     moves[q] = [(reads left, reads right, a, b, c, dst, max |v|, max |w|,
     max |v| + |w|)]. A step maps p = code(v) R + code(w) to a p + b (p mod
-    R) + c, its limits are the bound (twice it for the sum) less the
-    fewest reads from dst to a final state (_reads_to_final), and steps
-    into a state that reaches none are dropped: a node over a limit, and
-    every node it leads to, cannot reach a final state within the bound.
+    R) + c, with the limits of _node_limits at dst.
     """
     aut, lim_right, steps, decode = _pair_coding(aut, len_bound)
-    to_left, to_right, to_total = aut._reads_to_final
-    moves = [[(dl > 0, dr > 0, ml, mr - ml, dl * lim_right + dr, dst,
-               len_bound - to_left[dst], len_bound - to_right[dst],
-               2 * len_bound - to_total[dst])
-              for ml, dl, mr, dr, dst in out if to_total[dst] is not None]
+    limits = _node_limits(aut, len_bound)
+    moves = [[(dl > 0, dr > 0, ml, mr - ml, dl * lim_right + dr, dst)
+              + limits[dst] for ml, dl, mr, dr, dst in out if limits[dst]]
              for out in steps]
     return aut, lim_right, moves, decode
+
+
+def _node_limits(aut, len_bound):
+    """Per state q of a form of _search_form, the limits of a node (q, v,
+    w) that can still reach a final state within the bound: (max |v|, max
+    |w|, max |v| + |w|), the bound (twice it for the sum) less the fewest
+    reads from q to a final state (_reads_to_final); None where q reaches
+    none. Steps into such a state are dropped: a node over a limit, and
+    every node it leads to, cannot reach a final state within the bound."""
+    return [None if total is None
+            else (len_bound - left, len_bound - right, 2 * len_bound - total)
+            for left, right, total in zip(*aut._reads_to_final)]
 
 
 def _pair_coding(aut, len_bound):

@@ -239,14 +239,14 @@ def _parse_atom(token):
 def _parse_schema(rest):
     if ";" not in rest:
         raise InputError("schema needs '; var = lo..hi' after the relation")
-    body, var_part = rest.rsplit(";", 1)
+    # a message quotes the text at fault without its blanks
+    body, var_part = (part.strip() for part in rest.rsplit(";", 1))
     if "=" not in body:
         raise InputError(f"schema relation needs '=': {body!r}")
     lhs, rhs = body.split("=", 1)
     if "=" not in var_part:
         raise InputError(f"bad schema range {var_part!r}")
-    var, rng = var_part.split("=", 1)
-    var = var.strip()
+    var, rng = (part.strip() for part in var_part.split("=", 1))
     if ".." not in rng:
         raise InputError(f"bad schema range {rng!r}")
     lo, hi = rng.split("..", 1)

@@ -17,12 +17,24 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import compress, count
 from types import MappingProxyType
 
-from .automata import Alphabet, InputError, _accepted_codes, _code_limit, as_word
+from .automata import (
+    Alphabet,
+    InputError,
+    _accepted_cells,
+    _accepted_codes,
+    _cell_codes,
+    _code_limit,
+    as_word,
+)
 
 DEFAULT_WORD_CAP = 2_000_000
 DEFAULT_SLACK_SEARCH = 4
+# the fewest bits a member of a set of ints costs, against one bit per pair
+# in a mask: verify's rule for which comparison runs
+_SET_BITS_PER_MEMBER = 64
 
 
 class _UnionFind:
@@ -253,39 +265,108 @@ def verify(aut, oracle, bound):
     The oracle's kind fixes the words compared: a monoid oracle's words
     include the empty word, so an accepted pair with an empty side is
     reported when the oracle calls it unequal; a semigroup oracle has no
-    empty word, and accepted pairs with an empty side are ignored.
-
-    Works on the integer codes of _accepted_codes and the oracle's
-    class_by_code throughout: a pair code p is split into word codes by
-    divmod(p, R), and only the reported pairs are decoded to words. Costs
-    one pass over the accepted pairs plus, only when some equal pair is
-    not accepted, the sum of |class|^2 over the oracle's classes. A
+    empty word, and accepted pairs with an empty side are ignored. A
     semigroup oracle has no word up to bound 0, so that bound is an error.
+
+    Two comparisons give the same list; the input picks one. With lim the
+    number of words up to the bound, there are lim^2 pairs, of which
+    sum |class|^2 are equal. A bit mask spends one bit per pair, a set at
+    least 64 bits per member, so the masks of _cell_disagreements are
+    taken when lim^2 <= 64 sum |class|^2 (a dense relation: T3 at bound 5
+    has lim^2 / sum |class|^2 = 16, fig3 at bound 8 has 10) and the sets
+    of _set_disagreements otherwise (fig1 and fig2 at bound 9 have 1024
+    and 305, where masks measured 2.7 and 1.3 times slower). Both work on
+    pair codes (automata._pair_coding), and only the reported pairs are
+    decoded to words.
     """
     if bound < 1 and not oracle.includes_empty:
         raise InputError("bound must be >= 1")
     if bound > oracle.bound + oracle.slack:
         raise InputError("verification bound exceeds the oracle bound")
     _check_alphabets(oracle, aut.left, aut.right)
-    accepted, decode = _accepted_codes(aut, bound)
     lim = _code_limit(len(oracle.alphabet), bound)
-    class_by_code = oracle.class_by_code
     first = 0 if oracle.includes_empty else 1  # the first word code compared
+    n_equal = _equal_pairs(oracle.class_by_code, first, lim)
+    if lim * lim <= _SET_BITS_PER_MEMBER * n_equal:
+        codes, decode = _cell_disagreements(aut, oracle, bound, first, lim)
+    else:
+        codes, decode = _set_disagreements(aut, oracle, bound, first, lim,
+                                           n_equal)
+    # pair codes sort like (word_key(v), word_key(w))
+    return [decode(p) for p in sorted(codes)]
+
+
+def _set_disagreements(aut, oracle, bound, first, lim, n_equal):
+    """verify's disagreements as pair codes, and their decoder, from the
+    set of _accepted_codes and the oracle's class_by_code: a pair code p
+    is split into word codes by divmod(p, lim). Costs one pass over the
+    accepted pairs plus, only when some of the n_equal equal pairs is not
+    accepted, the sum of |class|^2."""
+    accepted, decode = _accepted_codes(aut, bound)
+    class_by_code = oracle.class_by_code
     disagreements = []
-    n_equal = 0
+    n_related = 0
     for p in accepted:
         v, w = divmod(p, lim)
         if v < first or w < first:
             continue
         if class_by_code[v] == class_by_code[w]:
-            n_equal += 1
+            n_related += 1
         else:
             disagreements.append(p)
     disagreements += _missing_pairs(class_by_code, first, lim, accepted,
-                                    n_equal)
-    # pair codes sort like (word_key(v), word_key(w))
-    disagreements.sort()
-    return [decode(p) for p in disagreements]
+                                    n_related, n_equal)
+    return disagreements, decode
+
+
+def _cell_disagreements(aut, oracle, bound, first, lim):
+    """verify's disagreements as pair codes, and their decoder, cell by
+    cell (|v|, |w|) on the bit masks of _accepted_cells.
+
+    A cell's equal pairs are a mask too, built row by row: each word of
+    length i contributes the row of the words of length j in its class,
+    one bytes value per (length, class). Only the cells some class spans
+    at both lengths have equal pairs. Where the accepted and the equal
+    mask differ, the set bits of their XOR are the disagreements, mapped
+    back to pair codes through _cell_codes."""
+    cells, stride, decode = _accepted_cells(aut, bound)
+    codes = _cell_codes(len(oracle.alphabet), bound)
+    class_by_code = oracle.class_by_code
+    row_bytes = stride // 8
+    classes, columns = [], []  # per length: class by place, class -> row
+    for by_place in codes:
+        ids = [class_by_code[c] for c in by_place]
+        rows = {}
+        for place, c in enumerate(ids):
+            rows.setdefault(c, bytearray(row_bytes))[place >> 3] |= (
+                1 << (place & 7))
+        classes.append(ids)
+        columns.append({c: bytes(row) for c, row in rows.items()})
+    empty_row = bytes(row_bytes)
+    disagreements = []
+    for i in range(first, bound + 1):
+        for j in range(first, bound + 1):
+            column = columns[j]
+            equal = 0
+            if not column.keys().isdisjoint(columns[i]):
+                equal = int.from_bytes(
+                    b"".join([column.get(c, empty_row) for c in classes[i]]),
+                    "little")
+            differ = cells.get((i, j), 0) ^ equal
+            if differ:
+                left, right = codes[i], codes[j]
+                for bit in _set_bits(differ):
+                    v, w = divmod(bit, stride)
+                    disagreements.append(left[v] * lim + right[w])
+    return disagreements, decode
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _set_bits(mask):
+    """The indices of the set bits of a positive int, ascending."""
+    return compress(count(), f"{mask:b}"[::-1].encode().translate(_BIT_VALUES))
 
 
 def _check_alphabets(oracle, *alphabets):
@@ -294,14 +375,20 @@ def _check_alphabets(oracle, *alphabets):
         raise InputError("automaton and oracle alphabets differ")
 
 
-def _missing_pairs(class_ids, first, lim, related, n_related):
+def _equal_pairs(class_ids, first, lim):
+    """The number of pairs of codes in [first, lim) with equal class_ids:
+    the sum of |class|^2."""
+    return sum(size * size for size in Counter(class_ids[first:lim]).values())
+
+
+def _missing_pairs(class_ids, first, lim, related, n_related, n_equal):
     """Yield the pair codes v lim + w not in `related` of the word codes v
     and w in [first, lim) with equal class_ids, class by class in order of
     least member, each class row by row. n_related counts the pairs of
-    `related` inside a class: when it equals the sum of |class|^2, every
-    such pair is related and no class is walked."""
-    sizes = Counter(class_ids[first:lim]).values()
-    if n_related == sum(size * size for size in sizes):
+    `related` inside a class and n_equal all pairs inside a class
+    (_equal_pairs): when they are equal, every such pair is related and no
+    class is walked."""
+    if n_related == n_equal:
         return
     for members in _class_members(class_ids, first, lim).values():
         for v in members:

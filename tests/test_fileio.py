@@ -240,10 +240,10 @@ SGP_HEADER = "kind: semigroup\ngens: a b\n"
     ("schema: a ^n a = a ; n = 1..2", "bad atom '^n'"),
     ("schema: a b^n a = a b a",
      "schema needs '; var = lo..hi' after the relation"),
-    ("schema: a b^n a ; n = 2..3", "schema relation needs '=': 'a b^n a '"),
-    ("schema: a b^n a = a b a ; n 2..3", "bad schema range ' n 2..3'"),
-    ("schema: a b^n a = a b a ; n = 2-3", "bad schema range ' 2-3'"),
-    ("schema: a b^n a = a b a ; n = 2..x", "bad schema range ' 2..x'"),
+    ("schema: a b^n a ; n = 2..3", "schema relation needs '=': 'a b^n a'"),
+    ("schema: a b^n a = a b a ; n 2..3", "bad schema range 'n 2..3'"),
+    ("schema: a b^n a = a b a ; n = 2-3", "bad schema range '2-3'"),
+    ("schema: a b^n a = a b a ; n = 2..x", "bad schema range '2..x'"),
     ("rel: a a a", "relation needs '=': 'a a a'"),
 ])
 def test_sgp_reader_error(line, message):

@@ -4,29 +4,40 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ratwp.oracle
 from ratwp import (
     EPSILON,
+    PAD,
     Alphabet,
     InputError,
+    MultiplicationTable,
     Presentation,
     Transition,
     TwoTapeAutomaton,
     build_oracle,
     builtin,
     builtin_presentation,
+    cayley_wp_sync,
     free_wp,
     loads_sgp,
     table_oracle,
     union,
     verify,
 )
-from ratwp.oracle import _UnionFind
+from ratwp.automata import _code_limit
+from ratwp.oracle import (
+    _UnionFind,
+    _cell_disagreements,
+    _equal_pairs,
+    _set_disagreements,
+)
 
 from random_automata import (
     behind_chains,
     closure_oracle_by_words,
     presentations,
     sync_automata,
+    transformation_tables,
     two_tape_automata,
     verify_all_pairs,
 )
@@ -54,6 +65,24 @@ def free_monoid_with_eps_a():
         aut.n_states + 1, AB, AB, aut.initial, aut.finals | {aut.n_states},
         aut.transitions + (Transition(aut.initial, EPSILON, "a",
                                       aut.n_states),))
+
+
+def by_sets_and_by_cells(aut, oracle, bound):
+    """verify's list by each of its two comparisons, the set comparison
+    first: each sorted and decoded as verify does."""
+    first = 0 if oracle.includes_empty else 1
+    lim = _code_limit(len(oracle.alphabet), bound)
+    n_equal = _equal_pairs(oracle.class_by_code, first, lim)
+    return tuple(
+        [decode(p) for p in sorted(codes)] for codes, decode in (
+            _set_disagreements(aut, oracle, bound, first, lim, n_equal),
+            _cell_disagreements(aut, oracle, bound, first, lim)))
+
+
+def assert_both_comparisons(aut, oracle, bound, expected):
+    """verify, and each of its two comparisons, gives the expected list."""
+    assert verify(aut, oracle, bound) == expected
+    assert by_sets_and_by_cells(aut, oracle, bound) == (expected, expected)
 
 
 class TestBuildOracle:
@@ -229,9 +258,9 @@ class TestVerify:
             aut.n_states, AB, AB, aut.initial, aut.finals,
             aut.transitions + (Transition(0, "a", "b", 1),))
         oracle = build_oracle(builtin_presentation("fig3"), 2)
-        assert verify(mutant, oracle, 2) == [
+        assert_both_comparisons(mutant, oracle, 2, [
             (("a",), ("b",)), (("a",), ("b", "a")), (("a", "a"), ("b",)),
-            (("a", "a"), ("b", "a")), (("a", "b"), ("b", "b"))]
+            (("a", "a"), ("b", "a")), (("a", "b"), ("b", "b"))])
 
     def test_under_acceptance_reported(self):
         # fig1 without its final state drops every equal pair
@@ -239,9 +268,9 @@ class TestVerify:
         mutant = TwoTapeAutomaton(aut.n_states, AB, AB, aut.initial,
                                   frozenset(), aut.transitions)
         oracle = build_oracle(builtin_presentation("fig1"), 2)
-        assert verify(mutant, oracle, 2) == [
+        assert_both_comparisons(mutant, oracle, 2, [
             (w, w) for w in (("a",), ("b",), ("a", "a"), ("a", "b"),
-                             ("b", "a"), ("b", "b"))]
+                             ("b", "a"), ("b", "b"))])
 
     def test_bound_0(self):
         # a semigroup oracle has no word up to bound 0, so an automaton
@@ -289,7 +318,111 @@ class TestVerify:
        presentations(), st.integers(1, 4))
 def test_verify_agrees_with_all_pairs(aut, presentation, bound):
     oracle = build_oracle(presentation, bound, slack=1)
-    assert verify(aut, oracle, bound) == verify_all_pairs(aut, oracle, bound)
+    assert_both_comparisons(aut, oracle, bound,
+                            verify_all_pairs(aut, oracle, bound))
+
+
+@st.composite
+def cayley_faults(draw):
+    """(automaton, oracle, bound): the Cayley automaton of a random
+    transformation semigroup, of a kind its table has, with one transition
+    dropped or redirected, one final state removed or as it is, and the
+    table oracle of that kind at bound 1 to 4."""
+    table, gens = draw(transformation_tables(max_elements=12))
+    kinds = ["semigroup"]
+    if table.identity_index() is not None:
+        kinds.append("monoid")
+    kind = draw(st.sampled_from(kinds))
+    aut = cayley_wp_sync(table, gens, kind=kind)
+    trans, finals = list(aut.transitions), sorted(aut.finals)
+    fault = draw(st.sampled_from(("drop", "redirect", "unfinal", "none")))
+    if fault == "drop" and trans:
+        del trans[draw(st.integers(0, len(trans) - 1))]
+    elif fault == "redirect" and trans:
+        i = draw(st.integers(0, len(trans) - 1))
+        t = trans[i]
+        # into a state entered with the same pads: the padding holds
+        same_pads = [u.dst for u in trans if (u.left == PAD) == (t.left == PAD)
+                     and (u.right == PAD) == (t.right == PAD)]
+        trans[i] = t._replace(dst=draw(st.sampled_from(same_pads)))
+    elif fault == "unfinal" and finals:
+        finals.remove(draw(st.sampled_from(finals)))
+    bound = draw(st.integers(1, 4))
+    return (TwoTapeAutomaton(aut.n_states, aut.left, aut.right, aut.initial,
+                             frozenset(finals), tuple(trans), mode="sync"),
+            table_oracle(table, gens, bound, kind), bound)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cayley_faults())
+def test_both_comparisons_agree_on_cayley_faults(case):
+    aut, oracle, bound = case
+    assert_both_comparisons(aut, oracle, bound,
+                            verify_all_pairs(aut, oracle, bound))
+
+
+class TestComparisonChoice:
+    """verify takes the cell comparison when lim^2 <= 64 sum |class|^2,
+    the set comparison otherwise."""
+
+    @pytest.fixture
+    def taken(self, monkeypatch):
+        """The names of the comparisons verify calls, in order."""
+        calls = []
+        for name in ("_set_disagreements", "_cell_disagreements"):
+            def record(*args, _name=name,
+                       _compare=getattr(ratwp.oracle, name)):
+                calls.append(_name)
+                return _compare(*args)
+            monkeypatch.setattr(ratwp.oracle, name, record)
+        return calls
+
+    def test_t3_is_dense(self, t3_table, taken):
+        # lim^2 / sum |class|^2 = 16
+        gens = ("102", "120", "002")
+        oracle = table_oracle(t3_table, gens, 5)
+        assert verify(cayley_wp_sync(t3_table, gens), oracle, 5) == []
+        assert taken == ["_cell_disagreements"]
+
+    @pytest.mark.parametrize("name, bound, compare", [
+        ("fig3", 8, "_cell_disagreements"),  # ratio 10
+        ("fig1", 9, "_set_disagreements"),   # ratio 1024
+        ("fig2", 9, "_set_disagreements"),   # ratio 305
+    ])
+    def test_figures(self, name, bound, compare, taken):
+        oracle = build_oracle(builtin_presentation(name), bound)
+        assert verify(builtin(name), oracle, bound) == []
+        assert taken == [compare]
+
+
+class TestComparisonEdges:
+    def test_monoid_bound_0_is_one_cell(self):
+        # the one pair (ε, ε), bit 0 of cell (0, 0)
+        oracle = build_oracle(Presentation("monoid", AB), 2)
+        nothing = TwoTapeAutomaton(1, AB, AB, 0, frozenset(), ())
+        assert_both_comparisons(nothing, oracle, 0, [((), ())])
+        assert_both_comparisons(free_wp(AB, kind="monoid"), oracle, 0, [])
+
+    def test_one_letter(self):
+        # k = 1: every cell is one bit and every step shifts by 0; aaa = a
+        # splits the words into odd and even lengths
+        oracle = build_oracle(
+            Presentation("semigroup", A, ((("a", "a", "a"), ("a",)),)), 4)
+        expected = [(("a",) * i, ("a",) * j) for i in range(1, 5)
+                    for j in range(1, 5) if (i - j) % 2]
+        assert verify_all_pairs(all_pairs_plus(A), oracle, 4) == expected
+        assert_both_comparisons(all_pairs_plus(A), oracle, 4, expected)
+
+    def test_sync_with_pads(self, c2_table):
+        # C2's Cayley automaton reads pads; against C3 it equates 1 and gg
+        c3 = MultiplicationTable(("1", "g", "h"),
+                                 ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+        aut = cayley_wp_sync(c2_table, ("1", "g"))
+        oracle = table_oracle(c3, ("1", "g"), 3)
+        expected = verify_all_pairs(aut, oracle, 3)
+        assert len(expected) == 42
+        assert expected[0] == (("1",), ("g", "g"))
+        assert_both_comparisons(aut, oracle, 3, expected)
 
 
 def code_of(word, alphabet):
