@@ -12,11 +12,11 @@ from .automata import (
     InputError,
     OneTapeAutomaton,
     NfaTransition,
+    _accepted_cells,
     _accepted_codes,
     _accepting_run,
+    _cell_codes,
     _code_limit,
-    _pair_coding,
-    _pair_moves,
     _reachable,
     _search_form,
 )
@@ -26,6 +26,8 @@ from .oracle import (
     _class_members,
     _equal_pairs,
     _missing_pairs,
+    _over_accepted,
+    _set_bits,
 )
 
 
@@ -84,36 +86,18 @@ def pump_decompose(aut, pair):
     v, w = tuple(pair[0]), tuple(pair[1])
     n0 = 2 * form.n_states
     if len(v) + len(w) <= n0:
-        raise InputError(
-            f"pair too short: combined length must exceed {n0}"
-        )
+        raise InputError(f"pair too short: combined length must exceed {n0}")
     run = _accepting_run(form, v, w)
     if run is None:
         raise InputError("pair is not accepted")
-    start, stop = _first_repeat([q for q, _, _ in run])
-    (_, i, j), (_, k, m) = run[start], run[stop]
-    return _cut(v, w, (v[:i], w[:j]), (v[:k], w[:m]))
-
-
-def _first_repeat(states):
-    """(i, j) for the first j such that states[j] occurs earlier, at i."""
+    # a run of more than n steps repeats a state within its first n + 1
     first_seen = {}
-    for j, q in enumerate(states):
-        i = first_seen.setdefault(q, j)
-        if i != j:
-            return i, j
-    raise AssertionError("run longer than the state count must repeat")
-
-
-def _cut(v, w, x, z):
-    """The decomposition of (v, w) whose prefix is the pair x and whose
-    prefix and loop together are the pair z, both pairs of prefixes of v
-    and w."""
-    return PumpDecomposition(
-        prefix=x,
-        loop=(z[0][len(x[0]):], z[1][len(x[1]):]),
-        suffix=(v[len(z[0]):], w[len(z[1]):]),
-    )
+    for stop, (q, k, m) in enumerate(run):
+        if first_seen.setdefault(q, stop) != stop:
+            break
+    _, i, j = run[first_seen[q]]
+    return PumpDecomposition(prefix=(v[:i], w[:j]), loop=(v[i:k], w[j:m]),
+                             suffix=(v[k:], w[m:]))
 
 
 def pump_check(aut, decomposition, i_max=5):
@@ -131,139 +115,58 @@ def pump_refute(aut, oracle, bound, i_max=5, max_witnesses=5):
     """Look for an accepted pair whose pumped variants the oracle rejects;
     any hit proves the automaton does not decide the oracle's word problem.
 
-    Pairs are tried in shortlex order, each decomposed as pump_decompose
-    does, and the search stops after the row of |v| that fills the
-    witnesses (_cut_rows). A pair is pumped on integer codes, a group of
-    one cell (|v|, |w|) and one cut at a time: per tape, a pumped word's
-    code is the word's code plus a constant of the group and i, and its
-    length alone says whether it is empty or beyond the oracle's table.
-    Only a witness is built as words.
+    Every pumped pair compared is accepted, as it pumps a loop of an
+    accepting run, and has both words within the oracle's bound + slack,
+    so a witness is an accepted pair up to that length that the oracle
+    calls unequal. Where there is none (oracle._over_accepted), the answer
+    is "not-refuted" without a walk. Otherwise the long accepted pairs are
+    walked in shortlex order (_long_pairs), each decomposed by
+    pump_decompose and pumped for i = 0..i_max, until max_witnesses are
+    found.
     """
+    if bound < 0:
+        raise InputError("bound must be >= 0")
     if i_max < 0:
         raise InputError("i_max must be >= 0")
     if max_witnesses < 1:
         raise InputError("max_witnesses must be >= 1")
     _check_alphabets(oracle, aut.left, aut.right)
-    form = _pump_form(aut)
-    k = len(oracle.alphabet)
-    skip_empty = not oracle.includes_empty
-    table = oracle.class_by_code
     max_len = oracle.bound + oracle.slack
-    _, lim, _, decode = _pair_coding(form, bound)
-    # the codes of the words of length m + 1 start at starts[m]
-    starts = [_code_limit(k, m) for m in range(bound + 1)]
-
-    def tape(x, z, length):
-        """For one tape's prefix x, z = x u and word z y of that length:
-        e = (code(z) - code(x)) k^|y|, k^|u| and |u|. code(x u^i y) is
-        code(z y) + c_i, c_0 = -e, c_(i+1) = (c_i + e) k^|u| (_cut_rows)."""
-        lx, lz = bisect_right(starts, x), bisect_right(starts, z)
-        return (z - x) * k ** (length - lz), k ** (lz - lx), lz - lx
-
     witnesses = []
-    for lv, row in _cut_rows(form, bound):
-        found = []
-        for lw, (x, z), todo in row:
-            if skip_empty and not (lv and lw):
-                continue
-            (ev, mv, luv), (ew, mw, luw) = (
-                tape(*ends) for ends in zip(divmod(x, lim), divmod(z, lim),
-                                            (lv, lw)))
-            cv, cw = -ev, -ew
+    if _over_accepted(aut, oracle, max_len):
+        first = 0 if oracle.includes_empty else 1
+        for pair in _long_pairs(_pump_form(aut), bound, first):
+            dec = pump_decompose(aut, pair)
             for i in range(i_max + 1):
-                # Oracle.equal's checks on |x u^i y| = |v| + (i - 1) |u|: both
-                # words in the table (lengths grow with i), none empty in a
-                # semigroup
-                len_v, len_w = lv + (i - 1) * luv, lw + (i - 1) * luw
-                if len_v > max_len or len_w > max_len:
+                # lengths grow with i; a semigroup has no empty word
+                pv, pw = pumped = dec.pumped(i)
+                if len(pv) > max_len or len(pw) > max_len:
                     break
-                if len_v and len_w or not skip_empty:
-                    bad = {p for p in todo
-                           if table[p // lim + cv] != table[p % lim + cw]}
-                    if bad:
-                        found += [(p, i, x, z) for p in bad]
-                        todo = todo - bad
-                        if not todo:
-                            break
-                cv, cw = (cv + ev) * mv, (cw + ew) * mw
-        found.sort()
-        for p, i, x, z in found[:max_witnesses - len(witnesses)]:
-            pair = decode(p)
-            pumped = _cut(*pair, decode(x), decode(z)).pumped(i)
-            witnesses.append((pair, i, pumped))
-        if len(witnesses) >= max_witnesses:
-            break
+                if (pv and pw or first == 0) and not oracle.equal(pv, pw):
+                    witnesses.append((pair, i, pumped))
+                    break
+            if len(witnesses) == max_witnesses:
+                break
     verdict = "refuted" if witnesses else "not-refuted"
     return Report("pump_refute", verdict, tuple(witnesses))
 
 
-def _cut_rows(form, bound):
-    """The long accepted pairs of a pumping form up to the bound, |v| + |w|
-    above twice its n states, with the cuts pump_decompose makes. Yields
-    (|v|, row) for |v| = 0 to the bound, row listing (|w|, (x, z), codes):
-    a set of pair codes (_pair_coding), and the pair codes of the run's
-    prefixes where its loop starts and stops.
-
-    pump_decompose cuts the run that a first-in first-out search over the
-    nodes (state, v, w) reaches first at its first repeated state, which
-    a long pair's run has within n steps. That search reaches the nodes
-    of one depth in the order of their runs' step indices, an order that
-    cutting runs after their first repeat keeps. So a node's key (depth,
-    run up to its first repeat, cut once there is one) is the least of
-    the keys one step on of the nodes it is reached from, and a pair's is
-    the least of its accepting nodes'. Every step reads a symbol, so keys
-    are filled in cell by cell over (|v|, |w|), in row order, on groups
-    of codes as in _accepted_codes; a key without a cut is one node's.
-    """
-    form, lim, moves, _ = _pair_moves(form, bound)
-    n = form.n_states
-    if bound <= n:
-        return  # |v| + |w| <= 2n for every pair
-    cells = [[{} for _ in range(bound + 1)] for _ in range(bound + 1)]
-    # a run is a tuple of nodes (step index, state, pair code)
-    cells[0][0][form.initial] = {(0, ((0, form.initial, 0),), None): {0}}
-    for i, row in enumerate(cells):
-        out = []
-        for j, cell in enumerate(row):
-            row[j] = None
-            accepted = {}
-            for q, keyed in cell.items():
-                seen = set()
-                for key in sorted(keyed):  # each code keeps its least key
-                    codes = keyed[key] = keyed[key] - seen
-                    seen |= codes
-                if q in form.finals and i + j > 2 * n:
-                    for key, codes in keyed.items():
-                        accepted.setdefault(key, set()).update(codes)
-                for step, (rl, rr, a, b, c, dst, max_i, max_j,
-                           max_total) in enumerate(moves[q]):
-                    ni, nj = i + rl, j + rr
-                    if ni > max_i or nj > max_j or ni + nj > max_total:
-                        continue
-                    target = cells[ni][nj].setdefault(dst, {})
-                    for (depth, run, cut), codes in keyed.items():
-                        if not codes:
-                            continue
-                        if b:
-                            new = {a * p + b * (p % lim) + c for p in codes}
-                        else:
-                            new = {a * p + c for p in codes}
-                        if cut is None:
-                            (p,) = new
-                            states = [s for _, s, _ in run]
-                            run += ((step, dst, p),)
-                            if dst in states:
-                                cut = (run[states.index(dst)][2], p)
-                        group = target.setdefault((depth + 1, run, cut), new)
-                        if group is not new:
-                            group |= new
-            by_cut, seen = {}, set()
-            for key in sorted(accepted):
-                codes = accepted[key] - seen
-                seen |= codes
-                by_cut.setdefault(key[2], set()).update(codes)
-            out += [(j, cut, codes) for cut, codes in by_cut.items() if codes]
-        yield i, out
+def _long_pairs(form, bound, first):
+    """The accepted pairs of a pumping form up to the bound with |v| + |w|
+    above twice its n states and neither word shorter than `first`, in
+    shortlex order: row |v| by row, each row's pair codes sorted and
+    decoded, read off the cells of _accepted_cells."""
+    cells, stride, decode = _accepted_cells(form, bound)
+    lim = _code_limit(len(form.right), bound)
+    left = _cell_codes(len(form.left), bound)
+    right = _cell_codes(len(form.right), bound)
+    for i in range(first, bound + 1):
+        row = []
+        for j in range(max(first, 2 * form.n_states + 1 - i), bound + 1):
+            if (i, j) in cells:
+                row += [left[i][v] * lim + right[j][w] for v, w in (
+                    divmod(bit, stride) for bit in _set_bits(cells[i, j]))]
+        yield from map(decode, sorted(row))
 
 
 def _checked_codes(aut, bound, kind):

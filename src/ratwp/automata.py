@@ -559,10 +559,15 @@ def _accepted_codes(aut, len_bound):
     form _pair_coding reads a symbol, so a group only grows from groups
     of smaller |v| + |w|; the groups are expanded in order of |v| + |w|,
     each complete when it is expanded and dropped after. A step is applied
-    to a whole group at once, and only where it can still reach a final
-    state within the bound (_pair_moves).
+    to a whole group at once, mapping p = code(v) R + code(w) to a p + b
+    (p mod R) + c, and only where it can still reach a final state within
+    the bound (_node_limits).
     """
-    aut, lim_right, moves, decode = _pair_moves(aut, len_bound)
+    aut, lim_right, steps, decode = _pair_coding(aut, len_bound)
+    limits = _node_limits(aut, len_bound)
+    moves = [[(dl > 0, dr > 0, ml, mr - ml, dl * lim_right + dr, dst)
+              + limits[dst] for ml, dl, mr, dr, dst in out if limits[dst]]
+             for out in steps]
     finals = aut.finals
     layers = [{} for _ in range(2 * len_bound + 1)]
     layers[0][aut.initial, 0, 0] = {0}
@@ -651,20 +656,6 @@ def _cell_codes(k, len_bound):
     return codes
 
 
-def _pair_moves(aut, len_bound):
-    """_pair_coding with its steps as moves of whole groups of pair codes:
-    moves[q] = [(reads left, reads right, a, b, c, dst, max |v|, max |w|,
-    max |v| + |w|)]. A step maps p = code(v) R + code(w) to a p + b (p mod
-    R) + c, with the limits of _node_limits at dst.
-    """
-    aut, lim_right, steps, decode = _pair_coding(aut, len_bound)
-    limits = _node_limits(aut, len_bound)
-    moves = [[(dl > 0, dr > 0, ml, mr - ml, dl * lim_right + dr, dst)
-              + limits[dst] for ml, dl, mr, dr, dst in out if limits[dst]]
-             for out in steps]
-    return aut, lim_right, moves, decode
-
-
 def _node_limits(aut, len_bound):
     """Per state q of a form of _search_form, the limits of a node (q, v,
     w) that can still reach a final state within the bound: (max |v|, max
@@ -679,7 +670,7 @@ def _node_limits(aut, len_bound):
 
 def _pair_coding(aut, len_bound):
     """The integer coding of the pair searches, _accepted_codes and
-    analysis._cut_rows.
+    _accepted_cells.
 
     A word over k symbols is coded in bijective base k: the empty word is
     0 and code(w s) = code(w) k + index(s) + 1, so codes count the words

@@ -335,29 +335,26 @@ def _ideal_from_lines(lines):
             keyed[name][tokens[0]] = tuple(tokens[1:])
     k = len(elements)
 
-    def images(rows, keys, what):
-        out = {}
-        for key in keys:
-            if key not in rows:
-                raise InputError(f"missing {what} line for {key!r}")
-            row = rows[key]
+    def rows(name, keys):
+        """key -> its images, for each key of `keys` with a line; IdealData
+        names a missing one."""
+        out = {key: keyed[name][key] for key in keys if key in keyed[name]}
+        for key, row in out.items():
             if len(row) != k:
-                raise InputError(f"{what} line for {key!r} needs {k} images")
-            out[key] = row
+                raise InputError(f"{name} line for {key!r} needs {k} images")
         return out
 
-    left = images(keyed["left"], base, "left")
-    right = images(keyed["right"], base, "right")
-    prod = images(keyed["prod"], elements, "prod")
+    left, right = rows("left", base), rows("right", base)
+    prod = rows("prod", elements)
     return IdealData(
         elements=elements,
         base_symbols=base,
-        left_action={(b, elements[i]): left[b][i]
-                     for b in base for i in range(k)},
-        right_action={(elements[i], b): right[b][i]
-                      for b in base for i in range(k)},
-        internal={(e, elements[i]): prod[e][i]
-                  for e in elements for i in range(k)},
+        left_action={(b, e): x for b, row in left.items()
+                     for e, x in zip(elements, row)},
+        right_action={(e, b): x for b, row in right.items()
+                      for e, x in zip(elements, row)},
+        internal={(e, f): x for e, row in prod.items()
+                  for f, x in zip(elements, row)},
     )
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import compress, count
 from types import MappingProxyType
 
@@ -125,9 +125,10 @@ class Oracle:
 
 def _code(word, alphabet):
     """A word's bijective base-k code (see automata._pair_coding)."""
-    k = len(alphabet)
-    return reduce(lambda c, s: c * k + alphabet.index(s) + 1,
-                  as_word(word, alphabet), 0)
+    k, code = len(alphabet), 0
+    for d in map(alphabet._digits.__getitem__, as_word(word, alphabet)):
+        code = code * k + d
+    return code
 
 
 def _relation_pairs(presentation):
@@ -268,26 +269,18 @@ def verify(aut, oracle, bound):
     empty word, and accepted pairs with an empty side are ignored. A
     semigroup oracle has no word up to bound 0, so that bound is an error.
 
-    Two comparisons give the same list; the input picks one. With lim the
-    number of words up to the bound, there are lim^2 pairs, of which
-    sum |class|^2 are equal. A bit mask spends one bit per pair, a set at
-    least 64 bits per member, so the masks of _cell_disagreements are
-    taken when lim^2 <= 64 sum |class|^2 (a dense relation: T3 at bound 5
-    has lim^2 / sum |class|^2 = 16, fig3 at bound 8 has 10) and the sets
-    of _set_disagreements otherwise (fig1 and fig2 at bound 9 have 1024
-    and 305, where masks measured 2.7 and 1.3 times slower). Both work on
-    pair codes (automata._pair_coding), and only the reported pairs are
-    decoded to words.
+    Two comparisons give the same list, the masks of _cell_disagreements
+    and the sets of _set_disagreements; the input picks one (_comparison).
+    Both work on pair codes (automata._pair_coding), and only the reported
+    pairs are decoded to words.
     """
     if bound < 1 and not oracle.includes_empty:
         raise InputError("bound must be >= 1")
     if bound > oracle.bound + oracle.slack:
         raise InputError("verification bound exceeds the oracle bound")
     _check_alphabets(oracle, aut.left, aut.right)
-    lim = _code_limit(len(oracle.alphabet), bound)
-    first = 0 if oracle.includes_empty else 1  # the first word code compared
-    n_equal = _equal_pairs(oracle.class_by_code, first, lim)
-    if lim * lim <= _SET_BITS_PER_MEMBER * n_equal:
+    first, lim, n_equal, masks = _comparison(oracle, bound)
+    if masks:
         codes, decode = _cell_disagreements(aut, oracle, bound, first, lim)
     else:
         codes, decode = _set_disagreements(aut, oracle, bound, first, lim,
@@ -296,24 +289,63 @@ def verify(aut, oracle, bound):
     return [decode(p) for p in sorted(codes)]
 
 
+def _comparison(oracle, bound):
+    """(first, lim, n_equal, masks) of the oracle's words up to the bound:
+    their codes are those in [first, lim), n_equal of their lim^2 pairs
+    are equal (sum |class|^2), and masks says whether the bit masks of
+    _accepted_cells are compared rather than the set of _accepted_codes.
+
+    A mask spends one bit per pair, a set at least 64 bits per member, so
+    the masks are taken when lim^2 <= 64 n_equal (a dense relation: T3 at
+    bound 5 has lim^2 / n_equal = 16, fig3 at bound 8 has 10), the sets
+    otherwise (fig1 and fig2 at bound 9 have 1024 and 305, where masks
+    measured 2.7 and 1.3 times slower)."""
+    lim = _code_limit(len(oracle.alphabet), bound)
+    first = 0 if oracle.includes_empty else 1  # the first word code compared
+    n_equal = _equal_pairs(oracle.class_by_code, first, lim)
+    return first, lim, n_equal, lim * lim <= _SET_BITS_PER_MEMBER * n_equal
+
+
+def _over_accepted(aut, oracle, bound):
+    """Whether the automaton accepts a pair of the oracle's words up to the
+    bound that the oracle calls unequal, that is whether verify would
+    report an accepted pair, on verify's comparison: the masks stop at the
+    first cell that holds one, the sets make their one pass. Nothing is
+    decoded."""
+    first, lim, _, masks = _comparison(oracle, bound)
+    if masks:
+        cells, stride, _ = _accepted_cells(aut, bound)
+        equal = _equal_masks(oracle.class_by_code,
+                             _cell_codes(len(oracle.alphabet), bound), stride)
+        return any(mask & ~equal(i, j) for (i, j), mask in cells.items()
+                   if i >= first and j >= first)
+    accepted, _ = _accepted_codes(aut, bound)
+    return bool(_split_accepted(accepted, oracle.class_by_code, first,
+                                lim)[0])
+
+
+def _split_accepted(accepted, class_by_code, first, lim):
+    """(unequal, n_related) over the pair codes p = v lim + w of `accepted`
+    with v and w in [first, lim): unequal lists those whose words' classes
+    differ, n_related counts the others. One comprehension over all of
+    `accepted`: an excluded empty word's class is None, unequal to every
+    class, so a pair with one empty side lands in it and is filtered out
+    after, and (e, e), with two, is counted out."""
+    differ = [p for p in accepted
+              if class_by_code[p // lim] != class_by_code[p % lim]]
+    unequal = [p for p in differ if p // lim >= first and p % lim >= first]
+    return unequal, len(accepted) - len(differ) - (first and 0 in accepted)
+
+
 def _set_disagreements(aut, oracle, bound, first, lim, n_equal):
     """verify's disagreements as pair codes, and their decoder, from the
-    set of _accepted_codes and the oracle's class_by_code: a pair code p
-    is split into word codes by divmod(p, lim). Costs one pass over the
-    accepted pairs plus, only when some of the n_equal equal pairs is not
-    accepted, the sum of |class|^2."""
+    set of _accepted_codes and the oracle's class_by_code. Costs one pass
+    over the accepted pairs plus, only when some of the n_equal equal
+    pairs is not accepted, the sum of |class|^2."""
     accepted, decode = _accepted_codes(aut, bound)
     class_by_code = oracle.class_by_code
-    disagreements = []
-    n_related = 0
-    for p in accepted:
-        v, w = divmod(p, lim)
-        if v < first or w < first:
-            continue
-        if class_by_code[v] == class_by_code[w]:
-            n_related += 1
-        else:
-            disagreements.append(p)
+    disagreements, n_related = _split_accepted(accepted, class_by_code,
+                                               first, lim)
     disagreements += _missing_pairs(class_by_code, first, lim, accepted,
                                     n_related, n_equal)
     return disagreements, decode
@@ -321,17 +353,34 @@ def _set_disagreements(aut, oracle, bound, first, lim, n_equal):
 
 def _cell_disagreements(aut, oracle, bound, first, lim):
     """verify's disagreements as pair codes, and their decoder, cell by
-    cell (|v|, |w|) on the bit masks of _accepted_cells.
-
-    A cell's equal pairs are a mask too, built row by row: each word of
-    length i contributes the row of the words of length j in its class,
-    one bytes value per (length, class). Only the cells some class spans
-    at both lengths have equal pairs. Where the accepted and the equal
-    mask differ, the set bits of their XOR are the disagreements, mapped
-    back to pair codes through _cell_codes."""
+    cell (|v|, |w|) on the bit masks of _accepted_cells: where a cell's
+    accepted and equal masks (_equal_masks) differ, the set bits of their
+    XOR are the disagreements, mapped back to pair codes through
+    _cell_codes."""
     cells, stride, decode = _accepted_cells(aut, bound)
     codes = _cell_codes(len(oracle.alphabet), bound)
-    class_by_code = oracle.class_by_code
+    equal = _equal_masks(oracle.class_by_code, codes, stride)
+    disagreements = []
+    for i in range(first, bound + 1):
+        for j in range(first, bound + 1):
+            differ = cells.get((i, j), 0) ^ equal(i, j)
+            if differ:
+                left, right = codes[i], codes[j]
+                for bit in _set_bits(differ):
+                    v, w = divmod(bit, stride)
+                    disagreements.append(left[v] * lim + right[w])
+    return disagreements, decode
+
+
+def _equal_masks(class_by_code, codes, stride):
+    """equal(i, j), the mask of the equal pairs of cell (i, j) in the
+    layout of _accepted_cells, codes being _cell_codes' and stride the
+    cells' stride.
+
+    The mask is built row by row: each word of length i contributes the
+    row of the words of length j in its class, one bytes value per
+    (length, class). Only the cells some class spans at both lengths have
+    equal pairs."""
     row_bytes = stride // 8
     classes, columns = [], []  # per length: class by place, class -> row
     for by_place in codes:
@@ -343,22 +392,16 @@ def _cell_disagreements(aut, oracle, bound, first, lim):
         classes.append(ids)
         columns.append({c: bytes(row) for c, row in rows.items()})
     empty_row = bytes(row_bytes)
-    disagreements = []
-    for i in range(first, bound + 1):
-        for j in range(first, bound + 1):
-            column = columns[j]
-            equal = 0
-            if not column.keys().isdisjoint(columns[i]):
-                equal = int.from_bytes(
-                    b"".join([column.get(c, empty_row) for c in classes[i]]),
-                    "little")
-            differ = cells.get((i, j), 0) ^ equal
-            if differ:
-                left, right = codes[i], codes[j]
-                for bit in _set_bits(differ):
-                    v, w = divmod(bit, stride)
-                    disagreements.append(left[v] * lim + right[w])
-    return disagreements, decode
+
+    def equal(i, j):
+        column = columns[j]
+        if column.keys().isdisjoint(columns[i]):
+            return 0
+        return int.from_bytes(
+            b"".join([column.get(c, empty_row) for c in classes[i]]),
+            "little")
+
+    return equal
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")

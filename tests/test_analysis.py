@@ -35,10 +35,9 @@ from ratwp import (
     validate_cross_section,
 )
 import ratwp.analysis
-from ratwp.analysis import (
-    _cut, _cut_rows, _eps_right_cycle_edges, _pump_form,
-)
-from ratwp.automata import NfaTransition, OneTapeAutomaton, _pair_coding
+from ratwp.analysis import _eps_right_cycle_edges
+from ratwp.automata import NfaTransition, OneTapeAutomaton
+from ratwp.oracle import _comparison
 from random_automata import (
     behind_chains,
     congruence_check_all_contexts,
@@ -49,7 +48,6 @@ from random_automata import (
     pump_refute_per_pair,
     sync_automata,
     two_tape_automata,
-    two_tape_automata_any_alphabets,
     validate_cross_section_by_words,
 )
 
@@ -191,6 +189,28 @@ class TestPumpRefute:
             assert w == () and set(v) == {"a"}
             assert pump_decompose(aut, (v, w)).pumped(i) == pumped
 
+    @pytest.mark.parametrize("aut, name, oracle_bound, bound, masks, verdict", [
+        # lim^2 <= 64 sum |class|^2 at the oracle's bound + slack: masks
+        (builtin("fig3"), "fig3", 7, 7, True, "not-refuted"),
+        (builtin("fig2"), "fig2", 9, 8, False, "not-refuted"),
+        # fig1 accepts (u a^k, u) once an (a, eps) loop is added
+        (with_extra_transition(builtin("fig1"), (1, "a", None, 1)), "fig1",
+         5, 5, False, "refuted"),
+    ])
+    def test_both_sides_of_the_rule(self, aut, name, oracle_bound, bound,
+                                    masks, verdict):
+        oracle = build_oracle(builtin_presentation(name), oracle_bound)
+        assert _comparison(oracle, oracle.bound + oracle.slack)[3] == masks
+        report = pump_refute(aut, oracle, bound)
+        assert report.verdict == verdict
+        if bound <= 5:
+            assert report == pump_refute_per_pair(aut, oracle, bound)
+
+    def test_negative_bound(self):
+        oracle = build_oracle(builtin_presentation("fig3"), 4)
+        with pytest.raises(InputError, match="bound must be >= 0"):
+            pump_refute(builtin("fig3"), oracle, -1)
+
     def test_negative_i_max(self):
         mutant = with_extra_transition(builtin("fig3"), (1, "b", None, 1))
         oracle = build_oracle(builtin_presentation("fig3"), 8)
@@ -235,6 +255,16 @@ class TestPumpRefute:
          builtin_presentation("fig3"), 7, 7, 5, 2)
 @example(with_extra_transition(builtin("fig3"), (1, "b", None, 1)),
          builtin_presentation("fig3"), 4, 2, 5, 5)
+@example(with_extra_transition(builtin("fig3"), (1, "b", None, 1)),
+         builtin_presentation("fig3"), 4, 5, 5, 5)
+# fig3's two states: runs of up to 12 steps, 10 of them past depth n
+@example(builtin("fig3"), builtin_presentation("fig3"), 4, 6, 5, 5)
+# (aa, aa) is read by runs of two, three and four steps, so the run that
+# is cut is not the only one; a^i = a^j only for i = j in the free
+# semigroup
+@example(TwoTapeAutomaton(1, AB, AB, 0, frozenset({0}), (
+             (0, "a", None, 0), (0, None, "a", 0), (0, "a", "a", 0))),
+         Presentation("semigroup", AB), 4, 2, 5, 5)
 @given(st.one_of(two_tape_automata(), sync_automata(),
                  # final states behind a chain: the distance prune fires
                  behind_chains(two_tape_automata()),
@@ -249,38 +279,6 @@ def test_pump_refute_agrees_with_per_pair_reference(
                                           max_witnesses)
     for pair, i, pumped in report.witnesses:
         assert pump_decompose(aut, pair).pumped(i) == pumped
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(two_tape_automata_any_alphabets(),
-                 behind_chains(two_tape_automata_any_alphabets()),
-                 sync_automata(), behind_chains(sync_automata())),
-       st.integers(0, 5))
-# fig3's two states: runs of up to 12 steps, 10 of them past depth n
-@example(builtin("fig3"), 6)
-# (aa, aa) is read first by two (a, a) steps, and a deeper run starts with
-# the earlier (a, eps) step: the depth, not the step order, picks the cut
-@example(TwoTapeAutomaton(1, AB, AB, 0, frozenset({0}), (
-             (0, "a", None, 0), (0, None, "a", 0), (0, "a", "a", 0))), 2)
-@example(with_extra_transition(builtin("fig3"), (1, "b", None, 1)), 5)
-def test_cut_rows_are_the_cuts_pump_decompose_makes(aut, bound):
-    # every long accepted pair comes once, in its row and cell, with the
-    # cut pump_decompose makes in the run _accepting_run finds
-    form = _pump_form(aut)
-    decode = _pair_coding(form, bound)[3]
-    long_pairs = set()
-    for lv, row in _cut_rows(form, bound):
-        for lw, (x, z), codes in row:
-            for code in codes:
-                v, w = pair = decode(code)
-                assert (len(v), len(w)) == (lv, lw)
-                assert pair not in long_pairs
-                long_pairs.add(pair)
-                assert pump_decompose(aut, pair) == _cut(v, w, decode(x),
-                                                         decode(z))
-    n0 = pumping_constant(aut)
-    assert long_pairs == {(v, w) for v, w in enumerate_accepted(aut, bound)
-                          if len(v) + len(w) > n0}
 
 
 class TestEquivalenceCheck:

@@ -274,8 +274,11 @@ IDEAL_HEADER = "[ideal]\nelements: u v\n"
      "prod: v v v", "empty 'left' line"),
     ("base: a\nleft: a u v\nleft: a v u\nright: a u v\nprod: u u u\n"
      "prod: v v v", "duplicate 'left' line for 'a'"),
+    # a missing line is named by IdealData, as for a direct caller
     ("base: a\nleft: a u v\nright: a u v\nprod: u u u",
-     "missing prod line for 'v'"),
+     "internal product missing for (v, u)"),
+    ("base: a b\nleft: a u v\nright: a u v\nright: b u v\nprod: u u u\n"
+     "prod: v v v", "left action missing for (b, u)"),
     ("base: a\nleft: a u v\nright: a u\nprod: u u u\nprod: v v v",
      "right line for 'a' needs 2 images"),
     # u u = u, u v = u, v u = v, v v = u: (v u) v = v v = u, v (u v) = v u
@@ -296,6 +299,17 @@ def test_ideal_reader_error(lines, message, tmp_path):
     with pytest.raises(InputError) as exc:
         load_ideal(path)
     assert str(exc.value) == message
+
+
+def test_ideal_lines_for_other_keys_are_not_read(tmp_path):
+    # a line for a key outside base and elements is not checked or used
+    path = tmp_path / "other.tbl"
+    path.write_text(IDEAL_HEADER + "base: a\nleft: a u v\nleft: c u\n"
+                    "right: a u v\nprod: u u u\nprod: v v v\nprod: w w\n")
+    ideal = load_ideal(path)
+    assert ideal.left_action == {("a", "u"): "u", ("a", "v"): "v"}
+    assert set(ideal.internal) == {("u", "u"), ("u", "v"), ("v", "u"),
+                                   ("v", "v")}
 
 
 class TestSgp:

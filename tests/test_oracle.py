@@ -1,4 +1,5 @@
 from dataclasses import fields
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from ratwp import (
     builtin,
     builtin_presentation,
     cayley_wp_sync,
+    enumerate_accepted,
     free_wp,
     loads_sgp,
     table_oracle,
@@ -29,6 +31,7 @@ from ratwp.oracle import (
     _UnionFind,
     _cell_disagreements,
     _equal_pairs,
+    _over_accepted,
     _set_disagreements,
 )
 
@@ -320,6 +323,24 @@ def test_verify_agrees_with_all_pairs(aut, presentation, bound):
     oracle = build_oracle(presentation, bound, slack=1)
     assert_both_comparisons(aut, oracle, bound,
                             verify_all_pairs(aut, oracle, bound))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(two_tape_automata(), sync_automata()), presentations(),
+       st.integers(1, 3))
+def test_over_accepted_is_an_accepted_disagreement(aut, presentation,
+                                                   oracle_bound):
+    # asked as pump_refute asks it, at the oracle's bound + slack, of each
+    # comparison whichever the rule picks: 0 bits per member takes the
+    # sets, 2^64 the masks
+    oracle = build_oracle(presentation, oracle_bound, slack=1)
+    bound = oracle.bound + oracle.slack
+    accepted = enumerate_accepted(aut, bound)
+    expected = any(pair in accepted
+                   for pair in verify_all_pairs(aut, oracle, bound))
+    for bits in (0, 1 << 64):
+        with mock.patch.object(ratwp.oracle, "_SET_BITS_PER_MEMBER", bits):
+            assert _over_accepted(aut, oracle, bound) is expected
 
 
 @st.composite

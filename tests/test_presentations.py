@@ -149,8 +149,8 @@ class TestIdealData:
         ("internal", "internal product missing for (u, u)"),
     ])
     def test_missing_entry_is_named(self, drop, message):
-        # load_ideal fills every entry, so only a direct caller leaves one
-        # out
+        # the one check of a missing entry, for direct callers and for
+        # load_ideal alike
         fields = dict(elements=("u",), base_symbols=("a",),
                       left_action={("a", "u"): "u"},
                       right_action={("u", "a"): "u"},
