@@ -194,7 +194,7 @@ class TwoTapeAutomaton:
 
     @cached_property
     def _code_steps(self):
-        """The per-state step table of _pair_coding and _accepting_run, for
+        """The per-state step table of _pair_coding and _read_steps, for
         a form of _search_form: it does not depend on the bound. Epsilon
         and a pad read nothing: multiplier 1, digit 0."""
         k_left, k_right = len(self.left), len(self.right)
@@ -206,6 +206,26 @@ class TwoTapeAutomaton:
             steps[t.src].append((k_left if dl else 1, dl,
                                  k_right if dr else 1, dr, t.dst))
         return steps
+
+    @cached_property
+    def _read_steps(self):
+        """The per-state step table of _accepting_run, read off _code_steps:
+        a dict keyed by a (k_right + 1) + b, a and b the digits of the next
+        left and right symbol (0 past the end of a word), of the steps that
+        fit them as (reads left, reads right, target), in _code_steps order.
+        A step that reads nothing on a tape fits every digit there."""
+        width = len(self.right) + 1
+        left_digits, right_digits = range(len(self.left) + 1), range(width)
+        table = []
+        for out in self._code_steps:
+            row = {}
+            for _, dl, _, dr, dst in out:
+                step = (dl > 0, dr > 0, dst)
+                for a in (dl,) if dl else left_digits:
+                    for b in (dr,) if dr else right_digits:
+                        row.setdefault(a * width + b, []).append(step)
+            table.append({key: tuple(fit) for key, fit in row.items()})
+        return table
 
     @cached_property
     def _reads_to_final(self):
@@ -312,30 +332,40 @@ def _check_word(word, alphabet, tape=""):
             raise InputError(f"symbol {s!r} not in {tape}alphabet")
 
 
+def _checked_digits(word, alphabet, tape=""):
+    """The digits (index + 1) of a tuple's symbols and then 0, the digit
+    past its end: the run search's input. A symbol outside the alphabet
+    raises InputError (_check_word), found by the same dict lookups."""
+    try:
+        digits = [*map(alphabet._digits.get, word), 0]
+    except TypeError:  # an unhashable symbol
+        digits = [None]
+    if None in digits:
+        _check_word(word, alphabet, tape)
+    return digits
+
+
 def accepts_two_tape(aut, left_word, right_word):
     """Does an accepting computation project to the given pair?"""
     v, w = tuple(left_word), tuple(right_word)
-    _check_word(v, aut.left, "left ")
-    _check_word(w, aut.right, "right ")
-    return _accepting_run(_search_form(aut), v, w) is not None
+    dv = _checked_digits(v, aut.left, "left ")
+    dw = _checked_digits(w, aut.right, "right ")
+    return _accepting_run(_search_form(aut), dv, dw) is not None
 
 
-def _accepting_run(form, v, w):
+def _accepting_run(form, dv, dw):
     """A shortest accepting run of a form of _search_form on the pair
-    (v, w), as its nodes (state, |v| read, |w| read), or None if there is
-    none.
+    (v, w) of digits dv and dw, each list the word's digits and then 0, as
+    its nodes (state, |v| read, |w| read), or None if there is none. A
+    symbol outside the alphabet has digit 0 too: no step reads it.
 
-    Breadth-first over the nodes, taking each state's steps of _code_steps
-    in order; a step reads the next symbol of a tape when its digit is that
-    symbol's, and nothing when its digit is 0. Every step reads a symbol,
-    so the search is finite.
+    Breadth-first over the nodes; a node takes the steps of _read_steps
+    that fit its next two digits, in _code_steps order. Every step reads a
+    symbol, so the search is finite.
     """
-    steps = form._code_steps
-    # per tape, the word's digits and then None, which no step reads: past
-    # the end of the word, as at a symbol outside the alphabet
-    dv = [*map(form.left._digits.get, v), None]
-    dw = [*map(form.right._digits.get, w), None]
-    nv, nw = len(v), len(w)
+    steps = form._read_steps
+    width = len(form.right) + 1
+    nv, nw = len(dv) - 1, len(dw) - 1
     finals = form.finals
     start = (form.initial, 0, 0)
     parent = {start: None}
@@ -348,21 +378,9 @@ def _accepting_run(form, v, w):
                 run.append(node)
                 node = parent[node]
             return run[::-1]
-        a, b = dv[i], dw[j]
-        for _, dl, _, dr, dst in steps[q]:
-            if dl:
-                if dl != a:
-                    continue
-                ni = i + 1
-            else:
-                ni = i
-            if dr:
-                if dr != b:
-                    continue
-                nj = j + 1
-            else:
-                nj = j
-            nxt = (dst, ni, nj)
+        for reads_left, reads_right, dst in steps[q].get(
+                dv[i] * width + dw[j], ()):
+            nxt = (dst, i + reads_left, j + reads_right)
             if nxt not in parent:
                 parent[nxt] = node
                 queue.append(nxt)
@@ -372,9 +390,8 @@ def _accepting_run(form, v, w):
 def accepts_one_tape(aut, word):
     """Is the word accepted? A run search on (word, ε) in the relation
     view."""
-    w = tuple(word)
-    _check_word(w, aut.alphabet)
-    return _accepting_run(_search_form(aut.relation_view), w, ()) is not None
+    dv = _checked_digits(tuple(word), aut.alphabet)
+    return _accepting_run(_search_form(aut.relation_view), dv, [0]) is not None
 
 
 def _is_silent(t):

@@ -124,10 +124,17 @@ class Oracle:
 
 
 def _code(word, alphabet):
-    """A word's bijective base-k code (see automata._pair_coding)."""
-    k, code = len(alphabet), 0
-    for d in map(alphabet._digits.__getitem__, as_word(word, alphabet)):
-        code = code * k + d
+    """A word's bijective base-k code (see automata._pair_coding), by
+    Horner's rule over its digits. Only a symbol outside the alphabet (or
+    an unhashable one) is looked for again, by as_word, to name it."""
+    digits = alphabet._digits
+    k, code = len(digits), 0
+    try:
+        for d in map(digits.__getitem__, word):
+            code = code * k + d
+    except (KeyError, TypeError):
+        as_word(word, alphabet)
+        raise
     return code
 
 

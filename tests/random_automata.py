@@ -580,6 +580,36 @@ def accepted_pairs(aut, bound):
     return accepted
 
 
+def accepting_run_per_step(form, v, w):
+    """Reference for automata._accepting_run on the pair (v, w) of a form
+    of _search_form: the same breadth-first search, each node walking all
+    of its state's steps of _code_steps in order and testing both digits
+    of each against the next symbols (None past the end of a word and at
+    a symbol outside the alphabet, which no step reads)."""
+    steps = form._code_steps
+    dv = [*map(form.left._digits.get, v), None]
+    dw = [*map(form.right._digits.get, w), None]
+    start = (form.initial, 0, 0)
+    parent = {start: None}
+    queue = [start]
+    for node in queue:  # the list grows while it is walked
+        q, i, j = node
+        if i == len(v) and j == len(w) and q in form.finals:
+            run = []
+            while node is not None:
+                run.append(node)
+                node = parent[node]
+            return run[::-1]
+        for _, dl, _, dr, dst in steps[q]:
+            if dl and dl != dv[i] or dr and dr != dw[j]:
+                continue
+            nxt = (dst, i + (dl > 0), j + (dr > 0))
+            if nxt not in parent:
+                parent[nxt] = node
+                queue.append(nxt)
+    return None
+
+
 def verify_all_pairs(aut, oracle, bound):
     """Reference for verify: every pair of the oracle's words up to the
     bound, tested for acceptance and for oracle equality."""

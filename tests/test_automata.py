@@ -2,6 +2,7 @@ import gc
 import weakref
 from dataclasses import replace
 from functools import cached_property
+from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,11 +40,12 @@ from ratwp import (
 )
 import ratwp.automata
 from ratwp.automata import (
-    _as_async, _pair_coding, _search_form,
+    _accepting_run, _as_async, _pair_coding, _search_form,
 )
 from ratwp.fileio import dumps_fsa, load_fsa, loads_fsa
 from random_automata import (
     accepted_pairs,
+    accepting_run_per_step,
     all_reachable,
     any_sync_automata,
     behind_chains,
@@ -492,17 +494,54 @@ def test_enumerate_accepted_matches_reference(aut, bound):
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(two_tape_automata(), sync_automata()))
 def test_accepts_same_before_and_after_caching(aut):
-    # accepts() keeps the step table of the form it walks after its first
+    # accepts() keeps the step tables of the form it walks after its first
     # call: on a sync automaton itself, on an async one's silent-free form;
     # a fresh copy has none
-    assert "_code_steps" not in vars(aut)
-    assert "_silent_free_form" not in vars(aut)
+    for table in ("_code_steps", "_read_steps", "_silent_free_form"):
+        assert table not in vars(aut)
     pairs = all_pairs(AB, 2)
     cold = [replace(aut).accepts(v, u) for v, u in pairs]
     first = [aut.accepts(v, u) for v, u in pairs]
-    assert "_code_steps" in vars(_search_form(aut))
+    form = _search_form(aut)
+    assert "_code_steps" in vars(form) and "_read_steps" in vars(form)
+    assert "_read_steps" not in vars(replace(form))
     again = [aut.accepts(v, u) for v, u in pairs]
     assert cold == first == again
+    # a step that reads nothing on a tape fits every digit there, so a
+    # row holds each step at most k + 1 times
+    k = max(len(form.left), len(form.right))
+    for steps, row in zip(form._code_steps, form._read_steps):
+        assert len(row) <= sum(map(len, row.values())) <= len(steps) * (k + 1)
+
+
+def _tape_words(data, alphabet):
+    """A word of at most 4 symbols over the alphabet and 'c', a symbol in
+    no alphabet of the automata drawn here."""
+    return tuple(data.draw(st.lists(
+        st.sampled_from(alphabet.symbols + ("c",)), max_size=4)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(two_tape_automata(), two_tape_automata_any_alphabets(),
+                 sync_automata(),
+                 one_tape_automata().map(lambda a: a.relation_view)),
+       st.data())
+def test_run_search_is_the_per_step_search(aut, data):
+    # _accepting_run takes the steps of _read_steps that fit a node's next
+    # two digits; the reference tests every step of the node's state. Both
+    # push the same children in the same order, so the runs are identical.
+    # 'c' has digit 0, as pump_decompose maps it: no step reads it
+    form = _search_form(aut)
+    accepted = sorted(enumerate_accepted(form, 4))
+    pairs = [(_tape_words(data, form.left), _tape_words(data, form.right))
+             for _ in range(6)]
+    if accepted:  # pairs that have a run, which most drawn pairs lack
+        pairs += [data.draw(st.sampled_from(accepted)) for _ in range(6)]
+    for v, u in pairs:
+        run = _accepting_run(
+            form, [*map(form.left._digits.get, v, repeat(0)), 0],
+            [*map(form.right._digits.get, u, repeat(0)), 0])
+        assert run == accepting_run_per_step(form, v, u)
 
 
 def test_sync_enumeration_checks_padding_once(monkeypatch):
@@ -600,19 +639,28 @@ def test_silent_free_form_computed_once(monkeypatch):
         assert len(calls) == 1
 
 
+def _count_builds(monkeypatch, name):
+    """The automata whose derived value `name` is built, in build order,
+    as a list that grows while the patch holds."""
+    built = []
+    build = getattr(TwoTapeAutomaton, name).func
+    counted = cached_property(lambda a: built.append(a) or build(a))
+    counted.__set_name__(TwoTapeAutomaton, name)
+    monkeypatch.setattr(TwoTapeAutomaton, name, counted)
+    return built
+
+
 def test_pump_form_trimmed_once(monkeypatch):
     # the pumping form is the trimmed silent-free form, kept on the
     # silent-free form: union(fig3, fig3)'s has 5 states, 3 of them
     # useful, so its trimmed form is a new automaton, and it and its step
-    # table are built on the first call only
-    trims, tables = [], []
+    # tables are built on the first call only
+    trims = []
     trim_ = ratwp.automata.trim
     monkeypatch.setattr(ratwp.automata, "trim",
                         lambda a: trims.append(a) or trim_(a))
-    build = TwoTapeAutomaton._code_steps.func
-    counted = cached_property(lambda a: tables.append(a) or build(a))
-    counted.__set_name__(TwoTapeAutomaton, "_code_steps")
-    monkeypatch.setattr(TwoTapeAutomaton, "_code_steps", counted)
+    tables, read_tables = (_count_builds(monkeypatch, name)
+                           for name in ("_code_steps", "_read_steps"))
     fig3 = builtin("fig3")
     aut = union(fig3, fig3)
     pair = (w("baaaaaa"), w("b"))
@@ -620,10 +668,29 @@ def test_pump_form_trimmed_once(monkeypatch):
     for _ in range(3):
         assert pump_decompose(aut, pair) == first
         assert pumping_constant(aut) == 6
-    assert len(trims) == 1 and len(tables) == 1
+    assert len(trims) == 1 and len(tables) == 1 and len(read_tables) == 1
     assert tables[0].n_states == 3 and tables[0] is aut.silent_free.trimmed
+    assert read_tables[0] is tables[0]
     # a form that is already trim is its own trimmed form, kept as None
     assert fig3.trimmed is fig3 and vars(fig3)["_trimmed_form"] is None
+
+
+def test_read_table_built_once_per_form(monkeypatch):
+    # accepts() builds _read_steps on the form it walks, on the first call
+    # only; a one-tape automaton's form is its relation view's
+    built = _count_builds(monkeypatch, "_read_steps")
+    fig3 = builtin("fig3")
+    nfa = OneTapeAutomaton(2, AB, 0, frozenset({1}),
+                           ((0, "a", 1), (1, None, 0)))
+    for aut in (union(fig3, fig3), fig3, TestSync().sync_equality(), nfa):
+        built.clear()
+        for v, u in all_pairs(AB, 2):
+            if isinstance(aut, OneTapeAutomaton):
+                aut.accepts(v)
+            else:
+                aut.accepts(v, u)
+        form = _search_form(getattr(aut, "relation_view", aut))
+        assert built == [form]
 
 
 def test_step_table_computed_once():
