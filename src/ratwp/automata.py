@@ -319,14 +319,7 @@ def as_word(text_or_tokens, alphabet=None, tokens=False):
 
 
 def _check_word(word, alphabet, tape=""):
-    """Raise InputError naming the first symbol of word outside alphabet.
-    The symbols are checked as one set; only a failed check (an unhashable
-    symbol fails it too) walks the word to name the symbol."""
-    try:
-        if alphabet._digits.keys() >= set(word):
-            return
-    except TypeError:  # an unhashable symbol
-        pass
+    """Raise InputError naming the first symbol of word outside alphabet."""
     for s in word:
         if s not in alphabet:
             raise InputError(f"symbol {s!r} not in {tape}alphabet")

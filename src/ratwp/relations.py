@@ -77,8 +77,8 @@ def fix_tape(r, v, side="left"):
     """Slice a relation at a fixed word.
 
     side="left" gives the language { w | (v, w) in r }, side="right" gives
-    { w | (w, v) in r }. Built as the reachable product with the line
-    automaton of v.
+    { w | (w, v) in r }: the free tape of r intersected with the rectangle
+    {v} x A*.
     """
     r = _as_async(r)
     if side not in ("left", "right"):
@@ -89,21 +89,13 @@ def fix_tape(r, v, side="left"):
     for sym in v:
         if sym not in r.left:
             raise InputError(f"symbol {sym!r} not in the fixed tape's alphabet")
-    k = len(v)
-    by_src = r.by_src
-
-    def successors(state):
-        q, i = state
-        for t in by_src.get(q, ()):
-            if t.left is EPSILON:
-                yield t.right, (t.dst, i)
-            elif i < k and v[i] == t.left:
-                yield t.right, (t.dst, i + 1)
-
-    n, finals, trans = _explore(
-        (r.initial, 0), successors,
-        lambda state: state[0] in r.finals and state[1] == k)
-    return OneTapeAutomaton(n, r.right, 0, finals, trans)
+    line = OneTapeAutomaton(len(v) + 1, r.left, 0, {len(v)},
+                            [(i, sym, i + 1) for i, sym in enumerate(v)])
+    anything = OneTapeAutomaton(1, r.right, 0, {0},
+                                [(0, sym, 0) for sym in r.right])
+    rect = intersect_rectangle(r, line, anything)
+    return OneTapeAutomaton(rect.n_states, r.right, 0, rect.finals, tuple(
+        (t.src, t.right, t.dst) for t in rect.transitions))
 
 
 def intersect_rectangle(r, l, k):

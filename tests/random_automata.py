@@ -23,6 +23,7 @@ from ratwp import (
     enumerate_accepted,
     pump_decompose,
     pumping_constant,
+    swap_tapes,
 )
 from ratwp.automata import _as_async, _explore, _reachable
 from ratwp.oracle import DEFAULT_SLACK_SEARCH, DEFAULT_WORD_CAP
@@ -362,6 +363,30 @@ def compose_with_silent_loops(r, s):
         (r.initial, s.initial), successors,
         lambda state: state[0] in r.finals and state[1] in s.finals)
     return TwoTapeAutomaton(n, r.left, s.right, 0, finals, trans)
+
+
+def fix_tape_by_line(r, v, side="left"):
+    """Reference for fix_tape: the reachable product of r with the line
+    automaton of v on the fixed tape, its states (state of r, |v| read),
+    each step's symbol on the free tape kept."""
+    r = _as_async(r)
+    if side == "right":
+        r = swap_tapes(r)
+    v = tuple(v)
+    k = len(v)
+
+    def successors(state):
+        q, i = state
+        for t in r.by_src.get(q, ()):
+            if t.left is EPSILON:
+                yield t.right, (t.dst, i)
+            elif i < k and v[i] == t.left:
+                yield t.right, (t.dst, i + 1)
+
+    n, finals, trans = _explore(
+        (r.initial, 0), successors,
+        lambda state: state[0] in r.finals and state[1] == k)
+    return OneTapeAutomaton(n, r.right, 0, finals, trans)
 
 
 def transitions_by_items(n_states, tapes, transitions, mode=None):

@@ -535,3 +535,20 @@ class TestExportDot:
         text = export_dot(aut)
         assert text.startswith("digraph")
         assert text.count(" -> ") == 1  # only the init marker
+
+
+UNEQUAL_TAPES = TwoTapeAutomaton(1, AB, Alphabet(("a",)), 0, frozenset(), ())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PumpDecomposition((("a",), ()), ((), ()), ((), ("a",))),
+     "pump loop must consume at least one symbol"),
+    (lambda: equivalence_check(UNEQUAL_TAPES, 2),
+     "equivalence check needs equal tape alphabets"),
+    (lambda: congruence_check(UNEQUAL_TAPES, 2),
+     "congruence check needs equal tape alphabets"),
+])
+def test_bad_arguments_are_named(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -126,6 +126,7 @@ class TestValidation:
         ("sync", ((0, "a", EPSILON, 0),),
          "sync automaton may not have epsilon labels"),
         ("sync", ((0, PAD, "c", 0),), "unknown symbol 'c'"),
+        ("x", (), "unknown mode 'x'"),
     ])
     def test_error_names_the_first_bad_field(self, mode, transitions,
                                              message):
@@ -346,6 +347,13 @@ class TestSwapAndUnion:
         both = union(f1, f3)
         for v, u in all_pairs(AB, 3):
             assert both.accepts(v, u) == (f1.accepts(v, u) or f3.accepts(v, u))
+
+    def test_union_needs_identical_alphabets(self):
+        a_only = TwoTapeAutomaton(1, AB, Alphabet(("a",)), 0, frozenset(), ())
+        with pytest.raises(InputError) as exc:
+            union(builtin("fig3"), a_only)
+        assert str(exc.value) == (
+            "union requires identical alphabets on every tape")
 
 
 class TestSync:

@@ -295,6 +295,20 @@ class TestAdjoin:
         oracle = table_oracle(with_zero, (*gens, "z"), 3)
         assert verify(wp, oracle, 3) == []
 
+    @settings(max_examples=100, deadline=None)
+    @given(transformation_tables())
+    def test_adjoin_identity_to_cayley(self, table_gens):
+        # S^1's table: S's products, and e is the identity on both sides
+        table, gens = table_gens
+        e = len(table)
+        with_one = MultiplicationTable(
+            (*table.elements, "e"),
+            (*((*row, i) for i, row in enumerate(table.product)),
+             tuple(range(e + 1))))
+        wp = adjoin_identity(cayley_wp_sync(table, gens), "e")
+        oracle = table_oracle(with_one, (*gens, "e"), 3)
+        assert verify(wp, oracle, 3) == []
+
     def test_symbol_clash(self):
         with pytest.raises(InputError):
             adjoin_identity(builtin("fig3"), "a")
@@ -512,3 +526,24 @@ class TestBuiltins:
         assert isinstance(builtin("bicyclic"), Presentation)
         with pytest.raises(InputError):
             builtin("fig9")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: adjoin_identity(
+        TwoTapeAutomaton(1, AB, A, 0, frozenset(), ()), "e"),
+     "adjoin_identity needs equal tape alphabets"),
+    (lambda: free_wp(AB, kind="x"), "unknown kind 'x'"),
+    (lambda: adjoin_zero(builtin("fig3"), "a"),
+     "symbol 'a' already in the alphabet"),
+    (lambda: zero_union(free_wp(Alphabet(("a", "z"))),
+                        free_wp(Alphabet(("a", "z"))), "z"),
+     "factor alphabets may share exactly the zero symbol"),
+    (lambda: monoid_from_semigroup_wp(builtin("fig3"), ()),
+     "identity witness must be a nonempty word"),
+    (lambda: builtin_presentation("x"),
+     "unknown builtin 'x'; known: fig1, fig2, fig3, bicyclic"),
+])
+def test_bad_arguments_are_named(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message

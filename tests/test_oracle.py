@@ -614,3 +614,11 @@ def test_slack_search_runs_to_its_last_slack():
     assert build_oracle(SLACK_4, 1).slack == 4
     for slack in (None, 0, 1, 2, 3, 4):
         assert_closure_agrees(SLACK_4, 1, slack)
+
+
+def test_words_past_bound_and_slack_are_refused():
+    oracle = build_oracle(builtin_presentation("fig3"), 2, slack=1)
+    assert len(oracle.words(3)) == 14
+    with pytest.raises(InputError) as exc:
+        oracle.words(4)
+    assert str(exc.value) == "query beyond the oracle's bound"

@@ -12,6 +12,7 @@ from ratwp import (
     builtin,
     compose,
     cross_product,
+    dumps_fsa,
     enumerate_accepted,
     fix_tape,
     identity_relation,
@@ -23,7 +24,9 @@ from ratwp import (
 from random_automata import (
     all_reachable,
     compose_with_silent_loops,
+    fix_tape_by_line,
     one_tape_automata,
+    sync_automata,
     two_tape_automata,
 )
 
@@ -244,6 +247,19 @@ def test_fix_tape_is_the_slice(r, v, side):
         assert accepts_one_tape(lang, u) == r.accepts(*pair)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(two_tape_automata(), sync_automata()),
+       st.lists(st.sampled_from("ab"), max_size=3),
+       st.sampled_from(("left", "right")))
+def test_fix_tape_is_the_line_product(r, v, side):
+    # fix_tape reads the free tape of intersect_rectangle with {v} x A*:
+    # the line automaton and A*'s one state come out of determinize as they
+    # went in, A*'s tracker follows every step and r's steps are walked in
+    # the same order, so the text is the line product's, byte for byte
+    assert (dumps_fsa(fix_tape(r, v, side))
+            == dumps_fsa(fix_tape_by_line(r, v, side)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(two_tape_automata(), one_tape_automata(), one_tape_automata())
 def test_intersect_rectangle_is_the_restriction(r, l, k):
@@ -252,3 +268,22 @@ def test_intersect_rectangle_is_the_restriction(r, l, k):
     expected = {(v, u) for v, u in enumerate_accepted(r, 3)
                 if accepts_one_tape(l, v) and accepts_one_tape(k, u)}
     assert enumerate_accepted(out, 3) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fix_tape(builtin("fig1"), ("a",), side="x"),
+     "side must be 'left' or 'right', not 'x'"),
+    (lambda: intersect_rectangle(builtin("fig1"), sigma_star(A),
+                                 sigma_star(AB)),
+     "L must be over the relation's left alphabet"),
+    (lambda: intersect_rectangle(builtin("fig1"), sigma_star(AB),
+                                 sigma_star(A)),
+     "K must be over the relation's right alphabet"),
+    (lambda: identity_relation(Alphabet(())), "empty alphabet"),
+    (lambda: substitution_relation(A, "b", ("c",)),
+     "symbol 'c' not in the alphabet"),
+])
+def test_bad_arguments_are_named(call, message):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
