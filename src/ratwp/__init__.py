@@ -26,7 +26,6 @@ from .relations import (
     compose,
     cross_product,
     fix_tape,
-    identity_relation,
     intersect_rectangle,
     relabel,
     substitution_relation,

@@ -523,28 +523,30 @@ def swap_tapes(aut):
         (src, right, left, dst) for src, left, right, dst in aut.transitions))
 
 
-def union(r, s):
-    """Accept L(r) or L(s), for two one-tape or two two-tape automata.
+def union(first, *rest):
+    """Accept the union of the parts' languages, for one or more one-tape
+    or two-tape automata over the same tapes.
 
-    A fresh initial state 0 has silent branches into r, whose states are
-    shifted by 1, and into s, whose states follow r's. Sync automata are
-    viewed as async.
+    A fresh initial state 0 has a silent branch into each part; the parts'
+    states follow it in order, each part's shifted past those before. The
+    branches come first among the transitions, then each part's own. Sync
+    automata are viewed as async.
     """
-    r, s = _as_async(r), _as_async(s)
-    tapes = _tapes(r)
-    if _tapes(s) != tapes:
+    parts = [_as_async(p) for p in (first, *rest)]
+    tapes = _tapes(parts[0])
+    if any(_tapes(p) != tapes for p in parts[1:]):
         raise InputError("union requires identical alphabets on every tape")
-    off_r, off_s = 1, 1 + r.n_states
     silent = (EPSILON,) * len(tapes)
-    trans = [(0, *silent, r.initial + off_r), (0, *silent, s.initial + off_s)]
-    for aut, off in ((r, off_r), (s, off_s)):
+    branches, trans, finals, off = [], [], set(), 1
+    for aut in parts:
+        branches.append((0, *silent, aut.initial + off))
         trans += ((t[0] + off, *t[1:-1], t[-1] + off)
                   for t in aut.transitions)
-    finals = frozenset(
-        {f + off_r for f in r.finals} | {f + off_s for f in s.finals}
-    )
-    return replace(r, n_states=off_s + s.n_states, initial=0, finals=finals,
-                   transitions=tuple(trans))
+        finals.update(f + off for f in aut.finals)
+        off += aut.n_states
+    return replace(parts[0], n_states=off, initial=0,
+                   finals=frozenset(finals),
+                   transitions=tuple(branches + trans))
 
 
 def _tapes(aut):

@@ -25,7 +25,6 @@ from .relations import (
     compose,
     cross_product,
     fix_tape,
-    identity_relation,
     substitution_relation,
 )
 
@@ -141,10 +140,16 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
 
 def free_wp(alphabet, kind="semigroup"):
     """Word problem of the free semigroup (or monoid) on an alphabet:
-    pairs of equal strings."""
+    pairs of equal strings, read by two states; the initial one is final
+    only for a monoid, which also accepts the empty pair."""
     if kind not in ("semigroup", "monoid"):
         raise InputError(f"unknown kind {kind!r}")
-    return identity_relation(alphabet, include_empty=(kind == "monoid"))
+    if len(alphabet) == 0:
+        raise InputError("empty alphabet")
+    trans = [(q, a, a, 1) for q in (0, 1) for a in alphabet]
+    finals = {0, 1} if kind == "monoid" else {1}
+    return TwoTapeAutomaton(2, alphabet, alphabet, 0, frozenset(finals),
+                            tuple(trans))
 
 
 def add_generator(wp, b, rep):
@@ -222,11 +227,11 @@ def ideal_extension(wp, data):
     """Word problem of T = S u I for a finite ideal I, given a word-problem
     automaton for S over B and the action data of I.
 
-    The automaton branches silently either into the S automaton or into a
-    pair of transformation trackers; the trackers record the accumulated
-    left action of the B-prefix on I, switch to a pair of ideal elements at
-    the first I-letter of each tape, and track right actions thereafter.
-    Only reachable states are built, so the trackers range over the
+    The union of the trimmed S automaton, read over B + I, with a pair of
+    transformation trackers: they record the accumulated left action of
+    the B-prefix on I, switch to a pair of ideal elements at the first
+    I-letter of each tape, and track right actions thereafter. Only
+    reachable tracker states are built, so they range over the
     transformations generated by the left actions, not all k^k of them.
     """
     wp = _as_async(wp)
@@ -238,41 +243,31 @@ def ideal_extension(wp, data):
     alphabet = Alphabet(wp.left.symbols + elements)
     identity = tuple(range(len(elements)))
     l_of = {b: data.left_transformation(b) for b in data.base_symbols}
-    by_src = wp.by_src
 
-    # States: ("start",), ("S", q) in the S automaton, ("T", alpha, beta)
-    # for the left actions accumulated on each tape, ("I", i, j) for the
-    # ideal elements reached on each tape.
+    # States: ("T", x, y) for the left actions x, y accumulated on the two
+    # tapes, ("I", x, y) for the positions of the ideal elements reached.
     def successors(state):
-        kind = state[0]
-        if kind == "start":
-            yield EPSILON, EPSILON, ("S", wp.initial)
-            yield EPSILON, EPSILON, ("T", identity, identity)
-        elif kind == "S":
-            for t in by_src.get(state[1], ()):
-                yield t.left, t.right, ("S", t.dst)
-        elif kind == "T":
-            _, alpha, beta = state
+        kind, x, y = state
+        if kind == "T":
             for b in data.base_symbols:
                 lb = l_of[b]
-                yield b, EPSILON, ("T", tuple(alpha[p] for p in lb), beta)
-                yield EPSILON, b, ("T", alpha, tuple(beta[p] for p in lb))
+                yield b, EPSILON, ("T", tuple(x[p] for p in lb), y)
+                yield EPSILON, b, ("T", x, tuple(y[p] for p in lb))
             for a, b in iproduct(elements, repeat=2):
-                yield a, b, ("I", alpha[pos[a]], beta[pos[b]])
+                yield a, b, ("I", x[pos[a]], y[pos[b]])
         else:
-            _, i, j = state
             for a in alphabet:
                 action = data.internal if a in pos else data.right_action
-                yield a, EPSILON, ("I", pos[action[elements[i], a]], j)
-                yield EPSILON, a, ("I", i, pos[action[elements[j], a]])
+                yield a, EPSILON, ("I", pos[action[elements[x], a]], y)
+                yield EPSILON, a, ("I", x, pos[action[elements[y], a]])
 
     def is_final(state):
-        if state[0] == "S":
-            return state[1] in wp.finals
         return state[0] == "I" and state[1] == state[2]
 
-    n, finals, trans = _explore(("start",), successors, is_final)
-    return TwoTapeAutomaton(n, alphabet, alphabet, 0, finals, trans)
+    n, finals, trans = _explore(("T", identity, identity), successors,
+                                is_final)
+    trackers = TwoTapeAutomaton(n, alphabet, alphabet, 0, finals, trans)
+    return union(trim(replace(wp, left=alphabet, right=alphabet)), trackers)
 
 
 def product_with_finite(table, wp_t, gens):
@@ -362,31 +357,24 @@ def zero_union(wp_s, wp_t, zero):
     )
     z_s = replace(fix_tape(wp_s, (zero,), side="right"), alphabet=alphabet)
     z_t = replace(fix_tape(wp_t, (zero,), side="right"), alphabet=alphabet)
-    # words containing letters from both factors; encoded flags (seen S, seen T)
-    mixed_trans = []
-    for fa in (0, 1):
-        for fb in (0, 1):
-            src = fa * 2 + fb
-            for sym in alphabet:
-                if sym == zero:
-                    nfa, nfb = fa, fb
-                elif sym in a_syms:
-                    nfa, nfb = 1, fb
-                else:
-                    nfa, nfb = fa, 1
-                mixed_trans.append((src, sym, nfa * 2 + nfb))
-    mixed = OneTapeAutomaton(4, alphabet, 0, frozenset({3}), tuple(mixed_trans))
-    z = union(union(z_s, z_t), mixed)
-    return union(
-        union(replace(wp_s, left=alphabet, right=alphabet),
-              replace(wp_t, left=alphabet, right=alphabet)),
-        cross_product(z, z),
-    )
+    # words with letters of both factors, by the set of factors seen so far
+    factor = {sym: frozenset({i}) for i, syms in enumerate((a_syms, b_syms))
+              for sym in syms - {zero}}
+    factor[zero] = frozenset()
+    n, finals, trans = _explore(
+        frozenset(), lambda seen: [(s, seen | factor[s]) for s in alphabet],
+        lambda seen: len(seen) == 2)
+    z = union(z_s, z_t, OneTapeAutomaton(n, alphabet, 0, finals, trans))
+    return union(replace(wp_s, left=alphabet, right=alphabet),
+                 replace(wp_t, left=alphabet, right=alphabet),
+                 cross_product(z, z))
 
 
 def monoid_from_semigroup_wp(wp, identity_witness=None):
     """Monoid word problem from a semigroup one: adds the empty word to the
-    picture, equating it with the class of the identity witness (if any)."""
+    picture, equating it with the class E of the identity witness (empty
+    if there is none). The union of the semigroup one, E x {()},
+    {()} x E and the empty pair."""
     wp = _as_async(wp)
     _require_square(wp, "monoid_from_semigroup_wp")
     alphabet = wp.left
@@ -399,9 +387,8 @@ def monoid_from_semigroup_wp(wp, identity_witness=None):
     else:
         e_class = OneTapeAutomaton(1, alphabet, 0, frozenset(), ())
     eps_pair = TwoTapeAutomaton(1, alphabet, alphabet, 0, frozenset({0}), ())
-    out = union(wp, cross_product(e_class, eps_lang))
-    out = union(out, cross_product(eps_lang, e_class))
-    return union(out, eps_pair)
+    return union(wp, cross_product(e_class, eps_lang),
+                 cross_product(eps_lang, e_class), eps_pair)
 
 
 def _fig2_automaton():

@@ -152,25 +152,6 @@ def relabel(r, f_left, f_right):
     return replace(r, left=new_left, right=new_right, transitions=trans)
 
 
-def identity_relation(alphabet, include_empty=False):
-    """Two-state automaton accepting pairs of equal strings; with
-    include_empty the initial state is also final (monoid case)."""
-    if len(alphabet) == 0:
-        raise InputError("empty alphabet")
-    trans = [(0, a, a, 1) for a in alphabet]
-    trans += [(1, a, a, 1) for a in alphabet]
-    finals = {0, 1} if include_empty else {1}
-    return TwoTapeAutomaton(
-        n_states=2,
-        left=alphabet,
-        right=alphabet,
-        initial=0,
-        finals=frozenset(finals),
-        transitions=tuple(trans),
-        mode="async",
-    )
-
-
 def substitution_relation(alphabet, b, w):
     """Graph of the morphism that replaces every occurrence of the fresh
     symbol b by the word w and fixes all other symbols.

@@ -11,6 +11,7 @@ from ratwp import (
     EPSILON,
     PAD,
     Alphabet,
+    IdealData,
     InputError,
     MultiplicationTable,
     NfaTransition,
@@ -20,7 +21,9 @@ from ratwp import (
     Report,
     Transition,
     TwoTapeAutomaton,
+    cross_product,
     enumerate_accepted,
+    fix_tape,
     pump_decompose,
     pumping_constant,
     swap_tapes,
@@ -220,6 +223,23 @@ def transformation_tables(draw, max_points=4, max_elements=30):
     return table, tuple("".join(map(str, f)) for f in gens)
 
 
+@st.composite
+def left_zero_ideals(draw, max_elements=2):
+    """Ideal data over {a, b} for a left-zero ideal I = {u0, u1, ...}: u v
+    = u and u b = u, and each base letter acts on the left by a random
+    map of I, which any map keeps compatible with the products."""
+    k = draw(st.integers(1, max_elements))
+    elements = tuple(f"u{i}" for i in range(k))
+    left = {}
+    for b in AB:
+        images = draw(st.lists(st.sampled_from(elements), min_size=k,
+                               max_size=k))
+        left.update({(b, u): v for u, v in zip(elements, images)})
+    return IdealData(elements, AB.symbols, left,
+                     {(u, b): u for u in elements for b in AB},
+                     {(u, v): u for u in elements for v in elements})
+
+
 def permuted_table(table, order):
     """The same semigroup with its elements listed in another order: the
     i-th element of the result is element order[i] of the table."""
@@ -387,6 +407,115 @@ def fix_tape_by_line(r, v, side="left"):
         (r.initial, 0), successors,
         lambda state: state[0] in r.finals and state[1] == k)
     return OneTapeAutomaton(n, r.right, 0, finals, trans)
+
+
+def union_of_two(r, s):
+    """Reference for union of two parts: a fresh initial state 0 has
+    silent branches into r, whose states are shifted by 1, and into s,
+    whose states follow r's."""
+    r, s = _as_async(r), _as_async(s)
+    off_r, off_s = 1, 1 + r.n_states
+    silent = (EPSILON,) * (1 if isinstance(r, OneTapeAutomaton) else 2)
+    trans = [(0, *silent, r.initial + off_r), (0, *silent, s.initial + off_s)]
+    for aut, off in ((r, off_r), (s, off_s)):
+        trans += ((t[0] + off, *t[1:-1], t[-1] + off)
+                  for t in aut.transitions)
+    finals = frozenset(
+        {f + off_r for f in r.finals} | {f + off_s for f in s.finals}
+    )
+    return replace(r, n_states=off_s + s.n_states, initial=0, finals=finals,
+                   transitions=tuple(trans))
+
+
+def zero_union_by_flags(wp_s, wp_t, zero):
+    """Reference for zero_union: two-part unions nested, (WP_S u WP_T) u
+    (Z x Z) with Z = (Z_S u Z_T) u mixed, where the mixed words are read
+    by four states numbered 2 (seen an S letter) + (seen a T letter)."""
+    wp_s, wp_t = _as_async(wp_s), _as_async(wp_t)
+    a_syms = set(wp_s.left)
+    alphabet = Alphabet(
+        wp_s.left.symbols + tuple(s for s in wp_t.left.symbols if s != zero))
+    z_s = replace(fix_tape(wp_s, (zero,), side="right"), alphabet=alphabet)
+    z_t = replace(fix_tape(wp_t, (zero,), side="right"), alphabet=alphabet)
+    mixed_trans = []
+    for fa, fb in iproduct((0, 1), repeat=2):
+        for sym in alphabet:
+            if sym == zero:
+                nfa, nfb = fa, fb
+            elif sym in a_syms:
+                nfa, nfb = 1, fb
+            else:
+                nfa, nfb = fa, 1
+            mixed_trans.append((fa * 2 + fb, sym, nfa * 2 + nfb))
+    mixed = OneTapeAutomaton(4, alphabet, 0, frozenset({3}),
+                             tuple(mixed_trans))
+    z = union_of_two(union_of_two(z_s, z_t), mixed)
+    return union_of_two(
+        union_of_two(replace(wp_s, left=alphabet, right=alphabet),
+                     replace(wp_t, left=alphabet, right=alphabet)),
+        cross_product(z, z))
+
+
+def monoid_by_nested_unions(wp, identity_witness=None):
+    """Reference for monoid_from_semigroup_wp: two-part unions nested,
+    ((WP u E x {()}) u {()} x E) u {((), ())}, E being the class of the
+    identity witness (empty if there is none)."""
+    wp = _as_async(wp)
+    alphabet = wp.left
+    eps_lang = OneTapeAutomaton(1, alphabet, 0, frozenset({0}), ())
+    if identity_witness is not None:
+        e_class = fix_tape(wp, tuple(identity_witness), side="right")
+    else:
+        e_class = OneTapeAutomaton(1, alphabet, 0, frozenset(), ())
+    eps_pair = TwoTapeAutomaton(1, alphabet, alphabet, 0, frozenset({0}), ())
+    out = union_of_two(wp, cross_product(e_class, eps_lang))
+    out = union_of_two(out, cross_product(eps_lang, e_class))
+    return union_of_two(out, eps_pair)
+
+
+def ideal_extension_by_branch(wp, data):
+    """Reference for ideal_extension: one search from a start state that
+    branches silently into ("S", q), the reachable states of the S
+    automaton copied one by one, and into the trackers ("T", alpha, beta)
+    of the left actions on I, which switch to ("I", i, j) at the first
+    I-letter of each tape."""
+    wp = _as_async(wp)
+    elements = data.elements
+    pos = {e: i for i, e in enumerate(elements)}
+    alphabet = Alphabet(wp.left.symbols + elements)
+    identity = tuple(range(len(elements)))
+    l_of = {b: data.left_transformation(b) for b in data.base_symbols}
+
+    def successors(state):
+        kind = state[0]
+        if kind == "start":
+            yield EPSILON, EPSILON, ("S", wp.initial)
+            yield EPSILON, EPSILON, ("T", identity, identity)
+        elif kind == "S":
+            for t in wp.by_src.get(state[1], ()):
+                yield t.left, t.right, ("S", t.dst)
+        elif kind == "T":
+            _, alpha, beta = state
+            for b in data.base_symbols:
+                lb = l_of[b]
+                yield b, EPSILON, ("T", tuple(alpha[p] for p in lb), beta)
+                yield EPSILON, b, ("T", alpha, tuple(beta[p] for p in lb))
+            for a, b in iproduct(elements, repeat=2):
+                yield a, b, ("I", alpha[pos[a]], beta[pos[b]])
+        else:
+            _, i, j = state
+            for a in alphabet:
+                action = data.internal if a in pos else data.right_action
+                yield a, EPSILON, ("I", pos[action[elements[i], a]], j)
+                yield EPSILON, a, ("I", i, pos[action[elements[j], a]])
+
+    def is_final(state):
+        if state[0] == "S":
+            return state[1] in wp.finals
+        return state[0] == "I" and state[1] == state[2]
+
+    n, finals, trans = _explore(("start",), successors, is_final)
+    return TwoTapeAutomaton(n, alphabet, alphabet, 0, finals, trans)
 
 
 def transitions_by_items(n_states, tapes, transitions, mode=None):

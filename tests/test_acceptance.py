@@ -31,7 +31,6 @@ from ratwp import (
     free_product,
     free_wp,
     ideal_extension,
-    identity_relation,
     intersect_rectangle,
     monoid_from_semigroup_wp,
     product_with_finite,
@@ -300,7 +299,7 @@ def test_criterion_9(c2_table, left_zero_table):
 
     # composition laws at bound 3
     r, s, t = builtin("fig1"), builtin("fig3"), swap_tapes(builtin("fig3"))
-    ident = identity_relation(AB, include_empty=True)
+    ident = free_wp(AB, kind="monoid")
     assoc_l = compose(compose(r, s), t)
     assoc_r = compose(r, compose(s, t))
     left_id = compose(ident, s)

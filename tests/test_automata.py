@@ -57,6 +57,7 @@ from random_automata import (
     trim_by_fixpoint,
     two_tape_automata,
     two_tape_automata_any_alphabets,
+    union_of_two,
     useful_states,
 )
 
@@ -354,6 +355,22 @@ class TestSwapAndUnion:
             union(builtin("fig3"), a_only)
         assert str(exc.value) == (
             "union requires identical alphabets on every tape")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.tuples(*[st.one_of(two_tape_automata(), sync_automata())] * 2),
+    st.tuples(one_tape_automata(), one_tape_automata())))
+def test_union_of_two_is_the_reference(parts):
+    assert dumps_fsa(union(*parts)) == dumps_fsa(union_of_two(*parts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(two_tape_automata(), sync_automata()),
+                min_size=3, max_size=3))
+def test_union_of_three_accepts_what_its_parts_do(parts):
+    assert accepted_pairs(union(*parts), 3) == set().union(
+        *(accepted_pairs(p, 3) for p in parts))
 
 
 class TestSync:

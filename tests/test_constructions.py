@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ratwp import (
@@ -35,11 +35,14 @@ from ratwp import (
     verify,
     zero_union,
 )
-from ratwp.automata import NfaTransition, OneTapeAutomaton
+from ratwp.automata import NfaTransition, OneTapeAutomaton, _accepted_codes
 from ratwp.constructions import _kernel_blocks
 from random_automata import (
     all_reachable,
     cayley_by_pairs,
+    ideal_extension_by_branch,
+    left_zero_ideals,
+    monoid_by_nested_unions,
     moore_block_count,
     moore_pair_blocks,
     oracle_from_words,
@@ -47,10 +50,12 @@ from random_automata import (
     product_by_folds,
     transformation_tables,
     two_tape_automata,
+    zero_union_by_flags,
 )
 
 A = Alphabet(("a",))
 AB = Alphabet(("a", "b"))
+AZ, BZ = Alphabet(("a", "z")), Alphabet(("b", "z"))
 # a transposition, a 3-cycle and a map of rank 2: they generate t3_table
 T3_GENS = ("102", "120", "001")
 
@@ -67,6 +72,26 @@ def wp_trivial_a():
         2, A, A, 0, frozenset({1}),
         ((0, "a", "a", 1), (1, "a", "a", 1),
          (1, "a", None, 1), (1, None, "a", 1)))
+
+
+def with_zero(table, prefix=""):
+    """S^0's table: S's elements renamed prefix + name, then a zero z that
+    any product with is z."""
+    z = len(table)
+    return MultiplicationTable(
+        (*(prefix + x for x in table.elements), "z"),
+        (*((*row, z) for row in table.product), (z,) * (z + 1)))
+
+
+def word_for(table, gens, x):
+    """A shortest word over gens whose value in the table is x."""
+    index = table.generator_indices(gens, "semigroup")
+    todo, word_of = [((g,), index[g]) for g in gens], {}
+    for w, y in todo:
+        if y not in word_of:
+            word_of[y] = w
+            todo += [(w + (g,), table.mul(y, index[g])) for g in gens]
+    return word_of[x]
 
 
 class TestCayley:
@@ -229,6 +254,8 @@ class TestFreeWp:
     def test_semigroup_is_equality_without_empty(self):
         wp = free_wp(AB)
         assert wp.accepts(("a",), ("a",))
+        assert wp.accepts(("a", "b"), ("a", "b"))
+        assert not wp.accepts(("a",), ("a", "a"))
         assert not wp.accepts((), ())
 
     def test_monoid_includes_empty(self):
@@ -285,14 +312,9 @@ class TestAdjoin:
     @settings(max_examples=100, deadline=None)
     @given(transformation_tables())
     def test_adjoin_zero_to_cayley(self, table_gens):
-        # S^0's table: S's products, and z times anything is z
         table, gens = table_gens
-        z = len(table)
-        with_zero = MultiplicationTable(
-            (*table.elements, "z"),
-            (*((*row, z) for row in table.product), (z,) * (z + 1)))
         wp = adjoin_zero(cayley_wp_sync(table, gens), "z")
-        oracle = table_oracle(with_zero, (*gens, "z"), 3)
+        oracle = table_oracle(with_zero(table), (*gens, "z"), 3)
         assert verify(wp, oracle, 3) == []
 
     @settings(max_examples=100, deadline=None)
@@ -340,6 +362,17 @@ class TestIdealExtension:
         with pytest.raises(InputError):
             ideal_extension(builtin("fig3"), self.ideal_two())
 
+    @settings(max_examples=25, deadline=None)
+    @given(two_tape_automata(), left_zero_ideals())
+    def test_is_the_reference(self, wp, data):
+        got, ref = ideal_extension(wp, data), ideal_extension_by_branch(wp, data)
+        # pair codes, not decoded pairs: equal alphabets code pairs alike,
+        # and decoding the tens of thousands of pairs costs most of the time
+        assert _accepted_codes(got, 4)[0] == _accepted_codes(ref, 4)[0]
+        # the S part is trim(WP_S), the reference copies S's reachable part
+        assert got.n_states <= ref.n_states
+        assert len(got.transitions) <= len(ref.transitions)
+
 
 class TestFreeProduct:
     def test_fig3_with_free_factor(self):
@@ -375,6 +408,43 @@ class TestZeroUnion:
         wp_s, wp_t = self.factors()
         with pytest.raises(InputError):
             zero_union(wp_s, wp_t, "a")
+
+    @settings(max_examples=40, deadline=None)
+    @given(two_tape_automata(left=AZ, right=AZ),
+           two_tape_automata(left=BZ, right=BZ))
+    def test_is_the_reference(self, wp_s, wp_t):
+        got, ref = zero_union(wp_s, wp_t, "z"), zero_union_by_flags(wp_s, wp_t, "z")
+        assert enumerate_accepted(got, 4) == enumerate_accepted(ref, 4)
+        # one union of three parts in place of two nested two-part ones,
+        # both in the relation and in Z, which Z x Z holds twice
+        assert got.n_states == ref.n_states - 3
+        assert len(got.transitions) == len(ref.transitions) - 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(transformation_tables(), transformation_tables())
+    def test_zero_union_of_cayley(self, s_gens, t_gens):
+        # S u0 T's table lists S, z, then T: a product across S and T is z
+        (s, gs), (t, gt) = s_gens, t_gens
+        s0, t0 = with_zero(s, "s"), with_zero(t, "t")
+        z = len(s)
+
+        def mul(i, j):
+            if i < z and j < z:
+                return s.mul(i, j)
+            if i > z and j > z:
+                return z + 1 + t.mul(i - z - 1, j - z - 1)
+            return z
+
+        n = z + 1 + len(t)
+        table = MultiplicationTable(
+            (*s0.elements, *t0.elements[:-1]),
+            tuple(tuple(mul(i, j) for j in range(n)) for i in range(n)))
+        gens_s = (*("s" + g for g in gs), "z")
+        gens_t = tuple("t" + g for g in gt)
+        wp = zero_union(cayley_wp_sync(s0, gens_s),
+                        cayley_wp_sync(t0, (*gens_t, "z")), "z")
+        oracle = table_oracle(table, (*gens_s, *gens_t), 3)
+        assert verify(wp, oracle, 3) == []
 
 
 class TestProductWithFinite:
@@ -518,6 +588,28 @@ class TestMonoidSemigroupChange:
         assert mwp.accepts((), ("a", "a"))
         assert mwp.accepts((), ())
 
+    @settings(max_examples=60, deadline=None)
+    @given(two_tape_automata(),
+           st.none() | st.lists(st.sampled_from("ab"), min_size=1, max_size=2))
+    def test_is_the_reference(self, wp, witness):
+        got = monoid_from_semigroup_wp(wp, witness)
+        ref = monoid_by_nested_unions(wp, witness)
+        assert enumerate_accepted(got, 4) == enumerate_accepted(ref, 4)
+        # one union of four parts in place of three nested two-part ones
+        assert got.n_states == ref.n_states - 2
+        assert len(got.transitions) == len(ref.transitions) - 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(transformation_tables())
+    def test_monoid_of_cayley(self, table_gens):
+        table, gens = table_gens
+        e = table.identity_index()
+        assume(e is not None)
+        wp = monoid_from_semigroup_wp(cayley_wp_sync(table, gens),
+                                      word_for(table, gens, e))
+        oracle = table_oracle(table, gens, 3, kind="monoid")
+        assert verify(wp, oracle, 3) == []
+
 
 class TestBuiltins:
     def test_names(self):
@@ -533,6 +625,7 @@ class TestBuiltins:
         TwoTapeAutomaton(1, AB, A, 0, frozenset(), ()), "e"),
      "adjoin_identity needs equal tape alphabets"),
     (lambda: free_wp(AB, kind="x"), "unknown kind 'x'"),
+    (lambda: free_wp(Alphabet(())), "empty alphabet"),
     (lambda: adjoin_zero(builtin("fig3"), "a"),
      "symbol 'a' already in the alphabet"),
     (lambda: zero_union(free_wp(Alphabet(("a", "z"))),

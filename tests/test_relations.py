@@ -15,7 +15,7 @@ from ratwp import (
     dumps_fsa,
     enumerate_accepted,
     fix_tape,
-    identity_relation,
+    free_wp,
     intersect_rectangle,
     relabel,
     substitution_relation,
@@ -61,7 +61,7 @@ def sigma_plus(alphabet):
 
 class TestCompose:
     def test_identity_law(self):
-        ident = identity_relation(AB, include_empty=True)
+        ident = free_wp(AB, kind="monoid")
         r = builtin("fig3")
         left = compose(ident, r)
         for v, u in all_pairs(AB, 4):
@@ -85,7 +85,7 @@ class TestCompose:
 
     def test_alphabet_mismatch(self):
         with pytest.raises(InputError):
-            compose(builtin("fig1"), identity_relation(A))
+            compose(builtin("fig1"), free_wp(A))
 
 
 class TestCrossProduct:
@@ -183,14 +183,7 @@ class TestRelabel:
             relabel(builtin("fig1"), {"a": "a"}, {"a": "a", "b": "b"})
 
 
-class TestIdentityAndSubstitution:
-    def test_identity_relation_paper_pairs(self):
-        r = identity_relation(AB)
-        assert r.accepts(("a", "b"), ("a", "b"))
-        assert not r.accepts(("a",), ("a", "a"))
-        assert not r.accepts((), ())
-        assert identity_relation(AB, include_empty=True).accepts((), ())
-
+class TestSubstitution:
     def test_substitution_images(self):
         subst = substitution_relation(A, "b", ("a", "a"))
         assert subst.accepts(("b",), ("a", "a"))
@@ -279,7 +272,6 @@ def test_intersect_rectangle_is_the_restriction(r, l, k):
     (lambda: intersect_rectangle(builtin("fig1"), sigma_star(AB),
                                  sigma_star(A)),
      "K must be over the relation's right alphabet"),
-    (lambda: identity_relation(Alphabet(())), "empty alphabet"),
     (lambda: substitution_relation(A, "b", ("c",)),
      "symbol 'c' not in the alphabet"),
 ])
