@@ -228,6 +228,14 @@ class TwoTapeAutomaton:
         return table
 
     @cached_property
+    def _acceptor(self):
+        """The search form's _read_steps, k_right + 1, initial state and
+        finals, as _search reads them; not the form: a sync automaton is
+        its own form, and keeping it on itself would be a reference cycle."""
+        form = _search_form(self)
+        return form._read_steps, len(form.right) + 1, form.initial, form.finals
+
+    @cached_property
     def _reads_to_final(self):
         """Per state, the fewest left reads, the fewest right reads and the
         fewest reads in all on a path to a final state, as three lists
@@ -343,34 +351,27 @@ def accepts_two_tape(aut, left_word, right_word):
     v, w = tuple(left_word), tuple(right_word)
     dv = _checked_digits(v, aut.left, "left ")
     dw = _checked_digits(w, aut.right, "right ")
-    return _accepting_run(_search_form(aut), dv, dw) is not None
+    return _search(aut._acceptor, dv, dw) is not None
 
 
-def _accepting_run(form, dv, dw):
-    """A shortest accepting run of a form of _search_form on the pair
-    (v, w) of digits dv and dw, each list the word's digits and then 0, as
-    its nodes (state, |v| read, |w| read), or None if there is none. A
-    symbol outside the alphabet has digit 0 too: no step reads it.
-
-    Breadth-first over the nodes; a node takes the steps of _read_steps
-    that fit its next two digits, in _code_steps order. Every step reads a
-    symbol, so the search is finite.
+def _search(acceptor, dv, dw):
+    """The run search of the form whose _acceptor is given, on the pair
+    (v, w) of digits dv and dw, each list the word's digits and then 0:
+    the first accepting node (state, |v| read, |w| read) with the parent
+    map back to the start, or None. A symbol outside the alphabet has
+    digit 0 too: no step reads it. Breadth-first over the nodes; a node takes the
+    steps of _read_steps that fit its next two digits, in _code_steps
+    order. Every step reads a symbol, so the search is finite.
     """
-    steps = form._read_steps
-    width = len(form.right) + 1
+    steps, width, initial, finals = acceptor
     nv, nw = len(dv) - 1, len(dw) - 1
-    finals = form.finals
-    start = (form.initial, 0, 0)
+    start = (initial, 0, 0)
     parent = {start: None}
     queue = [start]
     for node in queue:  # the list grows while it is walked
         q, i, j = node
         if i == nv and j == nw and q in finals:
-            run = []
-            while node is not None:
-                run.append(node)
-                node = parent[node]
-            return run[::-1]
+            return node, parent
         for reads_left, reads_right, dst in steps[q].get(
                 dv[i] * width + dw[j], ()):
             nxt = (dst, i + reads_left, j + reads_right)
@@ -380,11 +381,25 @@ def _accepting_run(form, dv, dw):
     return None
 
 
+def _accepting_run(form, dv, dw):
+    """A shortest accepting run of a form of _search_form on digits dv
+    and dw (see _search), as its nodes, or None."""
+    found = _search(form._acceptor, dv, dw)
+    if found is None:
+        return None
+    node, parent = found
+    run = []
+    while node is not None:
+        run.append(node)
+        node = parent[node]
+    return run[::-1]
+
+
 def accepts_one_tape(aut, word):
     """Is the word accepted? A run search on (word, ε) in the relation
     view."""
     dv = _checked_digits(tuple(word), aut.alphabet)
-    return _accepting_run(_search_form(aut.relation_view), dv, [0]) is not None
+    return _search(aut.relation_view._acceptor, dv, [0]) is not None
 
 
 def _is_silent(t):

@@ -1,7 +1,7 @@
 import gc
 import weakref
 from dataclasses import replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 
 import pytest
@@ -521,8 +521,10 @@ def test_enumerate_accepted_matches_reference(aut, bound):
 def test_accepts_same_before_and_after_caching(aut):
     # accepts() keeps the step tables of the form it walks after its first
     # call: on a sync automaton itself, on an async one's silent-free form;
-    # a fresh copy has none
-    for table in ("_code_steps", "_read_steps", "_silent_free_form"):
+    # the automaton keeps the record the search reads, which shares the
+    # form's table; a fresh copy has none
+    for table in ("_code_steps", "_read_steps", "_silent_free_form",
+                  "_acceptor"):
         assert table not in vars(aut)
     pairs = all_pairs(AB, 2)
     cold = [replace(aut).accepts(v, u) for v, u in pairs]
@@ -530,6 +532,10 @@ def test_accepts_same_before_and_after_caching(aut):
     form = _search_form(aut)
     assert "_code_steps" in vars(form) and "_read_steps" in vars(form)
     assert "_read_steps" not in vars(replace(form))
+    assert "_acceptor" not in vars(replace(aut))
+    assert aut._acceptor[0] is form._read_steps
+    assert aut._acceptor[1:] == (len(form.right) + 1, form.initial,
+                                 form.finals)
     again = [aut.accepts(v, u) for v, u in pairs]
     assert cold == first == again
     # a step that reads nothing on a tape fits every digit there, so a
@@ -555,7 +561,10 @@ def test_run_search_is_the_per_step_search(aut, data):
     # _accepting_run takes the steps of _read_steps that fit a node's next
     # two digits; the reference tests every step of the node's state. Both
     # push the same children in the same order, so the runs are identical.
-    # 'c' has digit 0, as pump_decompose maps it: no step reads it
+    # 'c' has digit 0, as pump_decompose maps it: no step reads it.
+    # accepts() runs the same search, stopping at the goal node: a pair is
+    # accepted iff it has a run, and a word with 'c' raises the InputError
+    # that names it, the left tape first
     form = _search_form(aut)
     accepted = sorted(enumerate_accepted(form, 4))
     pairs = [(_tape_words(data, form.left), _tape_words(data, form.right))
@@ -567,6 +576,13 @@ def test_run_search_is_the_per_step_search(aut, data):
             form, [*map(form.left._digits.get, v, repeat(0)), 0],
             [*map(form.right._digits.get, u, repeat(0)), 0])
         assert run == accepting_run_per_step(form, v, u)
+        tape = "left " if "c" in v else "right " if "c" in u else None
+        if tape is None:
+            assert aut.accepts(v, u) == (run is not None)
+            continue
+        with pytest.raises(InputError) as raised:
+            aut.accepts(v, u)
+        assert str(raised.value) == f"symbol 'c' not in {tape}alphabet"
 
 
 def test_sync_enumeration_checks_padding_once(monkeypatch):
@@ -632,17 +648,27 @@ def test_async_view_is_for_sync_automata_only():
 def test_enumeration_leaves_no_reference_cycle():
     # an automaton kept on itself, as its own silent-free form, would
     # outlive its last user until the cyclic collector runs
+    # as would an automaton that kept the record accepts() reads on
+    # itself, or one that kept its relation view's
+    cases = [(partial(OneTapeAutomaton, 2, AB, 0, frozenset({1}), trans),
+              lambda a: a.accepts(("a", "b")))
+             for trans in (((0, "a", 1), (1, "b", 1)),
+                           ((0, "a", 1), (1, None, 0)))]
+    for make, pair in ((lambda: builtin("fig3"), (w("baaaaaa"), w("b"))),
+                       (TestSync().sync_equality, (w("abbab"), w("abbab")))):
+        cases += [(make, use) for use in (
+            lambda a: enumerate_accepted(a, 3),
+            lambda a: a.accepts(("a", "b"), ("a", "b")),
+            pumping_constant,
+            lambda a, pair=pair: pump_decompose(a, pair))]
     gc.disable()
     try:
-        for make in (lambda: builtin("fig3"), TestSync().sync_equality):
-            for use in (lambda a: enumerate_accepted(a, 3),
-                        lambda a: a.accepts(("a", "b"), ("a", "b")),
-                        pumping_constant):
-                aut = make()
-                alive = weakref.ref(aut)
-                use(aut)
-                del aut
-                assert alive() is None
+        for make, use in cases:
+            aut = make()
+            alive = weakref.ref(aut)
+            use(aut)
+            del aut
+            assert alive() is None
     finally:
         gc.enable()
 
@@ -701,21 +727,26 @@ def test_pump_form_trimmed_once(monkeypatch):
 
 
 def test_read_table_built_once_per_form(monkeypatch):
-    # accepts() builds _read_steps on the form it walks, on the first call
-    # only; a one-tape automaton's form is its relation view's
-    built = _count_builds(monkeypatch, "_read_steps")
+    # accepts() builds _read_steps on the form it walks, and the record it
+    # reads (_acceptor) on the automaton, on the first call only; a
+    # one-tape automaton keeps both on its relation view and its form
+    built, records = (_count_builds(monkeypatch, name)
+                      for name in ("_read_steps", "_acceptor"))
     fig3 = builtin("fig3")
     nfa = OneTapeAutomaton(2, AB, 0, frozenset({1}),
                            ((0, "a", 1), (1, None, 0)))
     for aut in (union(fig3, fig3), fig3, TestSync().sync_equality(), nfa):
         built.clear()
+        records.clear()
         for v, u in all_pairs(AB, 2):
             if isinstance(aut, OneTapeAutomaton):
                 aut.accepts(v)
             else:
                 aut.accepts(v, u)
-        form = _search_form(getattr(aut, "relation_view", aut))
-        assert built == [form]
+        view = getattr(aut, "relation_view", aut)
+        form = _search_form(view)
+        assert built == [form] and records == [view]
+        assert view._acceptor[0] is form._read_steps
 
 
 def test_step_table_computed_once():
