@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import repeat
 
 from .automata import (
     EPSILON,
@@ -88,9 +87,8 @@ def pump_decompose(aut, pair):
     n0 = 2 * form.n_states
     if len(v) + len(w) <= n0:
         raise InputError(f"pair too short: combined length must exceed {n0}")
-    # a symbol outside the alphabet has digit 0, which no step reads
-    run = _accepting_run(form, [*map(form.left._digits.get, v, repeat(0)), 0],
-                         [*map(form.right._digits.get, w, repeat(0)), 0])
+    # a symbol outside the alphabet keys no step of the run search
+    run = _accepting_run(form, (*v, None), (*w, None))
     if run is None:
         raise InputError("pair is not accepted")
     # a run of more than n steps repeats a state within its first n + 1

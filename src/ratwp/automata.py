@@ -64,6 +64,11 @@ class Alphabet:
         """Symbol -> index + 1, its digit in _pair_coding's word codes."""
         return {s: d for d, s in enumerate(self.symbols, 1)}
 
+    @cached_property
+    def _symbol_set(self):
+        """The symbols as a frozenset, for the set test of accepts()."""
+        return frozenset(self.symbols)
+
     def word_key(self, w):
         """Sort key: length first, then position in the alphabet."""
         return (len(w), tuple(self.symbols.index(s) for s in w))
@@ -209,31 +214,30 @@ class TwoTapeAutomaton:
 
     @cached_property
     def _read_steps(self):
-        """The per-state step table of _accepting_run, read off _code_steps:
-        a dict keyed by a (k_right + 1) + b, a and b the digits of the next
-        left and right symbol (0 past the end of a word), of the steps that
-        fit them as (reads left, reads right, target), in _code_steps order.
-        A step that reads nothing on a tape fits every digit there."""
-        width = len(self.right) + 1
-        left_digits, right_digits = range(len(self.left) + 1), range(width)
+        """The per-state step table of _search, read off _code_steps: a
+        dict keyed by the next left and right symbol (x, y), None past the
+        end of a word, of the steps that fit them as (reads left, reads
+        right, target), in _code_steps order. A step that reads nothing on
+        a tape fits every key there, None included."""
+        left, right = (None, *self.left), (None, *self.right)
         table = []
         for out in self._code_steps:
             row = {}
             for _, dl, _, dr, dst in out:
                 step = (dl > 0, dr > 0, dst)
-                for a in (dl,) if dl else left_digits:
-                    for b in (dr,) if dr else right_digits:
-                        row.setdefault(a * width + b, []).append(step)
+                for x in (left[dl],) if dl else left:
+                    for y in (right[dr],) if dr else right:
+                        row.setdefault((x, y), []).append(step)
             table.append({key: tuple(fit) for key, fit in row.items()})
         return table
 
     @cached_property
     def _acceptor(self):
-        """The search form's _read_steps, k_right + 1, initial state and
-        finals, as _search reads them; not the form: a sync automaton is
-        its own form, and keeping it on itself would be a reference cycle."""
+        """The search form's _read_steps, initial state and finals, as
+        _search reads them; not the form: a sync automaton is its own
+        form, and keeping it on itself would be a reference cycle."""
         form = _search_form(self)
-        return form._read_steps, len(form.right) + 1, form.initial, form.finals
+        return form._read_steps, form.initial, form.finals
 
     @cached_property
     def _reads_to_final(self):
@@ -333,38 +337,34 @@ def _check_word(word, alphabet, tape=""):
             raise InputError(f"symbol {s!r} not in {tape}alphabet")
 
 
-def _checked_digits(word, alphabet, tape=""):
-    """The digits (index + 1) of a tuple's symbols and then 0, the digit
-    past its end: the run search's input. A symbol outside the alphabet
-    raises InputError (_check_word), found by the same dict lookups."""
-    try:
-        digits = [*map(alphabet._digits.get, word), 0]
-    except TypeError:  # an unhashable symbol
-        digits = [None]
-    if None in digits:
-        _check_word(word, alphabet, tape)
-    return digits
-
-
 def accepts_two_tape(aut, left_word, right_word):
-    """Does an accepting computation project to the given pair?"""
+    """Does an accepting computation project to the given pair? Each word
+    is checked by one set test against its tape's symbols; only a failed
+    test (or an unhashable symbol) walks the words, left before right, to
+    raise the InputError that names the first symbol outside its tape."""
     v, w = tuple(left_word), tuple(right_word)
-    dv = _checked_digits(v, aut.left, "left ")
-    dw = _checked_digits(w, aut.right, "right ")
-    return _search(aut._acceptor, dv, dw) is not None
+    try:
+        known = (aut.left._symbol_set.issuperset(v)
+                 and aut.right._symbol_set.issuperset(w))
+    except TypeError:  # an unhashable symbol
+        known = False
+    if not known:
+        _check_word(v, aut.left, "left ")
+        _check_word(w, aut.right, "right ")
+    return _search(aut._acceptor, (*v, None), (*w, None)) is not None
 
 
-def _search(acceptor, dv, dw):
+def _search(acceptor, v, w):
     """The run search of the form whose _acceptor is given, on the pair
-    (v, w) of digits dv and dw, each list the word's digits and then 0:
-    the first accepting node (state, |v| read, |w| read) with the parent
-    map back to the start, or None. A symbol outside the alphabet has
-    digit 0 too: no step reads it. Breadth-first over the nodes; a node takes the
-    steps of _read_steps that fit its next two digits, in _code_steps
-    order. Every step reads a symbol, so the search is finite.
+    (v, w), each a tuple of the word's symbols and then None, the end
+    marker: the first accepting node (state, |v| read, |w| read) with the
+    parent map back to the start, or None. Breadth-first over the nodes;
+    a node takes the steps of _read_steps keyed by its next two symbols,
+    in _code_steps order. A symbol outside the alphabet keys none, so no
+    run reads past it. Every step reads a symbol, so the search is finite.
     """
-    steps, width, initial, finals = acceptor
-    nv, nw = len(dv) - 1, len(dw) - 1
+    steps, initial, finals = acceptor
+    nv, nw = len(v) - 1, len(w) - 1
     start = (initial, 0, 0)
     parent = {start: None}
     queue = [start]
@@ -372,8 +372,7 @@ def _search(acceptor, dv, dw):
         q, i, j = node
         if i == nv and j == nw and q in finals:
             return node, parent
-        for reads_left, reads_right, dst in steps[q].get(
-                dv[i] * width + dw[j], ()):
+        for reads_left, reads_right, dst in steps[q].get((v[i], w[j]), ()):
             nxt = (dst, i + reads_left, j + reads_right)
             if nxt not in parent:
                 parent[nxt] = node
@@ -381,10 +380,10 @@ def _search(acceptor, dv, dw):
     return None
 
 
-def _accepting_run(form, dv, dw):
-    """A shortest accepting run of a form of _search_form on digits dv
-    and dw (see _search), as its nodes, or None."""
-    found = _search(form._acceptor, dv, dw)
+def _accepting_run(form, v, w):
+    """A shortest accepting run of a form of _search_form on the words v
+    and w, each ending in None (see _search), as its nodes, or None."""
+    found = _search(form._acceptor, v, w)
     if found is None:
         return None
     node, parent = found
@@ -397,9 +396,16 @@ def _accepting_run(form, dv, dw):
 
 def accepts_one_tape(aut, word):
     """Is the word accepted? A run search on (word, ε) in the relation
-    view."""
-    dv = _checked_digits(tuple(word), aut.alphabet)
-    return _search(aut.relation_view._acceptor, dv, [0]) is not None
+    view, after the set test of accepts_two_tape on the word."""
+    v = tuple(word)
+    try:
+        known = aut.alphabet._symbol_set.issuperset(v)
+    except TypeError:  # an unhashable symbol
+        known = False
+    if not known:
+        _check_word(v, aut.alphabet)
+    found = _search(aut.relation_view._acceptor, (*v, None), (None,))
+    return found is not None
 
 
 def _is_silent(t):

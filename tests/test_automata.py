@@ -2,7 +2,6 @@ import gc
 import weakref
 from dataclasses import replace
 from functools import cached_property, partial
-from itertools import repeat
 
 import pytest
 from hypothesis import example, given, settings
@@ -246,9 +245,20 @@ class TestAcceptance:
          "symbol ['b'] not in right alphabet"),
         (lambda a: a.accepts(w("ac"), w("ad")),
          "symbol 'c' not in left alphabet"),
+        # None marks the end of a word in the run search: in a query word
+        # it is a symbol outside the alphabet, never the end of the word
+        (lambda a: a.accepts(("a", None, "b"), w("a")),
+         "symbol None not in left alphabet"),
+        (lambda a: a.accepts(w("ab"), ("a", None)),
+         "symbol None not in right alphabet"),
+        (lambda a: a.accepts(("b", ["a"]), ("c",)),
+         "symbol ['a'] not in left alphabet"),
         (lambda a: accepts_one_tape(
             OneTapeAutomaton(1, AB, 0, frozenset(), ()), w("bbz")),
          "symbol 'z' not in alphabet"),
+        (lambda a: accepts_one_tape(
+            OneTapeAutomaton(1, AB, 0, frozenset(), ()), ("a", None)),
+         "symbol None not in alphabet"),
         (lambda a: as_word("a b c", AB, tokens=True),
          "symbol 'c' not in alphabet"),
     ])
@@ -534,15 +544,21 @@ def test_accepts_same_before_and_after_caching(aut):
     assert "_read_steps" not in vars(replace(form))
     assert "_acceptor" not in vars(replace(aut))
     assert aut._acceptor[0] is form._read_steps
-    assert aut._acceptor[1:] == (len(form.right) + 1, form.initial,
-                                 form.finals)
+    assert aut._acceptor[1:] == (form.initial, form.finals)
     again = [aut.accepts(v, u) for v, u in pairs]
     assert cold == first == again
-    # a step that reads nothing on a tape fits every digit there, so a
-    # row holds each step at most k + 1 times
+    # a row is keyed by the next two symbols (x, y), None past the end of
+    # a word; a step that reads nothing on a tape fits every key there,
+    # so a row holds each step at most k + 1 times
+    left, right = (None, *form.left), (None, *form.right)
     k = max(len(form.left), len(form.right))
     for steps, row in zip(form._code_steps, form._read_steps):
+        assert all(x in left and y in right for x, y in row)
         assert len(row) <= sum(map(len, row.values())) <= len(steps) * (k + 1)
+        for (x, y), fit in row.items():
+            assert fit == tuple(
+                (dl > 0, dr > 0, dst) for _, dl, _, dr, dst in steps
+                if (not dl or left[dl] == x) and (not dr or right[dr] == y))
 
 
 def _tape_words(data, alphabet):
@@ -558,10 +574,10 @@ def _tape_words(data, alphabet):
                  one_tape_automata().map(lambda a: a.relation_view)),
        st.data())
 def test_run_search_is_the_per_step_search(aut, data):
-    # _accepting_run takes the steps of _read_steps that fit a node's next
-    # two digits; the reference tests every step of the node's state. Both
-    # push the same children in the same order, so the runs are identical.
-    # 'c' has digit 0, as pump_decompose maps it: no step reads it.
+    # _accepting_run takes the steps of _read_steps keyed by a node's next
+    # two symbols; the reference tests the digits of every step of the
+    # node's state. Both push the same children in the same order, so the
+    # runs are identical. 'c' keys no step, as pump_decompose passes it.
     # accepts() runs the same search, stopping at the goal node: a pair is
     # accepted iff it has a run, and a word with 'c' raises the InputError
     # that names it, the left tape first
@@ -572,9 +588,7 @@ def test_run_search_is_the_per_step_search(aut, data):
     if accepted:  # pairs that have a run, which most drawn pairs lack
         pairs += [data.draw(st.sampled_from(accepted)) for _ in range(6)]
     for v, u in pairs:
-        run = _accepting_run(
-            form, [*map(form.left._digits.get, v, repeat(0)), 0],
-            [*map(form.right._digits.get, u, repeat(0)), 0])
+        run = _accepting_run(form, (*v, None), (*u, None))
         assert run == accepting_run_per_step(form, v, u)
         tape = "left " if "c" in v else "right " if "c" in u else None
         if tape is None:
