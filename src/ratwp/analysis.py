@@ -16,6 +16,7 @@ from .automata import (
     _accepted_codes,
     _accepting_run,
     _cell_codes,
+    _check_word,
     _code_limit,
     _reachable,
     _search_form,
@@ -81,13 +82,15 @@ def pumping_constant(aut):
 
 def pump_decompose(aut, pair):
     """Decomposition of an accepted pair around the first repeated state of
-    an accepting run."""
+    an accepting run. The words are checked first, left before right,
+    with accepts()'s messages."""
     form = _pump_form(aut)
     v, w = tuple(pair[0]), tuple(pair[1])
+    _check_word(v, form.left, "left ")
+    _check_word(w, form.right, "right ")
     n0 = 2 * form.n_states
     if len(v) + len(w) <= n0:
         raise InputError(f"pair too short: combined length must exceed {n0}")
-    # a symbol outside the alphabet keys no step of the run search
     run = _accepting_run(form, (*v, None), (*w, None))
     if run is None:
         raise InputError("pair is not accepted")

@@ -496,17 +496,18 @@ def _explore(start, successors, is_final):
     """Breadth-first construction of the part of an automaton reachable
     from `start`.
 
-    States are any hashable values; successors(state) yields the labels of
-    a transition followed by its target state, and is_final(state) says
-    whether a state accepts. States are numbered in discovery order, the
-    start state being 0, so the same inputs always give the same numbering.
-    Returns (state count, finals, transitions as (src, *labels, dst)).
+    States are any hashable values. successors(state) yields a step
+    (labels, target) per transition, labels being the tuple of its labels,
+    (sym,) or (left, right); is_final(state) says whether a state accepts.
+    States are numbered in discovery order, the start state being 0, so
+    the same inputs always give the same numbering. Returns (state count,
+    finals, transitions as (src, *labels, dst)).
     """
     index = {start: 0}
     order = [start]
     trans = []
     for src, state in enumerate(order):
-        for *labels, nxt in successors(state):
+        for labels, nxt in successors(state):
             dst = index.get(nxt)
             if dst is None:
                 dst = index[nxt] = len(order)
@@ -531,7 +532,7 @@ def determinize(aut):
             for t in by_src.get(q, ()):
                 targets.setdefault(t.label, set()).update(closure[t.dst])
         for sym in sorted(targets, key=aut.alphabet.index):
-            yield sym, frozenset(targets[sym])
+            yield (sym,), frozenset(targets[sym])
 
     n, finals, trans = _explore(closure[aut.initial], successors,
                                 lambda subset: subset & aut.finals)

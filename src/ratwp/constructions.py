@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from itertools import product as iproduct
+from operator import itemgetter
 
 from .automata import (
     EPSILON,
@@ -45,16 +46,20 @@ def _kernel_blocks(product, vs):
     accept the same word pairs iff their kernels are equal. A key lists,
     for each a in V^1 (V, then 1), the id of the fiber {b in V^1 : t b =
     s a != 1}; the fibers are built once per t, the empty one's id is 0.
+    A key is one getter call, times[s](fibers[t]); a part in {1} x V^1 is
+    keyed by (0, ..., 0, fibers[t][s]), so it is kept by that fiber id.
 
-    Returns (block, rep). block(s, t) is the id of K(s, t)'s key, and
+    Returns (block, rep, memo). block(s, t) is the id of K(s, t)'s key, and
     block(s, t, "a") and block(s, t, "b") those of its parts in V^1 x {1}
     and {1} x V^1; the empty kernel's id is 0. rep maps each id to the
-    arguments that first gave it.
+    arguments that first gave it. memo[part][s (n + 1) + t] is block(s, t,
+    part), None until first asked: callers call block only on a miss.
     """
     n = len(product)
+    width = n + 1
     v1 = [*vs, n]
-    rows = [[*row, s] for s, row in enumerate(product)] + [range(n + 1)]
-    times = [[row[a] for a in v1] for row in rows]  # times[s]: the s a
+    rows = [[*row, s] for s, row in enumerate(product)] + [range(width)]
+    times = [_getter([row[a] for a in v1]) for row in rows]  # the s a
     ids = {frozenset(): 0}
     fibers = []  # fibers[t][c]: the id of {b in V^1 : t b = c != 1}
     for row in rows:
@@ -62,30 +67,44 @@ def _kernel_blocks(product, vs):
         for b in v1:
             by_value.setdefault(row[b], []).append(b)
         by_value.pop(n, None)  # t b = 1 only for t = b = 1
-        fiber = [0] * (n + 1)
+        fiber = [0] * width
         for c, bs in by_value.items():
             fiber[c] = ids.setdefault(frozenset(bs), len(ids))
         fibers.append(fiber)
     # in V^1 x {1} the fiber of a is {1} when s a = t != 1: ones[t][s a]
     one = ids.setdefault(frozenset((n,)), len(ids))
-    ones = [[one * (c == t != n) for c in range(n + 1)] for t in range(n + 1)]
+    ones = [[one * (c == t != n) for c in range(width)] for t in range(width)]
     zeros = (0,) * len(vs)
-    keys, rep, cache = {(0,) * len(v1): 0}, {}, {}
+    keys, rep, by_fiber = {(0,) * len(v1): 0}, {}, {}
+    memo = {part: [None] * (width * width) for part in (None, "a", "b")}
 
     def block(s, t, part=None):
-        b = cache.get((s, t, part))
+        i = s * width + t
+        b = memo[part][i]
         if b is None:
             if part is None:
-                key = tuple(map(fibers[t].__getitem__, times[s]))
+                b = keys.setdefault(times[s](fibers[t]), len(keys))
             elif part == "a":
-                key = tuple(map(ones[t].__getitem__, times[s]))
+                b = keys.setdefault(times[s](ones[t]), len(keys))
             else:
-                key = (*zeros, fibers[t][s])
-            b = cache[s, t, part] = keys.setdefault(key, len(keys))
+                fiber = fibers[t][s]
+                b = by_fiber.get(fiber)
+                if b is None:
+                    b = by_fiber[fiber] = keys.setdefault((*zeros, fiber),
+                                                          len(keys))
+            memo[part][i] = b
             rep.setdefault(b, (s, t, part))
         return b
 
-    return block, rep
+    return block, rep, memo
+
+
+def _getter(indices):
+    """The tuple of a row's entries at indices; an itemgetter of one index
+    gives the entry itself, not a 1-tuple."""
+    if len(indices) == 1:
+        return lambda row, i=indices[0]: (row[i],)
+    return itemgetter(*indices)
 
 
 def cayley_wp_sync(table, gens, kind="semigroup"):
@@ -106,28 +125,48 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
     no move goes into the empty kernel, which reaches no final state. The
     blocks reachable from the initial one, numbered in breadth-first
     discovery order, make the minimal deterministic automaton, whose text
-    does not depend on the order of the table's elements.
+    does not depend on the order of the table's elements. Targets are read
+    from the blocks' memo, and the label tuples are built once.
     """
     gens = tuple(gens)
     gen_idx = table.generator_indices(gens, kind)
     g = [gen_idx[x] for x in gens]
     n = len(table)
+    width = n + 1
     mul = [[row[x] for x in g] for row in table.product] + [g]  # s x in S^1
-    block, rep = _kernel_blocks(table.product, range(n))
+    block, rep, memo = _kernel_blocks(table.product, range(n))
+    neutral, right_pad, left_pad = memo[None], memo["a"], memo["b"]
+    pairs = [[(x, y) for y in gens] for x in gens]  # pairs[i]: x = gens[i]
     right, left = [(x, PAD) for x in gens], [(PAD, y) for y in gens]
-    labels = {None: [*iproduct(gens, repeat=2), *right, *left],
-              "a": right, "b": left}
 
     def successors(b):
         s, t, part = rep[b]
-        targets = []
+        steps = []
         if part is None:
-            targets += [block(a, c) for a in mul[s] for c in mul[t]]
+            for row, a in zip(pairs, mul[s]):
+                at = a * width
+                for labels, c in zip(row, mul[t]):
+                    d = neutral[at + c]
+                    if d is None:
+                        d = block(a, c)
+                    if d:
+                        steps.append((labels, d))
         if part != "b":
-            targets += [block(a, t, "a") for a in mul[s]]
+            for labels, a in zip(right, mul[s]):
+                d = right_pad[a * width + t]
+                if d is None:
+                    d = block(a, t, "a")
+                if d:
+                    steps.append((labels, d))
         if part != "a":
-            targets += [block(s, c, "b") for c in mul[t]]
-        return [(x, y, d) for (x, y), d in zip(labels[part], targets) if d]
+            st = s * width
+            for labels, c in zip(left, mul[t]):
+                d = left_pad[st + c]
+                if d is None:
+                    d = block(s, c, "b")
+                if d:
+                    steps.append((labels, d))
+        return steps
 
     # the initial state is built even when its kernel is empty (no elements)
     e = table.identity_index() if kind == "monoid" else n
@@ -251,15 +290,15 @@ def ideal_extension(wp, data):
         if kind == "T":
             for b in data.base_symbols:
                 lb = l_of[b]
-                yield b, EPSILON, ("T", tuple(x[p] for p in lb), y)
-                yield EPSILON, b, ("T", x, tuple(y[p] for p in lb))
+                yield (b, EPSILON), ("T", tuple(x[p] for p in lb), y)
+                yield (EPSILON, b), ("T", x, tuple(y[p] for p in lb))
             for a, b in iproduct(elements, repeat=2):
-                yield a, b, ("I", x[pos[a]], y[pos[b]])
+                yield (a, b), ("I", x[pos[a]], y[pos[b]])
         else:
             for a in alphabet:
                 action = data.internal if a in pos else data.right_action
-                yield a, EPSILON, ("I", pos[action[elements[x], a]], y)
-                yield EPSILON, a, ("I", x, pos[action[elements[y], a]])
+                yield (a, EPSILON), ("I", pos[action[elements[x], a]], y)
+                yield (EPSILON, a), ("I", x, pos[action[elements[y], a]])
 
     def is_final(state):
         return state[0] == "I" and state[1] == state[2]
@@ -294,7 +333,10 @@ def product_with_finite(table, wp_t, gens):
     alphabet = gens.alphabet()
     n = len(table)  # the adjoined identity of S^1
     mul = [[row[x] for x in xs] for row in table.product] + [xs]  # s x in S^1
-    block, rep = _kernel_blocks(table.product, sorted(table.closure_of(xs)))
+    width = n + 1
+    block, rep, memo = _kernel_blocks(table.product,
+                                      sorted(table.closure_of(xs)))
+    neutral = memo[None]
     lifts = {EPSILON: [(EPSILON, None)]}  # T label -> (product label, x index)
     for i, c in enumerate(alphabet):
         lifts.setdefault(pi_t[c], []).append((c, i))
@@ -305,10 +347,14 @@ def product_with_finite(table, wp_t, gens):
         for g in by_src.get(state[1], ()):
             for c, i in lifts.get(g.left, ()):
                 sc = s if i is None else mul[s][i]
+                at = sc * width
                 for d, j in lifts.get(g.right, ()):
-                    b = block(sc, t if j is None else mul[t][j])
+                    tc = t if j is None else mul[t][j]
+                    b = neutral[at + tc]
+                    if b is None:
+                        b = block(sc, tc)
                     if b:
-                        yield c, d, (b, g.dst)
+                        yield (c, d), (b, g.dst)
 
     def is_final(state):
         s, t, _ = rep[state[0]]
@@ -362,7 +408,7 @@ def zero_union(wp_s, wp_t, zero):
               for sym in syms - {zero}}
     factor[zero] = frozenset()
     n, finals, trans = _explore(
-        frozenset(), lambda seen: [(s, seen | factor[s]) for s in alphabet],
+        frozenset(), lambda seen: [((s,), seen | factor[s]) for s in alphabet],
         lambda seen: len(seen) == 2)
     z = union(z_s, z_t, OneTapeAutomaton(n, alphabet, 0, finals, trans))
     return union(replace(wp_s, left=alphabet, right=alphabet),

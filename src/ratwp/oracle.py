@@ -250,7 +250,9 @@ def build_oracle(presentation, bound, slack=None, word_cap=DEFAULT_WORD_CAP):
 def table_oracle(table, gens, bound=8, kind="semigroup"):
     """Oracle for an explicit finite semigroup: a word's class is its value
     in the table, one product per word code, by code(u s) = code(u) k +
-    index(s) + 1."""
+    index(s) + 1. More words up to the bound than DEFAULT_WORD_CAP,
+    counted as build_oracle counts them, are refused before any is
+    coded."""
     if bound < 1:
         raise InputError("bound must be >= 1")
     gens = tuple(gens)
@@ -258,8 +260,13 @@ def table_oracle(table, gens, bound=8, kind="semigroup"):
     values = [gen_map[g] for g in gens]
     product = table.product
     k = len(gens)
+    lim = _code_limit(k, bound)
+    n_words = lim if kind == "monoid" else lim - 1  # the empty word's code 0
+    if n_words > DEFAULT_WORD_CAP:
+        raise InputError(
+            f"word count {n_words} exceeds the cap {DEFAULT_WORD_CAP}")
     ids = [table.identity_index() if kind == "monoid" else None]
-    for code in range(1, _code_limit(k, bound)):
+    for code in range(1, lim):
         prefix, d = divmod(code - 1, k)
         ids.append(product[ids[prefix]][values[d]] if prefix else values[d])
     return Oracle(Alphabet(gens), kind, bound, 0, tuple(ids))

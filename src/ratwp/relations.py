@@ -35,14 +35,14 @@ def compose(r, s):
         i, j = state
         for t in r_by.get(i, ()):
             if t.right is EPSILON:
-                yield t.left, EPSILON, (t.dst, j)
+                yield (t.left, EPSILON), (t.dst, j)
                 continue
             for u in s_by.get(j, ()):
                 if u.left == t.right:
-                    yield t.left, u.right, (t.dst, u.dst)
+                    yield (t.left, u.right), (t.dst, u.dst)
         for u in s_by.get(j, ()):
             if u.left is EPSILON:
-                yield EPSILON, u.right, (i, u.dst)
+                yield (EPSILON, u.right), (i, u.dst)
 
     n, finals, trans = _explore(
         (r.initial, s.initial), successors,
@@ -120,7 +120,7 @@ def intersect_rectangle(r, l, k):
             ni = i if t.left is EPSILON else step_l.get((i, t.left))
             nj = j if t.right is EPSILON else step_k.get((j, t.right))
             if ni is not None and nj is not None:
-                yield t.left, t.right, (t.dst, ni, nj)
+                yield (t.left, t.right), (t.dst, ni, nj)
 
     n, finals, trans = _explore(
         (r.initial, dl.initial, dk.initial), successors,

@@ -289,23 +289,23 @@ def cayley_by_pairs(table, gens, kind="semigroup"):
         # the initial state is None
         if state is None:
             for x, y in pairs:
-                yield x, y, (gen_idx[x], gen_idx[y], "N")
+                yield (x, y), (gen_idx[x], gen_idx[y], "N")
             if kind == "monoid":
                 for x in gens:
-                    yield x, PAD, (gen_idx[x], e, "R")
+                    yield (x, PAD), (gen_idx[x], e, "R")
                 for y in gens:
-                    yield PAD, y, (e, gen_idx[y], "L")
+                    yield (PAD, y), (e, gen_idx[y], "L")
             return
         s, t, copy = state
         if copy == "N":
             for x, y in pairs:
-                yield x, y, (times[s][x], times[t][y], "N")
+                yield (x, y), (times[s][x], times[t][y], "N")
         if copy != "L":
             for x in gens:
-                yield x, PAD, (times[s][x], t, "R")
+                yield (x, PAD), (times[s][x], t, "R")
         if copy != "R":
             for y in gens:
-                yield PAD, y, (s, times[t][y], "L")
+                yield (PAD, y), (s, times[t][y], "L")
 
     def successors(state):
         return [move for move in moves(state) if move[-1] in useful]
@@ -349,7 +349,7 @@ def product_by_folds(table, wp_t, gens):
                 ns = s if c is EPSILON else mul1(s, s_of[c])
                 for d in lifts.get(g.right, ()):
                     nt = t if d is EPSILON else mul1(t, s_of[d])
-                    yield c, d, (ns, nt, g.dst)
+                    yield (c, d), (ns, nt, g.dst)
 
     n, finals, trans = _explore(
         (one, one, wp_t.initial), successors,
@@ -370,14 +370,14 @@ def compose_with_silent_loops(r, s):
         i, j = state
         for t in r.by_src.get(i, ()):
             if t.right is EPSILON:
-                yield t.left, EPSILON, (t.dst, j)
+                yield (t.left, EPSILON), (t.dst, j)
                 continue
             for u in s.by_src.get(j, ()):
                 if u.left == t.right:
-                    yield t.left, u.right, (t.dst, u.dst)
+                    yield (t.left, u.right), (t.dst, u.dst)
         for u in s.by_src.get(j, ()):
             if u.left is EPSILON:
-                yield EPSILON, u.right, (i, u.dst)
+                yield (EPSILON, u.right), (i, u.dst)
 
     n, finals, trans = _explore(
         (r.initial, s.initial), successors,
@@ -399,9 +399,9 @@ def fix_tape_by_line(r, v, side="left"):
         q, i = state
         for t in r.by_src.get(q, ()):
             if t.left is EPSILON:
-                yield t.right, (t.dst, i)
+                yield (t.right,), (t.dst, i)
             elif i < k and v[i] == t.left:
-                yield t.right, (t.dst, i + 1)
+                yield (t.right,), (t.dst, i + 1)
 
     n, finals, trans = _explore(
         (r.initial, 0), successors,
@@ -489,25 +489,25 @@ def ideal_extension_by_branch(wp, data):
     def successors(state):
         kind = state[0]
         if kind == "start":
-            yield EPSILON, EPSILON, ("S", wp.initial)
-            yield EPSILON, EPSILON, ("T", identity, identity)
+            yield (EPSILON, EPSILON), ("S", wp.initial)
+            yield (EPSILON, EPSILON), ("T", identity, identity)
         elif kind == "S":
             for t in wp.by_src.get(state[1], ()):
-                yield t.left, t.right, ("S", t.dst)
+                yield (t.left, t.right), ("S", t.dst)
         elif kind == "T":
             _, alpha, beta = state
             for b in data.base_symbols:
                 lb = l_of[b]
-                yield b, EPSILON, ("T", tuple(alpha[p] for p in lb), beta)
-                yield EPSILON, b, ("T", alpha, tuple(beta[p] for p in lb))
+                yield (b, EPSILON), ("T", tuple(alpha[p] for p in lb), beta)
+                yield (EPSILON, b), ("T", alpha, tuple(beta[p] for p in lb))
             for a, b in iproduct(elements, repeat=2):
-                yield a, b, ("I", alpha[pos[a]], beta[pos[b]])
+                yield (a, b), ("I", alpha[pos[a]], beta[pos[b]])
         else:
             _, i, j = state
             for a in alphabet:
                 action = data.internal if a in pos else data.right_action
-                yield a, EPSILON, ("I", pos[action[elements[i], a]], j)
-                yield EPSILON, a, ("I", i, pos[action[elements[j], a]])
+                yield (a, EPSILON), ("I", pos[action[elements[i], a]], j)
+                yield (EPSILON, a), ("I", i, pos[action[elements[j], a]])
 
     def is_final(state):
         if state[0] == "S":

@@ -85,10 +85,21 @@ class TestPumpDecompose:
             pump_decompose(builtin("fig1"), (("a",), ("a",)))
 
     def test_symbol_outside_alphabet_is_not_accepted(self):
-        # the run search matches a step by its digit; a symbol outside the
-        # alphabet has none, so no step reads it
-        with pytest.raises(InputError, match="pair is not accepted"):
-            pump_decompose(builtin("fig1"), (("a",) * 5, ("a",) * 4 + ("c",)))
+        # the words are checked as accepts() checks them, left before
+        # right, before the run search, which no such symbol keys
+        for name, pair, message in [
+            ("fig1", (("a",) * 5, ("a",) * 4 + ("c",)),
+             "symbol 'c' not in right alphabet"),
+            ("fig3", (tuple("aaaac"), tuple("aaaa")),
+             "symbol 'c' not in left alphabet"),
+            ("fig3", (tuple("aaaac"), tuple("aaaad")),
+             "symbol 'c' not in left alphabet"),
+            # an unhashable symbol is named as well
+            ("fig3", (("a",) * 4 + (["a"],), tuple("aaaa")),
+             r"symbol \['a'\] not in left alphabet"),
+        ]:
+            with pytest.raises(InputError, match=message):
+                pump_decompose(builtin(name), pair)
 
     def test_prefix_plus_loop_within_constant(self):
         aut = builtin("fig2")

@@ -39,7 +39,7 @@ from ratwp import (
 )
 import ratwp.automata
 from ratwp.automata import (
-    _accepting_run, _as_async, _pair_coding, _search_form,
+    _accepting_run, _as_async, _explore, _pair_coding, _search_form,
 )
 from ratwp.fileio import dumps_fsa, load_fsa, loads_fsa
 from random_automata import (
@@ -328,6 +328,38 @@ class TestTrim:
         assert not out.finals
         # the empty language's one-state form is already trim
         assert trim(out) is out
+
+
+class TestExplore:
+    def test_one_tape_steps(self):
+        # a step is ((sym,), target); "z", reached from "x" and from "y",
+        # is numbered once, and "x" reached again keeps its 0
+        steps = {"x": [(("a",), "y"), (("b",), "z")],
+                 "y": [(("a",), "x"), (("b",), "z")], "z": []}
+        n, finals, trans = _explore("x", steps.__getitem__,
+                                    lambda q: q == "z")
+        assert (n, finals) == (3, frozenset({2}))
+        assert trans == ((0, "a", 1), (0, "b", 2), (1, "a", 0), (1, "b", 2))
+        OneTapeAutomaton(n, AB, 0, finals, trans)
+
+    def test_two_tape_steps(self):
+        # a step is ((left, right), target), yielded one by one; states are
+        # numbered in discovery order, not by value: 5, 9, 7 are 0, 1, 2
+        def successors(q):
+            if q == 5:
+                yield ("a", EPSILON), 9
+                yield ("a", "b"), 7
+            elif q == 9:
+                yield (EPSILON, "b"), 7
+                yield ("b", "b"), 5
+            else:
+                yield ("b", PAD), 9
+
+        n, finals, trans = _explore(5, successors, lambda q: q > 6)
+        assert (n, finals) == (3, frozenset({1, 2}))
+        assert trans == ((0, "a", EPSILON, 1), (0, "a", "b", 2),
+                         (1, EPSILON, "b", 2), (1, "b", "b", 0),
+                         (2, "b", PAD, 1))
 
 
 class TestDeterminize:

@@ -89,6 +89,18 @@ class TestVerify:
                             "--bound", "5"], capsys)
         assert (code, out.strip()) == (0, "OK (0 disagreements)")
 
+    def test_table_oracle_word_cap(self, workdir, capsys):
+        # 2^21 - 2 words over 1, g up to length 20: refused before any is
+        # coded, a usage error
+        code, _, _ = run(["construct", "cayley", workdir / "c2.tbl",
+                          "-o", workdir / "c2wp.fsa"], capsys)
+        assert code == 0
+        code, out, err = run(["verify", workdir / "c2wp.fsa",
+                              workdir / "c2.tbl", "--bound", "20"], capsys)
+        assert (code, out) == (2, "")
+        assert err.strip() == ("error: word count 2097150 exceeds the cap "
+                               "2000000")
+
 
 class TestAlgebraVerbs:
     def test_compose_to_stdout(self, workdir, capsys):

@@ -235,7 +235,7 @@ def test_kernel_blocks_are_moore_blocks(table_gens, data):
     # Moore's refinement, and the empty kernel is the sink's block
     table, _ = table_gens
     xs = data.draw(st.lists(st.sampled_from(range(len(table))), max_size=3))
-    block, _ = _kernel_blocks(table.product, sorted(table.closure_of(xs)))
+    block, _, _ = _kernel_blocks(table.product, sorted(table.closure_of(xs)))
     moore, sink = moore_pair_blocks(table, xs)
     kernel = {p: block(*p) for p in moore}
 

@@ -188,6 +188,26 @@ class TestTableOracle:
         with pytest.raises(InputError, match="bound must be >= 1"):
             table_oracle(c2_table, ("g",), bound=bound, kind=kind)
 
+    @pytest.mark.parametrize("kind, bound", [
+        ("semigroup", 2_000_001), ("monoid", 2_000_000)])
+    def test_word_cap(self, c2_table, kind, bound):
+        # 2,000,001 words either way, the empty word counted for a monoid
+        # only: refused before the first is coded
+        with pytest.raises(InputError, match="word count 2000001 exceeds the "
+                                             "cap 2000000"):
+            table_oracle(c2_table, ("g",), bound=bound, kind=kind)
+
+    @pytest.mark.parametrize("kind, bound", [("semigroup", 6), ("monoid", 5)])
+    def test_word_cap_counts_as_build_oracle(self, c2_table, kind, bound):
+        # the words are counted as build_oracle counts them: at the cap
+        # the oracle is built, one word past it is refused
+        with mock.patch.object(ratwp.oracle, "DEFAULT_WORD_CAP", 6):
+            assert len(table_oracle(c2_table, ("g",), bound=bound,
+                                    kind=kind).words()) == 6
+            with pytest.raises(InputError, match="word count 7 exceeds the "
+                                                 "cap 6"):
+                table_oracle(c2_table, ("g",), bound=bound + 1, kind=kind)
+
     def test_agrees_with_presentation_oracle(self, c2_table):
         # C2 as a table and as <g | g^3 = g> (semigroup of g, g^2=1)
         table = table_oracle(c2_table, ("g",), bound=5)
