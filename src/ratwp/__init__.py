@@ -9,25 +9,20 @@ from .automata import (
     OneTapeAutomaton,
     Transition,
     TwoTapeAutomaton,
-    accepts_one_tape,
-    accepts_two_tape,
     as_word,
     determinize,
     eliminate_silent_steps,
     enumerate_accepted,
-    enumerate_language,
     swap_tapes,
     sync_to_async,
     trim,
     union,
-    validate_sync,
 )
 from .relations import (
     compose,
     cross_product,
     fix_tape,
     intersect_rectangle,
-    relabel,
     substitution_relation,
 )
 from .presentations import (

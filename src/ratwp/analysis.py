@@ -357,7 +357,8 @@ def export_dot(aut):
         if lab not in edges[(t.src, t.dst)]:
             edges[(t.src, t.dst)].append(lab)
     for (src, dst), labels in sorted(edges.items()):
-        label = ", ".join(labels)
+        # a quote would end the DOT string and a backslash start an escape
+        label = ", ".join(labels).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f"  {src} -> {dst} [label=\"{label}\"];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -200,16 +200,14 @@ class TwoTapeAutomaton:
     @cached_property
     def _code_steps(self):
         """The per-state step table of _pair_coding and _read_steps, for
-        a form of _search_form: it does not depend on the bound. Epsilon
-        and a pad read nothing: multiplier 1, digit 0."""
-        k_left, k_right = len(self.left), len(self.right)
+        a form of _search_form: it does not depend on the bound. A step is
+        (left digit, right digit, target); epsilon and a pad read nothing,
+        digit 0."""
         digit_left, digit_right = self.left._digits, self.right._digits
         steps = [[] for _ in range(self.n_states)]
         for t in self.transitions:
-            dl = digit_left.get(t.left, 0)
-            dr = digit_right.get(t.right, 0)
-            steps[t.src].append((k_left if dl else 1, dl,
-                                 k_right if dr else 1, dr, t.dst))
+            steps[t.src].append((digit_left.get(t.left, 0),
+                                 digit_right.get(t.right, 0), t.dst))
         return steps
 
     @cached_property
@@ -223,7 +221,7 @@ class TwoTapeAutomaton:
         table = []
         for out in self._code_steps:
             row = {}
-            for _, dl, _, dr, dst in out:
+            for dl, dr, dst in out:
                 step = (dl > 0, dr > 0, dst)
                 for x in (left[dl],) if dl else left:
                     for y in (right[dr],) if dr else right:
@@ -250,7 +248,7 @@ class TwoTapeAutomaton:
         left_only, right_only, both = into = [
             [[] for _ in range(self.n_states)] for _ in range(3)]
         for src, out in enumerate(self._code_steps):
-            for _, dl, _, dr, dst in out:
+            for dl, dr, dst in out:
                 into[2 if dl and dr else 0 if dl else 1][dst].append(src)
         return (
             _fewest_reads(self.finals,
@@ -302,7 +300,17 @@ class OneTapeAutomaton:
             self, NfaTransition, ({EPSILON, *self.alphabet},)))
 
     def accepts(self, word):
-        return accepts_one_tape(self, word)
+        """Is the word accepted? A run search on (word, ε) in the relation
+        view, after the set test of accepts_two_tape on the word."""
+        v = tuple(word)
+        try:
+            known = self.alphabet._symbol_set.issuperset(v)
+        except TypeError:  # an unhashable symbol
+            known = False
+        if not known:
+            _check_word(v, self.alphabet)
+        return _search(self.relation_view._acceptor, (*v, None),
+                       (None,)) is not None
 
     @cached_property
     def relation_view(self):
@@ -394,20 +402,6 @@ def _accepting_run(form, v, w):
     return run[::-1]
 
 
-def accepts_one_tape(aut, word):
-    """Is the word accepted? A run search on (word, ε) in the relation
-    view, after the set test of accepts_two_tape on the word."""
-    v = tuple(word)
-    try:
-        known = aut.alphabet._symbol_set.issuperset(v)
-    except TypeError:  # an unhashable symbol
-        known = False
-    if not known:
-        _check_word(v, aut.alphabet)
-    found = _search(aut.relation_view._acceptor, (*v, None), (None,))
-    return found is not None
-
-
 def _is_silent(t):
     """Does a transition of either kind read nothing on every tape? Its
     labels are the fields between src and dst, and states are never None."""
@@ -446,15 +440,17 @@ def eliminate_silent_steps(aut):
     if not any(_is_silent(t) for t in aut.transitions):
         return aut
     closure = _silent_closure(aut)
-    by_src = aut.by_src
+    # per state, the labels and target of each non-silent transition
+    moves = [[] for _ in range(aut.n_states)]
+    for t in aut.transitions:
+        if not _is_silent(t):
+            moves[t.src].append(t[1:])
     new_trans = []
     seen = set()
     for q in range(aut.n_states):
         for r in closure[q]:
-            for t in by_src.get(r, ()):
-                if _is_silent(t):
-                    continue
-                key = (q, t.left, t.right, t.dst)
+            for move in moves[r]:
+                key = (q, *move)
                 if key not in seen:
                     seen.add(key)
                     new_trans.append(key)
@@ -599,9 +595,17 @@ def _accepted_codes(aut, len_bound):
     """
     aut, lim_right, steps, decode = _pair_coding(aut, len_bound)
     limits = _node_limits(aut, len_bound)
-    moves = [[(dl > 0, dr > 0, ml, mr - ml, dl * lim_right + dr, dst)
-              + limits[dst] for ml, dl, mr, dr, dst in out if limits[dst]]
-             for out in steps]
+    k_left, k_right = len(aut.left), len(aut.right)
+    moves = []
+    for out in steps:
+        row = []
+        for dl, dr, dst in out:
+            if limits[dst]:
+                # a read multiplies its tape's code by k, no read by 1
+                ml, mr = k_left if dl else 1, k_right if dr else 1
+                row.append((dl > 0, dr > 0, ml, mr - ml,
+                            dl * lim_right + dr, dst) + limits[dst])
+        moves.append(row)
     finals = aut.finals
     layers = [{} for _ in range(2 * len_bound + 1)]
     layers[0][aut.initial, 0, 0] = {0}
@@ -653,7 +657,7 @@ def _accepted_cells(aut, len_bound):
     right_unit = [len(aut.right) ** j for j in range(len_bound + 1)]
     limits = _node_limits(aut, len_bound)
     moves = [[(dl > 0, dr > 0, dl and dl - 1, dr and dr - 1, dst)
-              + limits[dst] for _, dl, _, dr, dst in out if limits[dst]]
+              + limits[dst] for dl, dr, dst in out if limits[dst]]
              for out in steps]
     finals = aut.finals
     layers = [{} for _ in range(2 * len_bound + 1)]
@@ -715,11 +719,10 @@ def _pair_coding(aut, len_bound):
 
     Returns (form, lim_right, steps, decode): form is _search_form(aut),
     lim_right the code limit of the right tape, steps[q] the transitions
-    out of q as (multiplier, digit) per tape and the target (reading s
-    multiplies by k and adds index(s) + 1; epsilon and a pad multiply by 1
-    and add 0; only the digit tells whether a step reads, since k may be
-    1), in transition order and kept on the form (_code_steps), and
-    decode(code) the pair of a pair code.
+    out of q as (left digit, right digit, target) (reading s multiplies
+    the tape's code by k and adds its digit index(s) + 1; epsilon and a
+    pad read nothing, digit 0), in transition order and kept on the form
+    (_code_steps), and decode(code) the pair of a pair code.
     """
     if len_bound < 0:
         raise InputError("bound must be >= 0")
@@ -785,20 +788,6 @@ def _word_decoder(alphabet):
     return decode
 
 
-def enumerate_language(aut, len_bound):
-    """All accepted words of length <= len_bound of a one-tape automaton:
-    the left words of the pairs its relation view accepts."""
-    return {v for v, _ in enumerate_accepted(aut.relation_view, len_bound)}
-
-
-def validate_sync(aut):
-    """aut, which must be a sync automaton. Its padding discipline was
-    checked when it was built (_check_padding)."""
-    if aut.mode != "sync":
-        raise InputError("not a sync automaton")
-    return aut
-
-
 def _check_padding(aut):
     """The check every sync automaton passes when it is built: raise
     InputError at the first break of the padding discipline. Along any
@@ -845,7 +834,8 @@ def _first_padding_fault(aut):
 
 def sync_to_async(aut):
     """View a sync automaton as an async one: pad labels become epsilon."""
-    validate_sync(aut)
+    if aut.mode != "sync":
+        raise InputError("not a sync automaton")
     trans = tuple(
         (src, EPSILON if left == PAD else left,
          EPSILON if right == PAD else right, dst)

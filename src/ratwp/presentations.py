@@ -117,9 +117,6 @@ class MultiplicationTable:
         except ValueError:
             raise InputError(f"unknown element {name!r}") from None
 
-    def mul(self, i, j):
-        return self.product[i][j]
-
     def identity_index(self):
         n = len(self.elements)
         for e in range(n):

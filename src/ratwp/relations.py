@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .automata import (
     EPSILON,
     Alphabet,
@@ -127,29 +125,6 @@ def intersect_rectangle(r, l, k):
         lambda state: (state[0] in r.finals and state[1] in dl.finals
                        and state[2] in dk.finals))
     return TwoTapeAutomaton(n, r.left, r.right, 0, finals, trans)
-
-
-def _image_alphabet(alphabet, mapping):
-    out = []
-    for sym in alphabet:
-        if sym not in mapping:
-            raise InputError(f"relabel map is not total: missing {sym!r}")
-        if mapping[sym] not in out:
-            out.append(mapping[sym])
-    return Alphabet(tuple(out))
-
-
-def relabel(r, f_left, f_right):
-    """Rewrite every transition label componentwise (epsilon maps to
-    epsilon); accepts exactly the image relation."""
-    r = _as_async(r)
-    new_left = _image_alphabet(r.left, f_left)
-    new_right = _image_alphabet(r.right, f_right)
-    trans = tuple(
-        (src, EPSILON if left is EPSILON else f_left[left],
-         EPSILON if right is EPSILON else f_right[right], dst)
-        for src, left, right, dst in r.transitions)
-    return replace(r, left=new_left, right=new_right, transitions=trans)
 
 
 def substitution_relation(alphabet, b, w):

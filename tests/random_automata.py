@@ -246,7 +246,7 @@ def permuted_table(table, order):
     position = {old: new for new, old in enumerate(order)}
     return MultiplicationTable(
         tuple(table.elements[i] for i in order),
-        tuple(tuple(position[table.mul(i, j)] for j in order)
+        tuple(tuple(position[table.product[i][j]] for j in order)
               for i in order))
 
 
@@ -267,7 +267,7 @@ def cayley_by_pairs(table, gens, kind="semigroup"):
     alphabet = Alphabet(gens)
     n = len(table)
     pairs = list(iproduct(gens, repeat=2))
-    times = [{g: table.mul(s, gen_idx[g]) for g in gens} for s in range(n)]
+    times = [{g: table.product[s][gen_idx[g]] for g in gens} for s in range(n)]
     right_mul = {s: times[s].values() for s in range(n)}
     ideal = [_reachable((s,), right_mul) for s in range(n)]  # s S^1
     before = {pair: [] for pair in iproduct(range(n), repeat=2)}
@@ -334,7 +334,7 @@ def product_by_folds(table, wp_t, gens):
             return j
         if j == one:
             return i
-        return table.mul(i, j)
+        return table.product[i][j]
 
     s_of = {c: table.index(pi_s[c]) for c in alphabet}
     lifts = {EPSILON: [EPSILON]}  # T label -> product labels projecting to it
@@ -594,7 +594,7 @@ def moore_pair_blocks(table, xs):
     one = len(table)
 
     def mul1(s, x):
-        return x if s == one else table.mul(s, x)
+        return x if s == one else table.product[s][x]
 
     rows = {(s, t): [(mul1(s, x), t) for x in xs]
             + [(s, mul1(t, x)) for x in xs]
@@ -754,7 +754,7 @@ def accepting_run_per_step(form, v, w):
                 run.append(node)
                 node = parent[node]
             return run[::-1]
-        for _, dl, _, dr, dst in steps[q]:
+        for dl, dr, dst in steps[q]:
             if dl and dl != dv[i] or dr and dr != dw[j]:
                 continue
             nxt = (dst, i + (dl > 0), j + (dr > 0))

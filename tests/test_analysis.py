@@ -19,7 +19,6 @@ from ratwp import (
     cross_product,
     cross_section,
     enumerate_accepted,
-    enumerate_language,
     equivalence_check,
     export_dot,
     free_wp,
@@ -418,7 +417,7 @@ def test_equivalence_check_matches_word_reference(aut, kind, bound):
 class TestCrossSection:
     def test_fig3_removes_pumping(self):
         d = cross_section(builtin("fig3"))
-        lang = enumerate_language(d, 4)
+        lang = {v for v, _ in enumerate_accepted(d.relation_view, 4)}
         assert ("b", "a") not in lang  # the (a,eps) loop is gone
         assert ("a", "b", "b") in lang
         oracle = build_oracle(builtin_presentation("fig3"), 6)
@@ -426,7 +425,8 @@ class TestCrossSection:
 
     def test_fig1_nothing_removed(self):
         d = cross_section(builtin("fig1"))
-        assert enumerate_language(d, 3) == set(AB.words(3))
+        pairs = enumerate_accepted(d.relation_view, 3)
+        assert {v for v, _ in pairs} == set(AB.words(3))
 
     def test_fig2_q3_loop_removed(self):
         d = cross_section(builtin("fig2"))
@@ -438,7 +438,8 @@ class TestCrossSection:
     def test_subset_of_domain(self):
         aut = builtin("fig3")
         domain = {v for v, _ in enumerate_accepted(aut, 6)}
-        assert enumerate_language(cross_section(aut), 6) <= domain
+        d = cross_section(aut)
+        assert {v for v, _ in enumerate_accepted(d.relation_view, 6)} <= domain
 
 
 @settings(max_examples=150, deadline=None)
@@ -546,6 +547,13 @@ class TestExportDot:
         text = export_dot(aut)
         assert text.startswith("digraph")
         assert text.count(" -> ") == 1  # only the init marker
+
+    def test_quote_and_backslash_escaped(self):
+        text = export_dot(free_wp(Alphabet(('a"b', "c\\"))))
+        assert ('  0 -> 1 [label="(a\\"b,a\\"b), (c\\\\,c\\\\)"];\n'
+                in text)
+        # other symbols are written as they are
+        assert '  0 -> 1 [label="(a,a), (b,b)"];\n' in export_dot(free_wp(AB))
 
 
 UNEQUAL_TAPES = TwoTapeAutomaton(1, AB, Alphabet(("a",)), 0, frozenset(), ())

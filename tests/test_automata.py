@@ -16,7 +16,6 @@ from ratwp import (
     OneTapeAutomaton,
     Transition,
     TwoTapeAutomaton,
-    accepts_one_tape,
     as_word,
     build_oracle,
     builtin,
@@ -25,7 +24,6 @@ from ratwp import (
     determinize,
     eliminate_silent_steps,
     enumerate_accepted,
-    enumerate_language,
     pump_check,
     pump_decompose,
     pump_refute,
@@ -35,7 +33,6 @@ from ratwp import (
     table_oracle,
     trim,
     union,
-    validate_sync,
 )
 import ratwp.automata
 from ratwp.automata import (
@@ -253,11 +250,11 @@ class TestAcceptance:
          "symbol None not in right alphabet"),
         (lambda a: a.accepts(("b", ["a"]), ("c",)),
          "symbol ['a'] not in left alphabet"),
-        (lambda a: accepts_one_tape(
-            OneTapeAutomaton(1, AB, 0, frozenset(), ()), w("bbz")),
+        (lambda a: OneTapeAutomaton(1, AB, 0, frozenset(), ()).accepts(
+            w("bbz")),
          "symbol 'z' not in alphabet"),
-        (lambda a: accepts_one_tape(
-            OneTapeAutomaton(1, AB, 0, frozenset(), ()), ("a", None)),
+        (lambda a: OneTapeAutomaton(1, AB, 0, frozenset(), ()).accepts(
+            ("a", None)),
          "symbol None not in alphabet"),
         (lambda a: as_word("a b c", AB, tokens=True),
          "symbol 'c' not in alphabet"),
@@ -374,7 +371,7 @@ class TestDeterminize:
             assert (t.src, t.label) not in seen
             seen.add((t.src, t.label))
         for v in [()] + list(AB.words(4)):
-            assert accepts_one_tape(nfa, v) == accepts_one_tape(dfa, v)
+            assert nfa.accepts(v) == dfa.accepts(v)
 
 
 class TestSwapAndUnion:
@@ -424,20 +421,20 @@ class TestSync:
             + tuple((1, x, x, 1) for x in "ab"),
             mode="sync")
 
-    def test_validate_sync_accepts_disciplined(self):
-        validate_sync(self.sync_equality())
+    def test_sync_accepts_disciplined(self):
+        assert self.sync_equality().mode == "sync"
 
-    def test_validate_sync_rejects_double_pad(self):
-        with pytest.raises(InputError):
-            validate_sync(TwoTapeAutomaton(
+    def test_sync_rejects_double_pad(self):
+        with pytest.raises(InputError, match="padded on both tapes"):
+            TwoTapeAutomaton(
                 1, AB, AB, 0, frozenset({0}), ((0, PAD, PAD, 0),),
-                mode="sync"))
+                mode="sync")
 
-    def test_validate_sync_rejects_symbol_after_pad(self):
-        with pytest.raises(InputError):
-            validate_sync(TwoTapeAutomaton(
+    def test_sync_rejects_symbol_after_pad(self):
+        with pytest.raises(InputError, match="after padding"):
+            TwoTapeAutomaton(
                 2, AB, AB, 0, frozenset({1}),
-                ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync"))
+                ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync")
 
     def test_construction_refuses_sync_that_breaks_padding(self):
         # no sync automaton that breaks the padding discipline is built, so
@@ -452,10 +449,9 @@ class TestSync:
                       "initial: 0\nfinal: 1\ntrans: 0 # a 1\n"
                       "trans: 1 a a 1\n")
 
-    @pytest.mark.parametrize("use", [validate_sync, sync_to_async])
-    def test_async_automaton_is_not_sync(self, use):
+    def test_async_automaton_is_not_sync(self):
         with pytest.raises(InputError) as exc:
-            use(builtin("fig3"))
+            sync_to_async(builtin("fig3"))
         assert str(exc.value) == "not a sync automaton"
 
     def test_sync_to_async_preserves_pairs(self):
@@ -476,20 +472,20 @@ class TestEnumeration:
         pairs = enumerate_accepted(builtin("fig1"), 3)
         assert pairs == {(v, v) for v in AB.words(3)}
 
-    def test_enumerate_language(self):
+    def test_enumerate_relation_view(self):
         aut = OneTapeAutomaton(
             2, AB, 0, frozenset({1}), ((0, "a", 1), (1, "b", 1)))
-        assert enumerate_language(aut, 3) == {
-            w("a"), w("ab"), w("abb")}
+        assert enumerate_accepted(aut.relation_view, 3) == {
+            (w("a"), ()), (w("ab"), ()), (w("abb"), ())}
 
-    def test_enumerate_language_negative_bound(self, time_limit):
+    def test_enumerate_relation_view_negative_bound(self, time_limit):
         # must raise at once: a search that stops at words of length
         # bound never stops when the bound is negative
         a_plus = OneTapeAutomaton(
             2, AB, 0, frozenset({1}),
             tuple((q, s, 1) for q in (0, 1) for s in AB))
         with pytest.raises(InputError, match="bound must be >= 0"):
-            enumerate_language(a_plus, -1)
+            enumerate_accepted(a_plus.relation_view, -1)
 
 
 @settings(max_examples=50, deadline=None)
@@ -589,7 +585,7 @@ def test_accepts_same_before_and_after_caching(aut):
         assert len(row) <= sum(map(len, row.values())) <= len(steps) * (k + 1)
         for (x, y), fit in row.items():
             assert fit == tuple(
-                (dl > 0, dr > 0, dst) for _, dl, _, dr, dst in steps
+                (dl > 0, dr > 0, dst) for dl, dr, dst in steps
                 if (not dl or left[dl] == x) and (not dr or right[dr] == y))
 
 
@@ -828,7 +824,7 @@ def test_reads_to_final():
 def test_padding_checked_once(monkeypatch, tmp_path):
     # a sync automaton's padding is checked once, when it is built:
     # load_fsa builds one, and enumerate_accepted, which walks the
-    # automaton itself, and validate_sync do not check it again
+    # automaton itself, and sync_to_async do not check it again
     path = tmp_path / "sync.fsa"
     path.write_text(dumps_fsa(TestSync().sync_equality()))
     calls = []
@@ -838,7 +834,7 @@ def test_padding_checked_once(monkeypatch, tmp_path):
     aut = load_fsa(path)
     assert calls == [aut]
     enumerate_accepted(aut, 3)
-    validate_sync(aut)
+    sync_to_async(aut)
     assert calls == [aut]
     # a failed construction keeps nothing: each one checks and raises
     for _ in range(2):
@@ -894,7 +890,7 @@ def test_trim_matches_reference(aut):
 @settings(max_examples=60, deadline=None)
 @given(sync_automata())
 def test_sync_to_async_keeps_accepted_set(aut):
-    validate_sync(aut)
+    assert aut.mode == "sync"
     expected = {(v, u) for v, u in all_pairs(AB, 3) if aut.accepts(v, u)}
     assert accepted_pairs(sync_to_async(aut), 3) == expected
 
@@ -902,10 +898,22 @@ def test_sync_to_async_keeps_accepted_set(aut):
 @settings(max_examples=60, deadline=None)
 @given(one_tape_automata())
 def test_one_tape_trim_and_determinize_keep_language(aut):
-    expected = {v for v in [()] + list(AB.words(4))
-                if accepts_one_tape(aut, v)}
-    assert enumerate_language(aut, 4) == expected
-    assert enumerate_language(trim(aut), 4) == expected
+    def language(a):
+        return {v for v, _ in enumerate_accepted(a.relation_view, 4)}
+
+    expected = {v for v in [()] + list(AB.words(4)) if aut.accepts(v)}
+    assert language(aut) == expected
+    assert language(trim(aut)) == expected
     dfa = determinize(aut)
     assert all_reachable(dfa)
-    assert enumerate_language(dfa, 4) == expected
+    assert language(dfa) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(one_tape_automata())
+@example(OneTapeAutomaton(2, AB, 0, {1}, ((0, EPSILON, 1), (1, "a", 1))))
+def test_one_tape_silent_elimination_keeps_language(aut):
+    out = eliminate_silent_steps(aut)
+    assert not any(t.label is EPSILON for t in out.transitions)
+    for v in [()] + list(AB.words(4)):
+        assert out.accepts(v) == aut.accepts(v)

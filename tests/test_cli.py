@@ -340,6 +340,9 @@ class TestAnalysisVerbs:
         ("type: nfa\nalphabet: a b\n", ("0 a 1", "1 - 0", "1 b 1"),
          ['0 -> 1 [label="a"]', '1 -> 0 [label="ε"]',
           '1 -> 1 [label="b"]']),
+        # a quote or backslash in a symbol is escaped in the DOT string
+        ('type: nfa\nalphabet: a"b c\\\n', ('0 a"b 1', "1 c\\ 1"),
+         ['0 -> 1 [label="a\\"b"]', '1 -> 1 [label="c\\\\"]']),
     ])
     def test_dot_labels(self, header, transitions, edges, workdir, capsys):
         path = workdir / "small.fsa"

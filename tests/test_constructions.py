@@ -31,7 +31,6 @@ from ratwp import (
     sync_to_async,
     table_oracle,
     trim,
-    validate_sync,
     verify,
     zero_union,
 )
@@ -90,20 +89,20 @@ def word_for(table, gens, x):
     for w, y in todo:
         if y not in word_of:
             word_of[y] = w
-            todo += [(w + (g,), table.mul(y, index[g])) for g in gens]
+            todo += [(w + (g,), table.product[y][index[g]]) for g in gens]
     return word_of[x]
 
 
 class TestCayley:
     def test_c2_against_table_oracle(self, c2_table):
         wp = cayley_wp_sync(c2_table, ("g",))
-        validate_sync(wp)
+        assert wp.mode == "sync"
         oracle = table_oracle(c2_table, ("g",), bound=6)
         assert verify(wp, oracle, 6) == []
 
     def test_left_zero_against_table_oracle(self, left_zero_table):
         wp = cayley_wp_sync(left_zero_table, ("l", "r"))
-        validate_sync(wp)
+        assert wp.mode == "sync"
         oracle = table_oracle(left_zero_table, ("l", "r"), bound=6)
         assert verify(wp, oracle, 6) == []
 
@@ -220,7 +219,7 @@ def test_cayley_is_the_minimal_reference(table_gens, data):
         assert enumerate_accepted(wp, 4) == enumerate_accepted(reference, 4)
         moves = {(t.src, t.left, t.right) for t in wp.transitions}
         assert len(moves) == len(wp.transitions)
-        validate_sync(wp)
+        assert wp.mode == "sync"
         assert trim(wp) is wp
         assert moore_block_count(reference) == wp.n_states
         permuted = cayley_wp_sync(permuted_table(table, order), gens,
@@ -430,9 +429,9 @@ class TestZeroUnion:
 
         def mul(i, j):
             if i < z and j < z:
-                return s.mul(i, j)
+                return s.product[i][j]
             if i > z and j > z:
-                return z + 1 + t.mul(i - z - 1, j - z - 1)
+                return z + 1 + t.product[i - z - 1][j - z - 1]
             return z
 
         n = z + 1 + len(t)

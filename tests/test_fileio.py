@@ -348,7 +348,7 @@ class TestTbl:
         path.write_text(self.C2)
         table = load_tbl(path)
         assert table.elements == ("1", "g")
-        assert table.mul(1, 1) == 0
+        assert table.product[1][1] == 0
 
     def test_row_count_mismatch(self, tmp_path):
         path = tmp_path / "bad.tbl"

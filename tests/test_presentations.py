@@ -116,7 +116,7 @@ def test_closure_of_is_the_generated_subsemigroup(t3_table, indices):
     # reference: multiply every pair both ways until nothing new appears
     reached = set(indices)
     while True:
-        products = {t3_table.mul(i, j) for i in reached for j in reached}
+        products = {t3_table.product[i][j] for i in reached for j in reached}
         if products <= reached:
             break
         reached |= products

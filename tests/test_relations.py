@@ -8,7 +8,6 @@ from ratwp import (
     InputError,
     NfaTransition,
     OneTapeAutomaton,
-    accepts_one_tape,
     builtin,
     compose,
     cross_product,
@@ -17,7 +16,6 @@ from ratwp import (
     fix_tape,
     free_wp,
     intersect_rectangle,
-    relabel,
     substitution_relation,
     swap_tapes,
 )
@@ -100,7 +98,7 @@ class TestCrossProduct:
         l2 = word_automaton(AB, ("b",))
         r = cross_product(l1, l2)
         for v, u in all_pairs(AB, 3):
-            expected = accepts_one_tape(l1, v) and accepts_one_tape(l2, u)
+            expected = l1.accepts(v) and l2.accepts(u)
             assert r.accepts(v, u) == expected
 
     def test_a_star_times_b_star(self):
@@ -117,13 +115,13 @@ class TestCrossProduct:
 class TestFixTape:
     def test_equality_relation_slice(self):
         lang = fix_tape(builtin("fig1"), ("a", "b"), side="left")
-        assert accepts_one_tape(lang, ("a", "b"))
-        assert not accepts_one_tape(lang, ("a",))
+        assert lang.accepts(("a", "b"))
+        assert not lang.accepts(("a",))
 
     def test_fig3_class_of_b(self):
         # class of b in <a,b | aa=a, ba=b> is b a*
         lang = fix_tape(builtin("fig3"), ("b",), side="left")
-        hits = {v for v in AB.words(6) if accepts_one_tape(lang, v)}
+        hits = {v for v in AB.words(6) if lang.accepts(v)}
         assert hits == {("b",) + ("a",) * k for k in range(6)}
 
     def test_agrees_with_two_tape_acceptance(self):
@@ -131,13 +129,13 @@ class TestFixTape:
         for v in list(AB.words(3)):
             lang = fix_tape(r, v, side="left")
             for u in [()] + list(AB.words(3)):
-                assert accepts_one_tape(lang, u) == r.accepts(v, u)
+                assert lang.accepts(u) == r.accepts(v, u)
 
     def test_right_side(self):
         r = builtin("fig3")
         lang = fix_tape(r, ("b",), side="right")
-        assert accepts_one_tape(lang, ("b", "a", "a"))
-        assert not accepts_one_tape(lang, ("a",))
+        assert lang.accepts(("b", "a", "a"))
+        assert not lang.accepts(("a",))
 
     def test_bad_symbol(self):
         with pytest.raises(InputError):
@@ -162,25 +160,6 @@ class TestIntersectRectangle:
                                   sigma_star(AB))
         assert out.accepts(("a",), ("a",))
         assert not out.accepts(("b",), ("b",))
-
-
-class TestRelabel:
-    def test_identity_maps(self):
-        r = builtin("fig3")
-        out = relabel(r, {"a": "a", "b": "b"}, {"a": "a", "b": "b"})
-        for v, u in all_pairs(AB, 3):
-            assert out.accepts(v, u) == r.accepts(v, u)
-
-    def test_collapse_to_image(self):
-        r = builtin("fig1")
-        out = relabel(r, {"a": "c", "b": "c"}, {"a": "c", "b": "c"})
-        image = {(tuple("c" * len(v)), tuple("c" * len(u)))
-                 for v, u in enumerate_accepted(r, 3)}
-        assert enumerate_accepted(out, 3) == image
-
-    def test_partial_map_rejected(self):
-        with pytest.raises(InputError):
-            relabel(builtin("fig1"), {"a": "a"}, {"a": "a", "b": "b"})
 
 
 class TestSubstitution:
@@ -237,7 +216,7 @@ def test_fix_tape_is_the_slice(r, v, side):
     assert all_reachable(lang)
     for u in [()] + list(AB.words(3)):
         pair = (v, u) if side == "left" else (u, v)
-        assert accepts_one_tape(lang, u) == r.accepts(*pair)
+        assert lang.accepts(u) == r.accepts(*pair)
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,7 +238,7 @@ def test_intersect_rectangle_is_the_restriction(r, l, k):
     out = intersect_rectangle(r, l, k)
     assert all_reachable(out)
     expected = {(v, u) for v, u in enumerate_accepted(r, 3)
-                if accepts_one_tape(l, v) and accepts_one_tape(k, u)}
+                if l.accepts(v) and k.accepts(u)}
     assert enumerate_accepted(out, 3) == expected
 
 

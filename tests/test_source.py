@@ -7,11 +7,31 @@ import pytest
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "ratwp"
 
+# The names the package exports, in sorted order: a name joins or leaves
+# the public surface only by an edit here.
+PUBLIC_NAMES = (
+    "Alphabet", "EPSILON", "IdealData", "InputError",
+    "MultiplicationTable", "NfaTransition", "OneTapeAutomaton", "Oracle",
+    "PAD", "Presentation", "ProductGenerators", "PumpDecomposition",
+    "RelationSchema", "Report", "Transition", "TwoTapeAutomaton",
+    "add_generator", "adjoin_identity", "adjoin_zero", "as_word",
+    "build_oracle", "builtin", "builtin_presentation", "cayley_wp_sync",
+    "compose", "congruence_check", "cross_product", "cross_section",
+    "determinize", "dumps_fsa", "eliminate_silent_steps",
+    "enumerate_accepted", "equivalence_check", "export_dot", "fix_tape",
+    "free_product", "free_wp", "ideal_extension", "intersect_rectangle",
+    "load_fsa", "load_ideal", "load_sgp", "load_tbl", "loads_fsa",
+    "loads_sgp", "monoid_from_semigroup_wp", "product_with_finite",
+    "pump_check", "pump_decompose", "pump_refute", "pumping_constant",
+    "remove_generator", "save_fsa", "substitution_relation", "swap_tapes",
+    "sync_to_async", "table_oracle", "trim", "union",
+    "validate_cross_section", "verify", "zero_union",
+)
 
-def unused_imports(source):
-    """The names a module imports and never reads, `from __future__`
-    imports aside."""
-    tree = ast.parse(source)
+
+def imported_names(tree):
+    """The names a module's syntax tree imports, `from __future__` imports
+    aside."""
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -19,8 +39,15 @@ def unused_imports(source):
                             for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             imported.update(alias.asname or alias.name for alias in node.names)
+    return imported
+
+
+def unused_imports(source):
+    """The names a module imports and never reads, `from __future__`
+    imports aside."""
+    tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return sorted(imported - used)
+    return sorted(imported_names(tree) - used)
 
 
 def test_unused_imports_are_found():
@@ -35,6 +62,11 @@ def test_unused_imports_are_found():
     p.name for p in SOURCE.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_imports(path):
     assert unused_imports((SOURCE / path).read_text(encoding="utf-8")) == []
+
+
+def test_public_names_are_pinned():
+    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    assert tuple(sorted(imported_names(tree))) == PUBLIC_NAMES
 
 
 def _names_in(node, skip):
