@@ -4,8 +4,8 @@ semigroups, and combinations of smaller word-problem automata."""
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import product as iproduct
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 
 from .automata import (
     EPSILON,
@@ -17,6 +17,7 @@ from .automata import (
     TwoTapeAutomaton,
     _as_async,
     _explore,
+    _reachable,
     swap_tapes,
     trim,
     union,
@@ -269,9 +270,13 @@ def ideal_extension(wp, data):
     The union of the trimmed S automaton, read over B + I, with a pair of
     transformation trackers: they record the accumulated left action of
     the B-prefix on I, switch to a pair of ideal elements at the first
-    I-letter of each tape, and track right actions thereafter. Only
-    reachable tracker states are built, so they range over the
-    transformations generated by the left actions, not all k^k of them.
+    I-letter of each tape, and track right actions thereafter. Only the
+    tracker states that reach a final one are built, so they come out trim.
+    Each tape moves on its own, so an I-state (i, j) reaches one iff the
+    right orbits of i and j, under B and I, meet (bit masks over I). A
+    T-state (x, y) exits into exactly image(x) x image(y), and a T-move
+    only shrinks an image (an onto left action keeps it), so it reaches
+    one iff the orbits over image(x) meet those over image(y).
     """
     wp = _as_async(wp)
     _require_square(wp, "ideal_extension")
@@ -281,24 +286,45 @@ def ideal_extension(wp, data):
     pos = {e: i for i, e in enumerate(elements)}
     alphabet = Alphabet(wp.left.symbols + elements)
     identity = tuple(range(len(elements)))
-    l_of = {b: data.left_transformation(b) for b in data.base_symbols}
+    l_of = []  # each letter's left action, and whether it is onto
+    for b in data.base_symbols:
+        lb = data.left_transformation(b)
+        l_of.append((b, lb, len(set(lb)) == len(lb)))
+    # right[i]: the position an I-tape at element i moves to, per letter
+    right = [[pos[data.internal[e, a] if a in pos else data.right_action[e, a]]
+              for a in alphabet.symbols] for e in elements]
+    orbit = [sum(1 << j for j in _reachable((i,), right)) for i in identity]
+    masks = {}  # a tracker's orbit mask: the union over its image
+
+    def reach(x):
+        m = masks.get(x)
+        if m is None:
+            m = masks[x] = reduce(or_, map(orbit.__getitem__, x), 0)
+        return m
 
     # States: ("T", x, y) for the left actions x, y accumulated on the two
-    # tapes, ("I", x, y) for the positions of the ideal elements reached.
+    # tapes, ("I", i, j) for the positions of the ideal elements reached.
     def successors(state):
         kind, x, y = state
         if kind == "T":
-            for b in data.base_symbols:
-                lb = l_of[b]
-                yield (b, EPSILON), ("T", tuple(x[p] for p in lb), y)
-                yield (EPSILON, b), ("T", x, tuple(y[p] for p in lb))
-            for a, b in iproduct(elements, repeat=2):
-                yield (a, b), ("I", x[pos[a]], y[pos[b]])
+            for b, lb, onto in l_of:
+                xb = tuple(x[p] for p in lb)
+                if onto or reach(xb) & reach(y):
+                    yield (b, EPSILON), ("T", xb, y)
+                yb = tuple(y[p] for p in lb)
+                if onto or reach(x) & reach(yb):
+                    yield (EPSILON, b), ("T", x, yb)
+            for a, i in zip(elements, x):
+                for b, j in zip(elements, y):
+                    if orbit[i] & orbit[j]:
+                        yield (a, b), ("I", i, j)
         else:
-            for a in alphabet:
-                action = data.internal if a in pos else data.right_action
-                yield (a, EPSILON), ("I", pos[action[elements[x], a]], y)
-                yield (EPSILON, a), ("I", x, pos[action[elements[y], a]])
+            mx, my = orbit[x], orbit[y]
+            for a, i, j in zip(alphabet.symbols, right[x], right[y]):
+                if orbit[i] & my:
+                    yield (a, EPSILON), ("I", i, y)
+                if mx & orbit[j]:
+                    yield (EPSILON, a), ("I", x, j)
 
     def is_final(state):
         return state[0] == "I" and state[1] == state[2]

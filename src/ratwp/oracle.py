@@ -84,6 +84,10 @@ class Oracle:
     # class id by bijective shortlex word code (automata._pair_coding), for
     # the words up to bound + slack; None at 0, the empty word, if excluded
     class_by_code: tuple
+    # did the slack search settle? True when a growth step left the words
+    # up to the bound as they were (or for a table, which is exact), False
+    # when it stopped at DEFAULT_SLACK_SEARCH, None for a given slack
+    converged: bool | None = None
 
     @property
     def includes_empty(self):
@@ -236,15 +240,18 @@ def build_oracle(presentation, bound, slack=None, word_cap=DEFAULT_WORD_CAP):
             merged = _add_length(uf, pairs, k, max_len, first, end) or merged
         return merged
 
+    converged = None
     if slack is None:
         grow(0)
         for slack in range(1, DEFAULT_SLACK_SEARCH + 1):
-            if not grow(slack):
+            converged = not grow(slack)
+            if converged:
                 break
     else:
         grow(slack)
     return Oracle(alphabet, presentation.kind, bound, slack,
-                  (None,) * first + tuple(uf.ids(first, len(uf.parent))))
+                  (None,) * first + tuple(uf.ids(first, len(uf.parent))),
+                  converged)
 
 
 def table_oracle(table, gens, bound=8, kind="semigroup"):
@@ -269,7 +276,7 @@ def table_oracle(table, gens, bound=8, kind="semigroup"):
     for code in range(1, lim):
         prefix, d = divmod(code - 1, k)
         ids.append(product[ids[prefix]][values[d]] if prefix else values[d])
-    return Oracle(Alphabet(gens), kind, bound, 0, tuple(ids))
+    return Oracle(Alphabet(gens), kind, bound, 0, tuple(ids), True)
 
 
 def verify(aut, oracle, bound):

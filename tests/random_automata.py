@@ -27,6 +27,8 @@ from ratwp import (
     pump_decompose,
     pumping_constant,
     swap_tapes,
+    trim,
+    union,
 )
 from ratwp.automata import _as_async, _explore, _reachable
 from ratwp.oracle import DEFAULT_SLACK_SEARCH, DEFAULT_WORD_CAP
@@ -238,6 +240,57 @@ def left_zero_ideals(draw, max_elements=2):
     return IdealData(elements, AB.symbols, left,
                      {(u, b): u for u in elements for b in AB},
                      {(u, v): u for u in elements for v in elements})
+
+
+@st.composite
+def rectangular_band_ideals(draw, max_side=2):
+    """Ideal data over {a, b} for a rectangular band I = L x R, (l, r)
+    (l', r') = (l, r'), each base letter acting on L from the left and on R
+    from the right by random maps, which any maps keep compatible with the
+    products. The right orbit of (l, r) is {l} x R, so a pair of elements
+    is useful iff their first parts are equal, off the diagonal too."""
+    side = st.integers(1, max_side)
+    n_left, n_right = draw(side), draw(side)
+    cells = list(iproduct(range(n_left), range(n_right)))
+    name = {(l, r): f"e{l}{r}" for l, r in cells}
+
+    def random_map(n):
+        return draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+
+    left, right = {}, {}
+    for b in AB:
+        f, g = random_map(n_left), random_map(n_right)
+        left.update({(b, name[l, r]): name[f[l], r] for l, r in cells})
+        right.update({(name[l, r], b): name[l, g[r]] for l, r in cells})
+    return IdealData(tuple(name.values()), AB.symbols, left, right,
+                     {(name[c], name[d]): name[c[0], d[1]]
+                      for c in cells for d in cells})
+
+
+@st.composite
+def table_ideals(draw, max_elements=6):
+    """Ideal data over {a, b} for I the opposite of a random transformation
+    semigroup (x y applies y first), each base letter multiplying I by an
+    element of I^1 on the left and by one on the right, which associativity
+    keeps compatible with the products. Constant maps are left zeros of I,
+    so right orbits need not meet, and a useful pair of ideal elements can
+    move to a useless one."""
+    table, _ = draw(transformation_tables(max_points=3,
+                                          max_elements=max_elements))
+    els, n = table.elements, len(table)
+    one = st.integers(0, n)  # n is the identity of I^1
+
+    def times(s, t):
+        return t if s == n else s if t == n else table.product[t][s]
+
+    left, right = {}, {}
+    for b in AB:
+        s, t = draw(one), draw(one)
+        left.update({(b, els[i]): els[times(s, i)] for i in range(n)})
+        right.update({(els[i], b): els[times(i, t)] for i in range(n)})
+    return IdealData(els, AB.symbols, left, right,
+                     {(els[i], els[j]): els[times(i, j)]
+                      for i in range(n) for j in range(n)})
 
 
 def permuted_table(table, order):
@@ -473,49 +526,74 @@ def monoid_by_nested_unions(wp, identity_witness=None):
     return union_of_two(out, eps_pair)
 
 
-def ideal_extension_by_branch(wp, data):
-    """Reference for ideal_extension: one search from a start state that
-    branches silently into ("S", q), the reachable states of the S
-    automaton copied one by one, and into the trackers ("T", alpha, beta)
-    of the left actions on I, which switch to ("I", i, j) at the first
-    I-letter of each tape."""
-    wp = _as_async(wp)
+def all_trackers(data, alphabet):
+    """The start state and the successors of the trackers ("T", alpha,
+    beta) of the left actions on I, which switch to ("I", i, j) at the
+    first I-letter of each tape: every state reachable, useful or not."""
     elements = data.elements
     pos = {e: i for i, e in enumerate(elements)}
-    alphabet = Alphabet(wp.left.symbols + elements)
     identity = tuple(range(len(elements)))
     l_of = {b: data.left_transformation(b) for b in data.base_symbols}
 
     def successors(state):
-        kind = state[0]
-        if kind == "start":
-            yield (EPSILON, EPSILON), ("S", wp.initial)
-            yield (EPSILON, EPSILON), ("T", identity, identity)
-        elif kind == "S":
-            for t in wp.by_src.get(state[1], ()):
-                yield (t.left, t.right), ("S", t.dst)
-        elif kind == "T":
-            _, alpha, beta = state
+        kind, x, y = state
+        if kind == "T":
             for b in data.base_symbols:
                 lb = l_of[b]
-                yield (b, EPSILON), ("T", tuple(alpha[p] for p in lb), beta)
-                yield (EPSILON, b), ("T", alpha, tuple(beta[p] for p in lb))
+                yield (b, EPSILON), ("T", tuple(x[p] for p in lb), y)
+                yield (EPSILON, b), ("T", x, tuple(y[p] for p in lb))
             for a, b in iproduct(elements, repeat=2):
-                yield (a, b), ("I", alpha[pos[a]], beta[pos[b]])
+                yield (a, b), ("I", x[pos[a]], y[pos[b]])
         else:
-            _, i, j = state
             for a in alphabet:
                 action = data.internal if a in pos else data.right_action
-                yield (a, EPSILON), ("I", pos[action[elements[i], a]], j)
-                yield (EPSILON, a), ("I", i, pos[action[elements[j], a]])
+                yield (a, EPSILON), ("I", pos[action[elements[x], a]], y)
+                yield (EPSILON, a), ("I", x, pos[action[elements[y], a]])
+
+    return ("T", identity, identity), successors
+
+
+def _tracker_is_final(state):
+    return state[0] == "I" and state[1] == state[2]
+
+
+def ideal_extension_by_branch(wp, data):
+    """Reference for ideal_extension: one search from a start state that
+    branches silently into ("S", q), the reachable states of the S
+    automaton copied one by one, and into all_trackers."""
+    wp = _as_async(wp)
+    alphabet = Alphabet(wp.left.symbols + data.elements)
+    start, trackers = all_trackers(data, alphabet)
+
+    def successors(state):
+        if state[0] == "start":
+            yield (EPSILON, EPSILON), ("S", wp.initial)
+            yield (EPSILON, EPSILON), start
+        elif state[0] == "S":
+            for t in wp.by_src.get(state[1], ()):
+                yield (t.left, t.right), ("S", t.dst)
+        else:
+            yield from trackers(state)
 
     def is_final(state):
         if state[0] == "S":
             return state[1] in wp.finals
-        return state[0] == "I" and state[1] == state[2]
+        return _tracker_is_final(state)
 
     n, finals, trans = _explore(("start",), successors, is_final)
     return TwoTapeAutomaton(n, alphabet, alphabet, 0, finals, trans)
+
+
+def ideal_extension_all_trackers(wp, data):
+    """ideal_extension as the union of trim(WP_S) with all_trackers, useful
+    or not: trimming it gives ideal_extension's text whenever trim(WP_S)
+    has a final state."""
+    wp = _as_async(wp)
+    alphabet = Alphabet(wp.left.symbols + data.elements)
+    n, finals, trans = _explore(*all_trackers(data, alphabet),
+                                _tracker_is_final)
+    trackers = TwoTapeAutomaton(n, alphabet, alphabet, 0, finals, trans)
+    return union(trim(replace(wp, left=alphabet, right=alphabet)), trackers)
 
 
 def transitions_by_items(n_states, tapes, transitions, mode=None):
@@ -940,22 +1018,25 @@ def closure_oracle_by_words(presentation, bound, slack=None,
         ids = {}
         return {w: ids.setdefault(find(w), len(ids)) for w in words}
 
+    converged = None
     if slack is None:
         prev = None
         for slack in range(DEFAULT_SLACK_SEARCH + 1):
             classes = class_of(slack)
             head = [classes[w]
                     for w in alphabet.words(bound, min_len=min_len)]
-            if head == prev:
+            converged = head == prev
+            if converged:
                 break
             prev = head
     else:
         classes = class_of(slack)
     return oracle_from_words(alphabet, presentation.kind, bound, slack,
-                             classes)
+                             classes, converged)
 
 
-def oracle_from_words(alphabet, kind, bound, slack, class_of):
+def oracle_from_words(alphabet, kind, bound, slack, class_of,
+                      converged=None):
     """The Oracle of class_of, a dict from each word up to bound + slack
     (the empty word too for kind "monoid") to its class id: its class
     table lists the ids in shortlex order of the words, after None for the
@@ -963,4 +1044,5 @@ def oracle_from_words(alphabet, kind, bound, slack, class_of):
     min_len = 0 if kind == "monoid" else 1
     words = alphabet.words(bound + slack, min_len=min_len)
     return Oracle(alphabet, kind, bound, slack,
-                  (None,) * min_len + tuple(class_of[w] for w in words))
+                  (None,) * min_len + tuple(class_of[w] for w in words),
+                  converged)

@@ -25,6 +25,7 @@ from ratwp import (
     free_wp,
     ideal_extension,
     intersect_rectangle,
+    load_ideal,
     monoid_from_semigroup_wp,
     product_with_finite,
     remove_generator,
@@ -39,6 +40,7 @@ from ratwp.constructions import _kernel_blocks
 from random_automata import (
     all_reachable,
     cayley_by_pairs,
+    ideal_extension_all_trackers,
     ideal_extension_by_branch,
     left_zero_ideals,
     monoid_by_nested_unions,
@@ -47,6 +49,8 @@ from random_automata import (
     oracle_from_words,
     permuted_table,
     product_by_folds,
+    rectangular_band_ideals,
+    table_ideals,
     transformation_tables,
     two_tape_automata,
     zero_union_by_flags,
@@ -299,6 +303,32 @@ class TestAdjoin:
         assert wp.accepts(("e",), ("e", "e"))
         assert wp.accepts(("e", "a"), ("a", "e"))
 
+    # adjoin_zero's text: with one ideal element every pair of trackers is
+    # useful, so none is left out. fig3's in full, fig2's and C2's Cayley
+    # automaton's by the sha256 of their text
+    FIG3_ZERO = ("type: async\nleft: a b z\nright: a b z\nstates: 5\n"
+                 "initial: 0\nfinal: 2 4\ntrans: 0 - - 1\ntrans: 0 - - 3\n"
+                 "trans: 1 a a 2\ntrans: 1 b b 2\ntrans: 2 b b 2\n"
+                 "trans: 2 a - 2\ntrans: 2 - a 2\ntrans: 3 a - 3\n"
+                 "trans: 3 - a 3\ntrans: 3 b - 3\ntrans: 3 - b 3\n"
+                 "trans: 3 z z 4\ntrans: 4 a - 4\ntrans: 4 - a 4\n"
+                 "trans: 4 b - 4\ntrans: 4 - b 4\ntrans: 4 z - 4\n"
+                 "trans: 4 - z 4\n")
+    ZERO_SHA256 = {
+        "fig2":
+            "03f3e96ac4b6005569081e07f20332166bed4f8a535ced76699141d77ba48972",
+        "c2":
+            "6ef963ca7ccc585af6cfa0c5ed994a8397dce846efa65e7ce42fe1dc5f241b66",
+    }
+
+    def test_adjoin_zero_text(self, c2_table):
+        assert dumps_fsa(adjoin_zero(builtin("fig3"), "z")) == self.FIG3_ZERO
+        for name, wp in (("fig2", builtin("fig2")),
+                         ("c2", cayley_wp_sync(c2_table, ("g",)))):
+            text = dumps_fsa(adjoin_zero(wp, "z"))
+            assert (hashlib.sha256(text.encode()).hexdigest()
+                    == self.ZERO_SHA256[name])
+
     def test_adjoin_zero(self):
         wp = adjoin_zero(builtin("fig3"), "z")
         oracle = build_oracle(fig3_semigroup_presentation(
@@ -371,6 +401,34 @@ class TestIdealExtension:
         # the S part is trim(WP_S), the reference copies S's reachable part
         assert got.n_states <= ref.n_states
         assert len(got.transitions) <= len(ref.transitions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_tape_automata(),
+           st.one_of(left_zero_ideals(max_elements=3), rectangular_band_ideals(),
+                     table_ideals()))
+    def test_is_the_trimmed_reference(self, wp, data):
+        got = ideal_extension(wp, data)
+        ref = trim(ideal_extension_all_trackers(wp, data))
+        if trim(wp).finals:
+            assert dumps_fsa(got) == dumps_fsa(ref)
+        else:  # trim(WP_S) is one state that reaches no final one
+            assert dumps_fsa(trim(got)) == dumps_fsa(ref)
+
+    @pytest.mark.parametrize("k, size", [(3, (15, 100)), (8, (75, 935))])
+    def test_left_zero_ideal_over_fig3_is_trim(self, tmp_path, k, size):
+        # a acts on I from the left as the identity, b as the shift u_i ->
+        # u_(i+1 mod k); u x = u for every letter x: only (u, u) is useful
+        els = [f"u{i}" for i in range(k)]
+        lines = ["[ideal]", "elements: " + " ".join(els), "base: a b",
+                 "left: a " + " ".join(els),
+                 "left: b " + " ".join(els[1:] + els[:1]),
+                 "right: a " + " ".join(els), "right: b " + " ".join(els)]
+        lines += [f"prod: {u} " + " ".join([u] * k) for u in els]
+        path = tmp_path / "ideal.tbl"
+        path.write_text("\n".join(lines) + "\n")
+        wp = ideal_extension(builtin("fig3"), load_ideal(path))
+        assert (wp.n_states, len(wp.transitions)) == size
+        assert trim(wp) is wp
 
 
 class TestFreeProduct:

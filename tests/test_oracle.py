@@ -160,7 +160,7 @@ class TestOracleQueries:
         # read-only view derived from it
         oracle = build_oracle(builtin_presentation("fig3"), 2, slack=0)
         assert [f.name for f in fields(oracle)] == [
-            "alphabet", "kind", "bound", "slack", "class_by_code"]
+            "alphabet", "kind", "bound", "slack", "class_by_code", "converged"]
         assert oracle.class_by_code == (None, 0, 1, 0, 2, 1, 3)
         assert oracle.class_of[("b", "a")] == 1
         with pytest.raises(TypeError):
@@ -172,6 +172,7 @@ class TestTableOracle:
         oracle = table_oracle(c2_table, ("g",), bound=6)
         assert oracle.equal(("g", "g"), ("g",) * 4)
         assert not oracle.equal(("g",), ("g", "g"))
+        assert oracle.converged is True  # a table's classes are exact
 
     def test_non_generating_set(self, c2_table):
         with pytest.raises(InputError):
@@ -531,13 +532,14 @@ def test_class_ids_are_shortlex_ranks_of_least_members(presentation, bound,
 
 
 def built_or_error(build, presentation, bound, slack, word_cap):
-    """(slack, class_of, class_by_code) of the oracle, or the message of
-    the InputError raised instead."""
+    """(slack, converged, class_of, class_by_code) of the oracle, or the
+    message of the InputError raised instead."""
     try:
         oracle = build(presentation, bound, slack=slack, word_cap=word_cap)
     except InputError as exc:
         return str(exc)
-    return oracle.slack, oracle.class_of, oracle.class_by_code
+    return (oracle.slack, oracle.converged, oracle.class_of,
+            oracle.class_by_code)
 
 
 def assert_closure_agrees(presentation, bound, slack=None,
@@ -631,7 +633,10 @@ def test_slack_search_runs_to_its_last_slack():
     letters = [build_oracle(SLACK_4, 1, slack=s).class_by_code[:6]
                for s in range(5)]
     assert all(x != y for x, y in zip(letters, letters[1:]))
-    assert build_oracle(SLACK_4, 1).slack == 4
+    oracle = build_oracle(SLACK_4, 1)
+    assert (oracle.slack, oracle.converged) == (4, False)
+    assert build_oracle(SLACK_4, 1, slack=4).converged is None
+    assert build_oracle(builtin_presentation("fig3"), 2).converged is True
     for slack in (None, 0, 1, 2, 3, 4):
         assert_closure_agrees(SLACK_4, 1, slack)
 
