@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 from .automata import (
     EPSILON,
-    PAD,
     InputError,
     OneTapeAutomaton,
     NfaTransition,
@@ -264,10 +263,10 @@ def congruence_check(aut, bound, kind="semigroup"):
 
 
 def _eps_right_cycle_edges(aut):
-    """Transitions lying on a cycle whose right labels all read nothing,
-    epsilon or a pad: such an edge u -> v is on one iff u is reachable
-    from v along such edges."""
-    eps_edges = [t for t in aut.transitions if t.right in (EPSILON, PAD)]
+    """Transitions lying on a cycle whose right labels are all epsilon (a
+    pad, in a sync automaton): such an edge u -> v is on one iff u is
+    reachable from v along such edges."""
+    eps_edges = [t for t in aut.transitions if t.right is EPSILON]
     adj = [[] for _ in range(aut.n_states)]
     for t in eps_edges:
         adj[t.src].append(t.dst)
@@ -278,14 +277,11 @@ def _eps_right_cycle_edges(aut):
 def cross_section(aut):
     """Candidate regular cross-section: delete every transition on a cycle
     with only-epsilon right labels, then project to the left tape. A sync
-    automaton is read as it is, a pad reading nothing as epsilon does."""
+    automaton is read as it is: its pads are epsilon."""
     form = _pump_form(aut)
     removed = _eps_right_cycle_edges(form)
-    trans = tuple(
-        NfaTransition(t.src, EPSILON if t.left == PAD else t.left, t.dst)
-        for t in form.transitions
-        if t not in removed
-    )
+    trans = tuple(NfaTransition(t.src, t.left, t.dst)
+                  for t in form.transitions if t not in removed)
     return OneTapeAutomaton(
         n_states=form.n_states,
         alphabet=form.left,
@@ -330,12 +326,8 @@ def validate_cross_section(d, oracle, bound):
     return Report("validate_cross_section", verdict, tuple(witnesses))
 
 
-def _label_str(lab):
-    if lab is EPSILON:
-        return "ε"
-    if lab == PAD:
-        return "□"
-    return lab
+def _label_str(lab, empty):
+    return empty if lab is EPSILON else lab
 
 
 def export_dot(aut):
@@ -347,12 +339,15 @@ def export_dot(aut):
         shape = "doublecircle" if q in aut.finals else "circle"
         lines.append(f"  {q} [label=\"q{q}\", shape={shape}];")
     lines.append(f"  __init -> {aut.initial};")
+    # epsilon is drawn as ε, or as □ in a sync automaton, where it is a pad
+    empty = "□" if getattr(aut, "mode", None) == "sync" else "ε"
     edges = {}
     for t in aut.transitions:
         if isinstance(t, NfaTransition):
-            lab = _label_str(t.label)
+            lab = _label_str(t.label, empty)
         else:
-            lab = f"({_label_str(t.left)},{_label_str(t.right)})"
+            lab = (f"({_label_str(t.left, empty)},"
+                   f"{_label_str(t.right, empty)})")
         edges.setdefault((t.src, t.dst), [])
         if lab not in edges[(t.src, t.dst)]:
             edges[(t.src, t.dst)].append(lab)

@@ -1,10 +1,12 @@
 """Core value types for one- and two-tape finite state automata.
 
-Two-tape automata come in two flavours sharing one carrier type: ``async``
-automata read at most one symbol per tape per step (epsilon labels allowed),
-``sync`` automata read exactly one symbol per tape per step, with a reserved
-padding token standing in for the exhausted shorter tape; a sync automaton
-is checked for the padding discipline when it is built.
+Two-tape automata come in two flavours sharing one carrier type and one
+label set: every step reads at most one symbol per tape, epsilon reading
+nothing. ``async`` automata may use epsilon anywhere. ``sync`` automata
+obey the padding discipline, checked when one is built: no step reads
+nothing on both tapes, and once a step reads nothing on a tape (a pad,
+written '#' in .fsa files), every later step does too. A sync automaton is
+thus an async one as it stands, and every operation reads it as it is.
 
 All values are immutable after construction; every operation is a pure
 function of its inputs.
@@ -19,7 +21,7 @@ from typing import NamedTuple, Optional
 
 EPSILON = None          # tape label meaning "read nothing"
 EPSILON_TOKEN = "-"     # how epsilon is written in .fsa files
-PAD = "#"               # padding token used by sync automata
+PAD = "#"               # how a sync automaton's epsilon (a pad) is written
 
 Label = Optional[str]
 Word = tuple  # tuple of symbol tokens
@@ -105,8 +107,6 @@ def _check_label(lab, allowed):
             return
     except TypeError:  # an unhashable label
         pass
-    if lab is EPSILON:
-        raise InputError("sync automaton may not have epsilon labels")
     raise InputError(f"unknown symbol {lab!r}")
 
 
@@ -176,10 +176,8 @@ class TwoTapeAutomaton:
         object.__setattr__(self, "finals", frozenset(self.finals))
         if self.mode not in ("async", "sync"):
             raise InputError(f"unknown mode {self.mode!r}")
-        # a tape's labels: its symbols, and epsilon (async) or pad (sync)
-        extra = EPSILON if self.mode == "async" else PAD
         object.__setattr__(self, "transitions", _checked_transitions(
-            self, Transition, ({extra, *self.left}, {extra, *self.right})))
+            self, Transition, ({EPSILON, *self.left}, {EPSILON, *self.right})))
         if self.mode == "sync":
             _check_padding(self)
 
@@ -201,8 +199,8 @@ class TwoTapeAutomaton:
     def _code_steps(self):
         """The per-state step table of _pair_coding and _read_steps, for
         a form of _search_form: it does not depend on the bound. A step is
-        (left digit, right digit, target); epsilon and a pad read nothing,
-        digit 0."""
+        (left digit, right digit, target); epsilon reads nothing, digit
+        0."""
         digit_left, digit_right = self.left._digits, self.right._digits
         steps = [[] for _ in range(self.n_states)]
         for t in self.transitions:
@@ -547,24 +545,23 @@ def union(first, *rest):
 
     A fresh initial state 0 has a silent branch into each part; the parts'
     states follow it in order, each part's shifted past those before. The
-    branches come first among the transitions, then each part's own. Sync
-    automata are viewed as async.
+    branches come first among the transitions, then each part's own. The
+    result is async, whatever the parts' modes.
     """
-    parts = [_as_async(p) for p in (first, *rest)]
-    tapes = _tapes(parts[0])
-    if any(_tapes(p) != tapes for p in parts[1:]):
+    tapes = _tapes(first)
+    if any(_tapes(p) != tapes for p in rest):
         raise InputError("union requires identical alphabets on every tape")
     silent = (EPSILON,) * len(tapes)
     branches, trans, finals, off = [], [], set(), 1
-    for aut in parts:
+    for aut in (first, *rest):
         branches.append((0, *silent, aut.initial + off))
         trans += ((t[0] + off, *t[1:-1], t[-1] + off)
                   for t in aut.transitions)
         finals.update(f + off for f in aut.finals)
         off += aut.n_states
-    return replace(parts[0], n_states=off, initial=0,
-                   finals=frozenset(finals),
-                   transitions=tuple(branches + trans))
+    # built anew, so a sync part's mode is not kept (the default is async)
+    return type(first)(off, *tapes, 0, frozenset(finals),
+                       tuple(branches + trans))
 
 
 def _tapes(aut):
@@ -720,8 +717,8 @@ def _pair_coding(aut, len_bound):
     Returns (form, lim_right, steps, decode): form is _search_form(aut),
     lim_right the code limit of the right tape, steps[q] the transitions
     out of q as (left digit, right digit, target) (reading s multiplies
-    the tape's code by k and adds its digit index(s) + 1; epsilon and a
-    pad read nothing, digit 0), in transition order and kept on the form
+    the tape's code by k and adds its digit index(s) + 1; epsilon reads
+    nothing, digit 0), in transition order and kept on the form
     (_code_steps), and decode(code) the pair of a pair code.
     """
     if len_bound < 0:
@@ -791,8 +788,9 @@ def _word_decoder(alphabet):
 def _check_padding(aut):
     """The check every sync automaton passes when it is built: raise
     InputError at the first break of the padding discipline. Along any
-    path from the initial state, once a pad is read on a tape, only pads
-    may follow on that tape; pads on both tapes at once are never allowed.
+    path from the initial state, once a pad (epsilon) is read on a tape,
+    only pads may follow on that tape; pads on both tapes at once are never
+    allowed.
 
     Decided in bulk on state sets: if no state that a transition enters
     by a pad on a tape leaves by a symbol on that tape, every state reached
@@ -800,11 +798,12 @@ def _check_padding(aut):
     the (state, left padded, right padded) search names the first break,
     or passes if no break lies on a path from the initial state."""
     trans = aut.transitions
-    if any(t.left == PAD and t.right == PAD for t in trans):
+    if any(t.left is EPSILON and t.right is EPSILON for t in trans):
         raise InputError("transition padded on both tapes")
     for tape in (1, 2):  # the label fields of a Transition
-        entered = {t.dst for t in trans if t[tape] == PAD}
-        if not entered.isdisjoint([t.src for t in trans if t[tape] != PAD]):
+        entered = {t.dst for t in trans if t[tape] is EPSILON}
+        if not entered.isdisjoint(
+                [t.src for t in trans if t[tape] is not EPSILON]):
             _first_padding_fault(aut)
             return
 
@@ -818,32 +817,24 @@ def _first_padding_fault(aut):
     while stack:
         q, lpad, rpad = stack.pop()
         for t in by_src.get(q, ()):
-            if lpad and t.left != PAD:
+            if lpad and t.left is not EPSILON:
                 raise InputError(
                     f"non-pad left label after padding at state {t.src}"
                 )
-            if rpad and t.right != PAD:
+            if rpad and t.right is not EPSILON:
                 raise InputError(
                     f"non-pad right label after padding at state {t.src}"
                 )
-            node = (t.dst, lpad or t.left == PAD, rpad or t.right == PAD)
+            node = (t.dst, lpad or t.left is EPSILON,
+                    rpad or t.right is EPSILON)
             if node not in seen:
                 seen.add(node)
                 stack.append(node)
 
 
 def sync_to_async(aut):
-    """View a sync automaton as an async one: pad labels become epsilon."""
+    """A sync automaton as an async one: the same transitions, its pads
+    already epsilon, with only the mode changed."""
     if aut.mode != "sync":
         raise InputError("not a sync automaton")
-    trans = tuple(
-        (src, EPSILON if left == PAD else left,
-         EPSILON if right == PAD else right, dst)
-        for src, left, right, dst in aut.transitions)
-    return replace(aut, transitions=trans, mode="async")
-
-
-def _as_async(aut):
-    """A sync automaton viewed as async, for the operations that build an
-    async automaton from it; any other automaton unchanged."""
-    return sync_to_async(aut) if getattr(aut, "mode", None) == "sync" else aut
+    return replace(aut, mode="async")

@@ -9,13 +9,11 @@ from operator import itemgetter, or_
 
 from .automata import (
     EPSILON,
-    PAD,
     Alphabet,
     InputError,
     OneTapeAutomaton,
     Transition,
     TwoTapeAutomaton,
-    _as_async,
     _explore,
     _reachable,
     swap_tapes,
@@ -112,12 +110,12 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
     """Minimal synchronous word-problem automaton of a finite semigroup.
 
     A neutral state is a pair (s, t) of S^1 that moves by (x, y) to
-    (s x, t y), by (x, #) to the right-padding state (s x, t) and by
-    (#, y) to the left-padding state (s, t y); a padding state moves on
-    its own tape only. The labels are ordered the k^2 pairs (x, y), then
-    (x, #), then (#, y). A state accepts when s = t != 1. The initial
-    state is the neutral (1, 1), whose kernel is the diagonal of S, or
-    for a monoid the neutral (e, e), e being the identity.
+    (s x, t y), by the pad (x, ε) to the right-padding state (s x, t)
+    and by (ε, y) to the left-padding state (s, t y); a padding state
+    moves on its own tape only. The labels are ordered the k^2 pairs
+    (x, y), then (x, ε), then (ε, y). A state accepts when s = t != 1.
+    The initial state is the neutral (1, 1), whose kernel is the diagonal
+    of S, or for a monoid the neutral (e, e), e being the identity.
 
     The states are merged by _kernel_blocks, with no transition built: a
     neutral state (s, t) accepts the word pairs whose values lie in
@@ -138,7 +136,7 @@ def cayley_wp_sync(table, gens, kind="semigroup"):
     block, rep, memo = _kernel_blocks(table.product, range(n))
     neutral, right_pad, left_pad = memo[None], memo["a"], memo["b"]
     pairs = [[(x, y) for y in gens] for x in gens]  # pairs[i]: x = gens[i]
-    right, left = [(x, PAD) for x in gens], [(PAD, y) for y in gens]
+    right, left = [(x, EPSILON) for x in gens], [(EPSILON, y) for y in gens]
 
     def successors(b):
         s, t, part = rep[b]
@@ -199,7 +197,6 @@ def add_generator(wp, b, rep):
     Realized as substitution composed with the word problem composed with
     the reversed substitution.
     """
-    wp = _as_async(wp)
     _require_square(wp, "add_generator")
     subst = substitution_relation(wp.left, b, rep)
     return compose(subst, compose(wp, swap_tapes(subst)))
@@ -208,13 +205,13 @@ def add_generator(wp, b, rep):
 def remove_generator(wp, c):
     """Restrict to the subsemigroup generated without c: delete every
     transition whose either label is c and shrink the alphabets."""
-    wp = _as_async(wp)
     if c not in wp.left and c not in wp.right:
         raise InputError(f"symbol {c!r} not in the alphabets")
     new_left = Alphabet(tuple(s for s in wp.left if s != c))
     new_right = Alphabet(tuple(s for s in wp.right if s != c))
     trans = tuple(t for t in wp.transitions if t.left != c and t.right != c)
-    return replace(wp, left=new_left, right=new_right, transitions=trans)
+    return replace(wp, left=new_left, right=new_right, transitions=trans,
+                   mode="async")
 
 
 def adjoin_identity(wp, one):
@@ -223,7 +220,6 @@ def adjoin_identity(wp, one):
     Silent-identity loops are added at every state; a fresh final initial
     state handles pairs whose words consist of the identity symbol only.
     """
-    wp = _as_async(wp)
     _require_square(wp, "adjoin_identity")
     if one in wp.left:
         raise InputError(f"symbol {one!r} already in the alphabet")
@@ -248,7 +244,6 @@ def adjoin_identity(wp, one):
 def adjoin_zero(wp, zero):
     """Word problem of S^0: the one-element special case of the finite
     ideal extension."""
-    wp = _as_async(wp)
     _require_square(wp, "adjoin_zero")
     if zero in wp.left:
         raise InputError(f"symbol {zero!r} already in the alphabet")
@@ -278,7 +273,6 @@ def ideal_extension(wp, data):
     only shrinks an image (an onto left action keeps it), so it reaches
     one iff the orbits over image(x) meet those over image(y).
     """
-    wp = _as_async(wp)
     _require_square(wp, "ideal_extension")
     if tuple(data.base_symbols) != wp.left.symbols:
         raise InputError("ideal data is over a different base alphabet")
@@ -349,7 +343,6 @@ def product_with_finite(table, wp_t, gens):
     moves left to make it so: the result is trimmed (an already-trim
     product comes back as it is).
     """
-    wp_t = _as_async(wp_t)
     _require_square(wp_t, "product_with_finite")
     xs = [table.index(e) for e in gens.pi_s().values()]
     pi_t = gens.pi_t()
@@ -396,7 +389,6 @@ def free_product(wp_s, wp_t):
     """Word problem of the semigroup free product: a fresh non-final
     initial state with silent edges into both automata and silent edges
     from their finals back."""
-    wp_s, wp_t = _as_async(wp_s), _as_async(wp_t)
     _require_square(wp_s, "free_product")
     _require_square(wp_t, "free_product")
     if set(wp_s.left) & set(wp_t.left):
@@ -415,7 +407,6 @@ def zero_union(wp_s, wp_t, zero):
     of zero: zero-words of S, zero-words of T, and all mixed words (any
     product across the factors is zero).
     """
-    wp_s, wp_t = _as_async(wp_s), _as_async(wp_t)
     _require_square(wp_s, "zero_union")
     _require_square(wp_t, "zero_union")
     a_syms, b_syms = set(wp_s.left), set(wp_t.left)
@@ -447,7 +438,6 @@ def monoid_from_semigroup_wp(wp, identity_witness=None):
     picture, equating it with the class E of the identity witness (empty
     if there is none). The union of the semigroup one, E x {()},
     {()} x E and the empty pair."""
-    wp = _as_async(wp)
     _require_square(wp, "monoid_from_semigroup_wp")
     alphabet = wp.left
     eps_lang = OneTapeAutomaton(1, alphabet, 0, frozenset({0}), ())

@@ -2,7 +2,7 @@
 
 The .fsa format is one directive per line; '#'-comments are stripped before
 tokenizing everywhere except inside the label fields of a trans line, where
-'#' is the padding token of sync automata.
+'#' is the pad, the token for epsilon in sync automata ('-' in the others).
 """
 
 from __future__ import annotations
@@ -71,13 +71,11 @@ def _no_other(single):
         raise InputError(f"unknown directive {sorted(single)[0]!r}")
 
 
-def _label_table(alphabet, allow_pad):
-    """Token -> label on one tape: its symbols, '-' for epsilon and, when
-    allowed, '#' for the pad."""
+def _label_table(alphabet, sync):
+    """Token -> label on one tape: its symbols, and for epsilon '#' (the
+    pad) in a sync automaton, '-' otherwise."""
     table = {s: s for s in alphabet}
-    table[EPSILON_TOKEN] = EPSILON
-    if allow_pad:
-        table[PAD] = PAD
+    table[PAD if sync else EPSILON_TOKEN] = EPSILON
     return table
 
 
@@ -88,6 +86,9 @@ def _parse_label(token, table):
         if token == PAD:
             raise InputError(
                 "pad token '#' only allowed in sync automata") from None
+        if token == EPSILON_TOKEN:
+            raise InputError(
+                "sync automaton may not have epsilon labels") from None
         raise InputError(f"unknown symbol {token!r}") from None
 
 
@@ -123,7 +124,7 @@ def loads_fsa(text):
     _no_other(single)
 
     labels = [_label_table(tape, kind == "sync") for tape in tapes]
-    trans = _read_trans(trans_lines, kind, labels, n_states)
+    trans = _read_trans(trans_lines, labels, n_states)
     if kind == "nfa":
         return OneTapeAutomaton(n_states, *tapes, initial, finals, trans)
     return TwoTapeAutomaton(n_states, *tapes, initial, finals, trans,
@@ -153,16 +154,14 @@ def _fsa_sections(text):
     return header, trans_lines + list(map(str.strip, fields))
 
 
-def _read_trans(lines, kind, labels, n_states):
+def _read_trans(lines, labels, n_states):
     """The fields of the trans lines. Canonical lines, their fields split
     by single spaces, are split in one pass and read a column at a time,
     each token looked up in its column's table; if any line does not fit,
     every line goes through _parse_trans for its fields or its error
     message."""
     states = {str(q): q for q in range(n_states)}
-    columns = [states, *({tok: lab for tok, lab in table.items()
-                          if kind != "sync" or lab is not EPSILON}
-                         for table in labels), states]
+    columns = [states, *labels, states]
     width = len(columns)
     # with width - 1 spaces on every line, line i has tokens i*width onwards
     if set(map(str.count, lines, repeat(" "))) <= {width - 1}:
@@ -172,10 +171,10 @@ def _read_trans(lines, kind, labels, n_states):
                               for k, table in enumerate(columns))))
         except KeyError:  # a token outside its column's table
             pass
-    return [_parse_trans(rest, kind, labels, n_states) for rest in lines]
+    return [_parse_trans(rest, labels, n_states) for rest in lines]
 
 
-def _parse_trans(rest, kind, labels, n_states):
+def _parse_trans(rest, labels, n_states):
     """The fields of the trans line `rest`, or the InputError that says
     what is wrong with it."""
     tokens = rest.split()
@@ -186,27 +185,30 @@ def _parse_trans(rest, kind, labels, n_states):
         raise InputError(f"trailing junk in trans line: {rest!r}")
     src = _parse_state(tokens[0], n_states)
     dst = _parse_state(tokens[n_fields - 1], n_states)
-    labs = [_parse_label(tok, table) for tok, table in zip(tokens[1:], labels)]
-    if kind == "sync" and EPSILON in labs:
-        raise InputError("sync automaton may not have epsilon labels")
-    return (src, *labs, dst)
+    fields = list(zip(tokens[1:], labels))
+    for tok, table in fields:  # unknown symbols are named before a sync '-'
+        if tok != EPSILON_TOKEN:
+            _parse_label(tok, table)
+    return (src, *(_parse_label(tok, table) for tok, table in fields), dst)
 
 
 def dumps_fsa(aut):
     """Canonical .fsa text; loads_fsa(dumps_fsa(a)) reproduces a and
     dumps_fsa(loads_fsa(text)) is byte-identical for canonical text."""
-    def tokens(tape):  # label -> token: the reader's table turned round
-        return {lab: tok for tok, lab in _label_table(tape, True).items()}
+    def tokens(tape, sync):
+        """Label -> token: the reader's table turned round."""
+        return {lab: tok for tok, lab in _label_table(tape, sync).items()}
 
     if isinstance(aut, OneTapeAutomaton):
         lines = ["type: nfa", "alphabet: " + " ".join(aut.alphabet.symbols)]
-        token = tokens(aut.alphabet)
+        token = tokens(aut.alphabet, False)
         trans = [f"trans: {src} {token[lab]} {dst}"
                  for src, lab, dst in aut.transitions]
     else:
         lines = [f"type: {aut.mode}", "left: " + " ".join(aut.left.symbols),
                  "right: " + " ".join(aut.right.symbols)]
-        token_l, token_r = tokens(aut.left), tokens(aut.right)
+        sync = aut.mode == "sync"
+        token_l, token_r = tokens(aut.left, sync), tokens(aut.right, sync)
         trans = [f"trans: {src} {token_l[lab_l]} {token_r[lab_r]} {dst}"
                  for src, lab_l, lab_r, dst in aut.transitions]
     lines += [f"states: {aut.n_states}", f"initial: {aut.initial}",

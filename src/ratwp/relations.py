@@ -8,7 +8,6 @@ from .automata import (
     InputError,
     OneTapeAutomaton,
     TwoTapeAutomaton,
-    _as_async,
     _explore,
     determinize,
     swap_tapes,
@@ -24,7 +23,6 @@ def compose(r, s):
     epsilon from the middle tape fires alone, and transitions agreeing on a
     middle symbol fire jointly.
     """
-    r, s = _as_async(r), _as_async(s)
     if r.right != s.left:
         raise InputError("compose: r's right alphabet must equal s's left alphabet")
     r_by, s_by = r.by_src, s.by_src
@@ -78,7 +76,6 @@ def fix_tape(r, v, side="left"):
     { w | (w, v) in r }: the free tape of r intersected with the rectangle
     {v} x A*.
     """
-    r = _as_async(r)
     if side not in ("left", "right"):
         raise InputError(f"side must be 'left' or 'right', not {side!r}")
     if side == "right":
@@ -102,7 +99,6 @@ def intersect_rectangle(r, l, k):
     L and K are determinized first so the tracking components stay
     silent-free; only the reachable product states are built.
     """
-    r = _as_async(r)
     if l.alphabet != r.left:
         raise InputError("L must be over the relation's left alphabet")
     if k.alphabet != r.right:

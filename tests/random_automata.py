@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ratwp import (
     EPSILON,
-    PAD,
     Alphabet,
     IdealData,
     InputError,
@@ -27,11 +26,18 @@ from ratwp import (
     pump_decompose,
     pumping_constant,
     swap_tapes,
+    sync_to_async,
     trim,
     union,
 )
-from ratwp.automata import _as_async, _explore, _reachable
+from ratwp.automata import _explore, _reachable
 from ratwp.oracle import DEFAULT_SLACK_SEARCH, DEFAULT_WORD_CAP
+
+def as_async(aut):
+    """A sync automaton as async (sync_to_async), any other automaton as
+    it is: the references convert their inputs first."""
+    return sync_to_async(aut) if getattr(aut, "mode", None) == "sync" else aut
+
 
 AB = Alphabet(("a", "b"))
 LABELS = st.sampled_from(("a", "b", EPSILON))
@@ -87,7 +93,8 @@ def presentations(draw, max_relations=3, max_len=3):
 def sync_automata(draw, max_states=4, max_transitions=8):
     """Sync automata that keep the padding discipline: each state is
     unpadded, left-padded or right-padded, transitions into a padded state
-    read a pad on that tape, and no transition leaves a padded region."""
+    read a pad (epsilon) on that tape, and no transition leaves a padded
+    region."""
     n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
     region = draw(st.lists(st.sampled_from("NLR"), min_size=n, max_size=n))
@@ -99,9 +106,9 @@ def sync_automata(draw, max_states=4, max_transitions=8):
         if region[src] != "N" and region[dst] != region[src]:
             continue
         if region[dst] == "L":
-            x = PAD
+            x = EPSILON
         elif region[dst] == "R":
-            y = PAD
+            y = EPSILON
         trans.append((src, x, y, dst))
     return TwoTapeAutomaton(n, AB, AB, draw(state), draw(st.frozensets(state)),
                             tuple(trans), mode="sync")
@@ -110,13 +117,13 @@ def sync_automata(draw, max_states=4, max_transitions=8):
 @st.composite
 def any_sync_automata(draw, max_states=4, max_transitions=8):
     """The fields (n_states, initial, finals, transitions) of sync
-    automata over {a, b} with any labels from {a, b, #} on either tape:
+    automata over {a, b} with any labels from {a, b, ε} on either tape:
     most break the padding discipline somewhere, some off every path from
     the initial state, so most are fields no sync automaton is built
     from."""
     n = draw(st.integers(1, max_states))
     state = st.integers(0, n - 1)
-    label = st.sampled_from(("a", "b", PAD))
+    label = st.sampled_from(("a", "b", EPSILON))
     trans = draw(st.lists(st.tuples(state, label, label, state),
                           max_size=max_transitions))
     return n, draw(state), draw(st.frozensets(state)), tuple(trans)
@@ -133,8 +140,9 @@ def padding_fault_by_search(initial, transitions):
     the message of the first break of the padding discipline, or None.
     Checks every transition for pads on both tapes, then searches the
     (state, left padded, right padded) nodes from the initial one, depth
-    first, each state's transitions in order."""
-    if any(left == PAD and right == PAD for _, left, right, _ in transitions):
+    first, each state's transitions in order. A pad is epsilon."""
+    if any(left is EPSILON and right is EPSILON
+           for _, left, right, _ in transitions):
         return "transition padded on both tapes"
     seen = {(initial, False, False)}
     stack = [(initial, False, False)]
@@ -143,11 +151,11 @@ def padding_fault_by_search(initial, transitions):
         for src, left, right, dst in transitions:
             if src != q:
                 continue
-            if lpad and left != PAD:
+            if lpad and left is not EPSILON:
                 return f"non-pad left label after padding at state {q}"
-            if rpad and right != PAD:
+            if rpad and right is not EPSILON:
                 return f"non-pad right label after padding at state {q}"
-            node = (dst, lpad or left == PAD, rpad or right == PAD)
+            node = (dst, lpad or left is EPSILON, rpad or right is EPSILON)
             if node not in seen:
                 seen.add(node)
                 stack.append(node)
@@ -176,12 +184,13 @@ def behind_chains(draw, automata):
     length = draw(st.integers(1, 4))
     n, trans, finals = aut.n_states, list(aut.transitions), set()
     for f in sorted(aut.finals):
-        pads = [any(t.dst == f and t[tape] == PAD for t in aut.transitions)
-                for tape in (1, 2)]
+        pads = [any(t.dst == f and t[tape] is EPSILON
+                    for t in aut.transitions) for tape in (1, 2)]
         q = f
         for _ in range(length):
             x, y = draw(labels)
-            trans.append((q, PAD if pads[0] else x, PAD if pads[1] else y, n))
+            trans.append((q, EPSILON if pads[0] else x,
+                          EPSILON if pads[1] else y, n))
             q, n = n, n + 1
         finals.add(q)
     return TwoTapeAutomaton(n, aut.left, aut.right, aut.initial,
@@ -345,9 +354,9 @@ def cayley_by_pairs(table, gens, kind="semigroup"):
                 yield (x, y), (gen_idx[x], gen_idx[y], "N")
             if kind == "monoid":
                 for x in gens:
-                    yield (x, PAD), (gen_idx[x], e, "R")
+                    yield (x, EPSILON), (gen_idx[x], e, "R")
                 for y in gens:
-                    yield (PAD, y), (e, gen_idx[y], "L")
+                    yield (EPSILON, y), (e, gen_idx[y], "L")
             return
         s, t, copy = state
         if copy == "N":
@@ -355,10 +364,10 @@ def cayley_by_pairs(table, gens, kind="semigroup"):
                 yield (x, y), (times[s][x], times[t][y], "N")
         if copy != "L":
             for x in gens:
-                yield (x, PAD), (times[s][x], t, "R")
+                yield (x, EPSILON), (times[s][x], t, "R")
         if copy != "R":
             for y in gens:
-                yield (PAD, y), (s, times[t][y], "L")
+                yield (EPSILON, y), (s, times[t][y], "L")
 
     def successors(state):
         return [move for move in moves(state) if move[-1] in useful]
@@ -377,7 +386,7 @@ def product_by_folds(table, wp_t, gens):
     tapes' words in S with an adjoined identity and q a state of T's
     automaton, whose transitions are lifted to the product alphabet. A
     state accepts when s = t in S proper and q accepts."""
-    wp_t = _as_async(wp_t)
+    wp_t = as_async(wp_t)
     pi_s, pi_t = gens.pi_s(), gens.pi_t()
     alphabet = gens.alphabet()
     one = len(table)  # the adjoined identity of S^1
@@ -417,7 +426,7 @@ def compose_with_silent_loops(r, s):
     r-step writing nothing on the middle tape fires alone, an s-step
     reading nothing from it fires alone, and steps agreeing on a middle
     symbol fire jointly."""
-    r, s = _as_async(r), _as_async(s)
+    r, s = as_async(r), as_async(s)
 
     def successors(state):
         i, j = state
@@ -442,7 +451,7 @@ def fix_tape_by_line(r, v, side="left"):
     """Reference for fix_tape: the reachable product of r with the line
     automaton of v on the fixed tape, its states (state of r, |v| read),
     each step's symbol on the free tape kept."""
-    r = _as_async(r)
+    r = as_async(r)
     if side == "right":
         r = swap_tapes(r)
     v = tuple(v)
@@ -466,7 +475,7 @@ def union_of_two(r, s):
     """Reference for union of two parts: a fresh initial state 0 has
     silent branches into r, whose states are shifted by 1, and into s,
     whose states follow r's."""
-    r, s = _as_async(r), _as_async(s)
+    r, s = as_async(r), as_async(s)
     off_r, off_s = 1, 1 + r.n_states
     silent = (EPSILON,) * (1 if isinstance(r, OneTapeAutomaton) else 2)
     trans = [(0, *silent, r.initial + off_r), (0, *silent, s.initial + off_s)]
@@ -484,7 +493,7 @@ def zero_union_by_flags(wp_s, wp_t, zero):
     """Reference for zero_union: two-part unions nested, (WP_S u WP_T) u
     (Z x Z) with Z = (Z_S u Z_T) u mixed, where the mixed words are read
     by four states numbered 2 (seen an S letter) + (seen a T letter)."""
-    wp_s, wp_t = _as_async(wp_s), _as_async(wp_t)
+    wp_s, wp_t = as_async(wp_s), as_async(wp_t)
     a_syms = set(wp_s.left)
     alphabet = Alphabet(
         wp_s.left.symbols + tuple(s for s in wp_t.left.symbols if s != zero))
@@ -513,7 +522,7 @@ def monoid_by_nested_unions(wp, identity_witness=None):
     """Reference for monoid_from_semigroup_wp: two-part unions nested,
     ((WP u E x {()}) u {()} x E) u {((), ())}, E being the class of the
     identity witness (empty if there is none)."""
-    wp = _as_async(wp)
+    wp = as_async(wp)
     alphabet = wp.left
     eps_lang = OneTapeAutomaton(1, alphabet, 0, frozenset({0}), ())
     if identity_witness is not None:
@@ -561,7 +570,7 @@ def ideal_extension_by_branch(wp, data):
     """Reference for ideal_extension: one search from a start state that
     branches silently into ("S", q), the reachable states of the S
     automaton copied one by one, and into all_trackers."""
-    wp = _as_async(wp)
+    wp = as_async(wp)
     alphabet = Alphabet(wp.left.symbols + data.elements)
     start, trackers = all_trackers(data, alphabet)
 
@@ -588,7 +597,7 @@ def ideal_extension_all_trackers(wp, data):
     """ideal_extension as the union of trim(WP_S) with all_trackers, useful
     or not: trimming it gives ideal_extension's text whenever trim(WP_S)
     has a final state."""
-    wp = _as_async(wp)
+    wp = as_async(wp)
     alphabet = Alphabet(wp.left.symbols + data.elements)
     n, finals, trans = _explore(*all_trackers(data, alphabet),
                                 _tracker_is_final)
@@ -605,8 +614,7 @@ def transitions_by_items(n_states, tapes, transitions, mode=None):
     (padding_fault_by_search). Returns the records, or raises the
     InputError that names the first fault."""
     record = NfaTransition if mode is None else Transition
-    extra = PAD if mode == "sync" else EPSILON
-    allowed = [{extra, *tape} for tape in tapes]
+    allowed = [{EPSILON, *tape} for tape in tapes]
     records = tuple(t if type(t) is record else record(*t)
                     for t in transitions)
     for src, *labels, dst in records:
@@ -620,8 +628,6 @@ def transitions_by_items(n_states, tapes, transitions, mode=None):
                     continue
             except TypeError:
                 pass
-            if lab is EPSILON:
-                raise InputError("sync automaton may not have epsilon labels")
             raise InputError(f"unknown symbol {lab!r}")
     fault = mode == "sync" and padding_fault_by_search(0, records)
     if fault:
@@ -756,13 +762,17 @@ def trim_by_fixpoint(aut):
                           if t[0] in new and t[-1] in new))
 
 
-def _label_token(lab):
-    return "-" if lab is EPSILON else lab
+def _label_token(lab, sync=False):
+    if lab is EPSILON:
+        return "#" if sync else "-"
+    return lab
 
 
 def dumps_fsa_per_transition(aut):
     """Reference for dumps_fsa: each transition's line written on its
-    own, a label through _label_token."""
+    own, a label through _label_token, which writes a sync automaton's
+    epsilon as the pad '#'."""
+    sync = getattr(aut, "mode", None) == "sync"
     lines = []
     if isinstance(aut, OneTapeAutomaton):
         lines.append("type: nfa")
@@ -779,8 +789,8 @@ def dumps_fsa_per_transition(aut):
             lines.append(f"trans: {t.src} {_label_token(t.label)} {t.dst}")
         else:
             lines.append(
-                f"trans: {t.src} {_label_token(t.left)}"
-                f" {_label_token(t.right)} {t.dst}"
+                f"trans: {t.src} {_label_token(t.left, sync)}"
+                f" {_label_token(t.right, sync)} {t.dst}"
             )
     return "\n".join(lines) + "\n"
 
@@ -788,10 +798,9 @@ def dumps_fsa_per_transition(aut):
 def accepted_pairs(aut, bound):
     """Reference for the accepted pairs of an automaton with both words of
     length <= bound: a search over (state, left word, right word) that
-    follows silent transitions as they are, without eliminating them. A
-    pad reads nothing, as epsilon does: for a sync automaton that keeps
-    the padding discipline, every run reads its pair with the shorter
-    word padded."""
+    follows silent transitions as they are, without eliminating them. For
+    a sync automaton, which keeps the padding discipline, every run reads
+    its pair with the shorter word padded, each pad an epsilon."""
     start = (aut.initial, (), ())
     seen = {start}
     todo = [start]
@@ -803,8 +812,8 @@ def accepted_pairs(aut, bound):
         for t in aut.transitions:
             if t.src != q:
                 continue
-            nv = v if t.left in (EPSILON, PAD) else v + (t.left,)
-            nw = w if t.right in (EPSILON, PAD) else w + (t.right,)
+            nv = v if t.left is EPSILON else v + (t.left,)
+            nw = w if t.right is EPSILON else w + (t.right,)
             node = (t.dst, nv, nw)
             if len(nv) <= bound and len(nw) <= bound and node not in seen:
                 seen.add(node)

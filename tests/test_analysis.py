@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ratwp import (
+    EPSILON,
     Alphabet,
     InputError,
-    PAD,
     Presentation,
     PumpDecomposition,
     Transition,
@@ -15,6 +15,7 @@ from ratwp import (
     build_oracle,
     builtin,
     builtin_presentation,
+    cayley_wp_sync,
     congruence_check,
     cross_product,
     cross_section,
@@ -116,9 +117,10 @@ class TestPumpDecompose:
 @example(TwoTapeAutomaton(
     3, AB, AB, 0, frozenset({1, 2}),
     tuple((q, x, x, 1) for q in (0, 1) for x in "ab")
-    + tuple((q, x, PAD, 2) for q in (1, 2) for x in "ab"), mode="sync"))
+    + tuple((q, x, EPSILON, 2) for q in (1, 2) for x in "ab"),
+    mode="sync"))
 def test_sync_pumping_matches_async_view(aut):
-    # a sync automaton read as it is, a pad reading nothing, has the
+    # a sync automaton read as it is, a pad being epsilon, has the
     # pumping constant and the decompositions of its async view
     view = sync_to_async(aut)
     n0 = pumping_constant(aut)
@@ -448,19 +450,6 @@ def test_eps_right_cycle_edges_match_closure_reference(aut):
     assert _eps_right_cycle_edges(aut) == eps_right_cycle_edges_by_closure(aut)
 
 
-@settings(max_examples=150, deadline=None)
-@given(sync_automata())
-# the right tape padded in a loop: that loop is cut, and its left labels
-# stay
-@example(TwoTapeAutomaton(
-    2, AB, AB, 0, frozenset({1}),
-    ((0, "a", "a", 1), (1, "a", PAD, 1), (1, "b", PAD, 1)), mode="sync"))
-def test_sync_cross_section_matches_async_view(aut):
-    # a sync automaton is read as it is, a pad reading nothing as epsilon
-    # does, both where loops are cut and in the projected labels
-    assert cross_section(aut) == cross_section(sync_to_async(aut))
-
-
 class TestValidateCrossSection:
     def test_empty_language_fails(self):
         empty = OneTapeAutomaton(1, AB, 0, frozenset(), ())
@@ -534,6 +523,12 @@ class TestExportDot:
 
     def test_epsilon_rendering(self):
         assert "ε" in export_dot(builtin("fig3"))
+
+    def test_pad_rendering(self, c2_table):
+        # a sync automaton's epsilon is a pad, drawn as □
+        text = export_dot(cayley_wp_sync(c2_table, ("g",)))
+        assert '  1 -> 2 [label="(g,□)"];\n' in text
+        assert "ε" not in text
 
     def test_nodes_labelled_by_number_after_trim(self):
         aut = trim(remove_generator(builtin("fig2"), "a"))

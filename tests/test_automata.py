@@ -36,7 +36,7 @@ from ratwp import (
 )
 import ratwp.automata
 from ratwp.automata import (
-    _accepting_run, _as_async, _explore, _pair_coding, _search_form,
+    _accepting_run, _explore, _pair_coding, _search_form,
 )
 from ratwp.fileio import dumps_fsa, load_fsa, loads_fsa
 from random_automata import (
@@ -101,10 +101,15 @@ class TestValidation:
         with pytest.raises(InputError):
             TwoTapeAutomaton(1, AB, AB, 0, frozenset(), ((0, "c", "a", 0),))
 
-    def test_sync_rejects_epsilon(self):
-        with pytest.raises(InputError):
+    def test_sync_pad_is_epsilon(self):
+        # a sync automaton's pad is epsilon; '#' is only how a file writes
+        # it, and as a label it is an unknown symbol
+        aut = TwoTapeAutomaton(2, AB, AB, 0, frozenset({1}),
+                               ((0, "a", EPSILON, 1),), mode="sync")
+        assert aut.accepts(w("a"), ()) and not aut.accepts(w("a"), w("a"))
+        with pytest.raises(InputError, match="unknown symbol '#'"):
             TwoTapeAutomaton(1, AB, AB, 0, frozenset(),
-                             ((0, EPSILON, "a", 0),), mode="sync")
+                             ((0, PAD, "a", 0),), mode="sync")
 
     @pytest.mark.parametrize("mode, transitions, message", [
         ("async", ((0, "a", "a", 0), (0, "c", "a", 0)), "unknown symbol 'c'"),
@@ -120,9 +125,8 @@ class TestValidation:
         ("async", ((0, "a", "c", 0), (5, "a", "a", 0)), "unknown symbol 'c'"),
         ("async", ((0, "c", "a", 5),),
          "transition target 5 out of range for 2 states"),
-        ("sync", ((0, "a", EPSILON, 0),),
-         "sync automaton may not have epsilon labels"),
-        ("sync", ((0, PAD, "c", 0),), "unknown symbol 'c'"),
+        ("sync", ((0, "a", PAD, 0),), "unknown symbol '#'"),
+        ("sync", ((0, EPSILON, "c", 0),), "unknown symbol 'c'"),
         ("x", (), "unknown mode 'x'"),
     ])
     def test_error_names_the_first_bad_field(self, mode, transitions,
@@ -350,13 +354,13 @@ class TestExplore:
                 yield (EPSILON, "b"), 7
                 yield ("b", "b"), 5
             else:
-                yield ("b", PAD), 9
+                yield ("b", EPSILON), 9
 
         n, finals, trans = _explore(5, successors, lambda q: q > 6)
         assert (n, finals) == (3, frozenset({1, 2}))
         assert trans == ((0, "a", EPSILON, 1), (0, "a", "b", 2),
                          (1, EPSILON, "b", 2), (1, "b", "b", 0),
-                         (2, "b", PAD, 1))
+                         (2, "b", EPSILON, 1))
 
 
 class TestDeterminize:
@@ -427,14 +431,14 @@ class TestSync:
     def test_sync_rejects_double_pad(self):
         with pytest.raises(InputError, match="padded on both tapes"):
             TwoTapeAutomaton(
-                1, AB, AB, 0, frozenset({0}), ((0, PAD, PAD, 0),),
+                1, AB, AB, 0, frozenset({0}), ((0, EPSILON, EPSILON, 0),),
                 mode="sync")
 
     def test_sync_rejects_symbol_after_pad(self):
         with pytest.raises(InputError, match="after padding"):
             TwoTapeAutomaton(
                 2, AB, AB, 0, frozenset({1}),
-                ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync")
+                ((0, EPSILON, "a", 1), (1, "a", "a", 1)), mode="sync")
 
     def test_construction_refuses_sync_that_breaks_padding(self):
         # no sync automaton that breaks the padding discipline is built, so
@@ -443,7 +447,7 @@ class TestSync:
         with pytest.raises(InputError, match="after padding"):
             TwoTapeAutomaton(
                 2, AB, AB, 0, frozenset({1}),
-                ((0, PAD, "a", 1), (1, "a", "a", 1)), mode="sync")
+                ((0, EPSILON, "a", 1), (1, "a", "a", 1)), mode="sync")
         with pytest.raises(InputError, match="after padding"):
             loads_fsa("type: sync\nleft: a b\nright: a b\nstates: 2\n"
                       "initial: 0\nfinal: 1\ntrans: 0 # a 1\n"
@@ -460,7 +464,7 @@ class TestSync:
         sync = TwoTapeAutomaton(
             3, AB, AB, 0, frozenset({1, 2}),
             tuple((q, x, x, 1) for q in (0, 1) for x in "ab")
-            + tuple((q, x, PAD, 2) for q in (1, 2) for x in "ab"),
+            + tuple((q, x, EPSILON, 2) for q in (1, 2) for x in "ab"),
             mode="sync")
         as_async = sync_to_async(sync)
         for v, u in all_pairs(AB, 3):
@@ -530,7 +534,7 @@ UNEQUAL_TAPES = TwoTapeAutomaton(
 PADS_RIGHT = TwoTapeAutomaton(
     3, AB, AB, 0, frozenset({1, 2}),
     tuple((q, x, x, 1) for q in (0, 1) for x in "ab")
-    + tuple((q, x, PAD, 2) for q in (1, 2) for x in "ab"),
+    + tuple((q, x, EPSILON, 2) for q in (1, 2) for x in "ab"),
     mode="sync")
 
 
@@ -681,12 +685,6 @@ def test_sync_queries_build_no_async_view(monkeypatch, c2_table):
     assert padding == [aut] and converted == []
 
 
-def test_async_view_is_for_sync_automata_only():
-    # an async automaton is its own view
-    aut = builtin("fig3")
-    assert _as_async(aut) is aut
-
-
 def test_enumeration_leaves_no_reference_cycle():
     # an automaton kept on itself, as its own silent-free form, would
     # outlive its last user until the cyclic collector runs
@@ -817,7 +815,7 @@ def test_reads_to_final():
         [0, 0, None, 0], [0, 0, None, 1], [1, 0, None, 1])
     # a pad reads nothing
     sync = TwoTapeAutomaton(3, AB, AB, 0, frozenset({2}), (
-        (0, "a", "b", 1), (1, "a", PAD, 2)), mode="sync")
+        (0, "a", "b", 1), (1, "a", EPSILON, 2)), mode="sync")
     assert sync._reads_to_final == ([2, 1, 0], [1, 0, 0], [3, 1, 0])
 
 
@@ -839,8 +837,8 @@ def test_padding_checked_once(monkeypatch, tmp_path):
     # a failed construction keeps nothing: each one checks and raises
     for _ in range(2):
         with pytest.raises(InputError, match="padded on both tapes"):
-            TwoTapeAutomaton(1, AB, AB, 0, frozenset(), ((0, PAD, PAD, 0),),
-                             mode="sync")
+            TwoTapeAutomaton(1, AB, AB, 0, frozenset(),
+                             ((0, EPSILON, EPSILON, 0),), mode="sync")
     assert len(calls) == 3
 
 

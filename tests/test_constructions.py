@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ratwp import (
+    EPSILON,
     Alphabet,
     IdealData,
     InputError,
@@ -19,8 +20,11 @@ from ratwp import (
     builtin,
     builtin_presentation,
     cayley_wp_sync,
+    compose,
+    cross_section,
     dumps_fsa,
     enumerate_accepted,
+    fix_tape,
     free_product,
     free_wp,
     ideal_extension,
@@ -32,6 +36,7 @@ from ratwp import (
     sync_to_async,
     table_oracle,
     trim,
+    union,
     verify,
     zero_union,
 )
@@ -50,6 +55,7 @@ from random_automata import (
     permuted_table,
     product_by_folds,
     rectangular_band_ideals,
+    sync_automata,
     table_ideals,
     transformation_tables,
     two_tape_automata,
@@ -697,3 +703,51 @@ def test_bad_arguments_are_named(call, message):
     with pytest.raises(InputError) as exc:
         call()
     assert str(exc.value) == message
+
+
+FIG2 = builtin("fig2")
+B_A_STAR = OneTapeAutomaton(2, AB, 0, frozenset({1}),
+                            ((0, "b", 1), (1, "a", 1)))
+C2 = MultiplicationTable(("1", "g"), ((0, 1), (1, 0)))
+# every operation that takes a two-tape automaton, applied to one over
+# {a, b}
+SYNC_INPUT_OPERATIONS = {
+    "compose, left": lambda a: compose(a, FIG2),
+    "compose, right": lambda a: compose(FIG2, a),
+    "fix_tape, left": lambda a: fix_tape(a, ("a", "b")),
+    "fix_tape, right": lambda a: fix_tape(a, ("b",), side="right"),
+    "intersect_rectangle": lambda a: intersect_rectangle(a, B_A_STAR,
+                                                         B_A_STAR),
+    "union, first": lambda a: union(a, FIG2),
+    "union, second": lambda a: union(FIG2, a),
+    "adjoin_zero": lambda a: adjoin_zero(a, "z"),
+    "adjoin_identity": lambda a: adjoin_identity(a, "e"),
+    "remove_generator": lambda a: remove_generator(a, "a"),
+    "add_generator": lambda a: add_generator(a, "c", ("a", "b")),
+    "free_product": lambda a: free_product(a, free_wp(Alphabet(("c",)))),
+    "zero_union": lambda a: zero_union(a, free_wp(Alphabet(("c", "b"))),
+                                       "b"),
+    "product_with_finite": lambda a: product_with_finite(
+        C2, a, ProductGenerators((("x", "g", "a"), ("y", "1", "b")))),
+    "monoid_from_semigroup_wp": monoid_from_semigroup_wp,
+    "monoid_from_semigroup_wp, witness":
+        lambda a: monoid_from_semigroup_wp(a, ("a",)),
+    "cross_section": cross_section,
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(sync_automata())
+# the right tape padded in a loop: cross_section cuts that loop and keeps
+# its left labels
+@example(TwoTapeAutomaton(
+    2, AB, AB, 0, frozenset({1}),
+    ((0, "a", "a", 1), (1, "a", EPSILON, 1), (1, "b", EPSILON, 1)),
+    mode="sync"))
+def test_operations_read_a_sync_automaton_as_its_async_view(aut):
+    # a pad is epsilon, so each operation reads a sync automaton as it is:
+    # it writes the text it writes for the automaton made async first
+    view = sync_to_async(aut)
+    assert view.transitions == aut.transitions and view.mode == "async"
+    for name, operation in SYNC_INPUT_OPERATIONS.items():
+        assert dumps_fsa(operation(aut)) == dumps_fsa(operation(view)), name

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import ratwp.oracle
 from ratwp import (
     EPSILON,
-    PAD,
     Alphabet,
     InputError,
     MultiplicationTable,
@@ -384,8 +383,9 @@ def cayley_faults(draw):
         i = draw(st.integers(0, len(trans) - 1))
         t = trans[i]
         # into a state entered with the same pads: the padding holds
-        same_pads = [u.dst for u in trans if (u.left == PAD) == (t.left == PAD)
-                     and (u.right == PAD) == (t.right == PAD)]
+        same_pads = [u.dst for u in trans
+                     if (u.left is EPSILON) == (t.left is EPSILON)
+                     and (u.right is EPSILON) == (t.right is EPSILON)]
         trans[i] = t._replace(dst=draw(st.sampled_from(same_pads)))
     elif fault == "unfinal" and finals:
         finals.remove(draw(st.sampled_from(finals)))

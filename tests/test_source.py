@@ -104,3 +104,39 @@ def test_unused_private_names_are_found():
 def test_no_unused_private_names():
     sources = [p.read_text(encoding="utf-8") for p in SOURCE.glob("*.py")]
     assert unused_private_names(sources) == []
+
+
+def top_level_users(source, name):
+    """The module-level statements of a module source that name `name`, as
+    a name: a function or class by its name, an assignment by its targets'
+    names, an import as "import"."""
+    users = set()
+    for top in ast.parse(source).body:
+        if isinstance(top, (ast.Import, ast.ImportFrom)):
+            if any((a.asname or a.name) == name for a in top.names):
+                users.add("import")
+        elif any(getattr(sub, "id", None) == name for sub in ast.walk(top)):
+            if isinstance(top, ast.Assign):
+                users.update(t.id for t in top.targets)
+            else:
+                users.add(getattr(top, "name", type(top).__name__))
+    return users
+
+
+def test_top_level_users_are_found():
+    source = ("from m import P, Q\nP2 = P\nX = 1\n"
+              "def f():\n    return P\nclass C:\n    y = Q\n")
+    assert top_level_users(source, "P") == {"import", "P2", "f"}
+    assert top_level_users(source, "Q") == {"import", "C"}
+
+
+def test_only_the_text_formats_name_the_pad_token():
+    # a sync automaton's pad is epsilon, and '#' only how a file writes
+    # it: past the constant and Alphabet's reserved-token check, only
+    # fileio names the token (the package re-exports it)
+    users = {p.name: top_level_users(p.read_text(encoding="utf-8"), "PAD")
+             for p in SOURCE.glob("*.py")}
+    assert {name for name, found in users.items() if found} == {
+        "__init__.py", "automata.py", "fileio.py"}
+    assert users["__init__.py"] == {"import"}
+    assert users["automata.py"] == {"PAD", "Alphabet"}
